@@ -1,29 +1,27 @@
 """Multicollision attacks on the simulated hash constructions.
 
-joux_attack chains independent block-pair collisions along a traditional
-iterated hash: each stage costs one birthday search, so a 2^r-collision
-costs r searches while its size grows exponentially.
+One engine runs every attack.  An attack certificate (see nesting) cuts the
+schedule word into parts that condense to permutations of a subalphabet B,
+and one level walker hashes each part, running the level's collision search
+for each block of B-positions.  Level 1 finds one cross-stream pair
+collision per B-position among fresh sampler blocks; each later level
+collapses the >= 2^n combinations of the groups a block inherits by table
+search.  Iteration order is fixed, so an oracle seed reproduces the attack
+byte for byte.  joux_attack, Joux's chained pair collisions, is the q=1
+case: the identity word 1..r in one part, with no filler blocks.
 
-generalized_attack extends the idea to q-bounded schedules.  An attack
-certificate (see nesting) cuts the schedule word into parts that condense
-to permutations of a subalphabet B.  Walking the first part yields one
-pair collision per B-position; every later part is walked block group by
-block group, collapsing the >= 2^n inherited sub-message combinations of
-each group by birthday search among them.  Group iteration order and
-candidate enumeration are fixed (first-occurrence order, sequential), so a
-given oracle seed reproduces the attack byte for byte.
-
-An attack owns its oracle exclusively while it runs; verification re-hashes
-every expanded message on a counter-isolated clone so audit queries never
-pollute the attack cost.
+An attack owns its oracle exclusively while it runs.  Verification checks
+the schedule word's coverage of 1..l and its bound, then hashes every
+expanded message along that one word on a counter-isolated clone, so audit
+queries never pollute the attack cost.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterator, Optional, Sequence
 
 from .hashsim import (
@@ -31,12 +29,17 @@ from .hashsim import (
     CompressionOracle,
     Schedule,
     derive_seed,
-    gihf_eval,
     identity_schedule,
+    table_collision,
     validate_schedule_word,
 )
-from .nesting import ConstructionError, attack_threshold, find_attack_structure
-from .words import Word, condense, equal_blocks, split_word
+from .nesting import (
+    AttackCertificate,
+    ConstructionError,
+    attack_threshold,
+    find_attack_structure,
+)
+from .words import condense, equal_blocks, split_word
 
 DEFAULT_A_TILDE = 2.5
 DEFAULT_EXPANSION_CAP = 1 << 16
@@ -78,11 +81,13 @@ class MulticollisionSet:
             if any(len(c) != len(group.positions) for c in group.choices):
                 raise ValueError("choice width must match the group positions")
             expansion *= len(group.choices)
+        # cheap size checks come first, so a hostile length or r never
+        # builds a huge set or integer
         covered = seen | set(self.base_blocks)
-        if covered != set(range(1, self.length + 1)) or len(seen) + len(self.base_blocks) != self.length:
+        if len(seen) + len(self.base_blocks) != self.length or covered != set(range(1, self.length + 1)):
             raise ValueError("groups plus base blocks must cover every position exactly once")
-        if expansion != 2 ** self.r:
-            raise ValueError(f"expansion size {expansion} != 2^{self.r}")
+        if self.r < 1 or expansion.bit_length() != self.r + 1 or expansion != 2 ** self.r:
+            raise ValueError(f"expansion size {expansion} is not 2^{self.r} with r >= 1")
 
     @property
     def expansion_size(self) -> int:
@@ -117,15 +122,23 @@ class MulticollisionSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MulticollisionSet":
-        return cls(
-            length=int(data["length"]),
-            groups=tuple(
-                CollisionGroup(tuple(g["positions"]), tuple(tuple(c) for c in g["choices"]))
-                for g in data["groups"]
-            ),
-            base_blocks={int(pos): int(blk) for pos, blk in data["base_blocks"]},
-            r=int(data["r"]),
+        """Inverse of to_dict; raises KeyError, TypeError or ValueError on
+        malformed data, including any non-integer field."""
+        length, r = _integers((data["length"], data["r"]))
+        groups = tuple(
+            CollisionGroup(_integers(g["positions"]), tuple(_integers(c) for c in g["choices"]))
+            for g in data["groups"]
         )
+        base_blocks = dict(map(_integers, data["base_blocks"]))
+        return cls(length=length, groups=groups, base_blocks=base_blocks, r=r)
+
+
+def _integers(values) -> tuple[int, ...]:
+    """The values as a tuple, rejecting anything but integers (bools too)."""
+    values = tuple(values)
+    if any(type(v) is not int for v in values):
+        raise ValueError("multicollision fields must be integers")
+    return values
 
 
 @dataclass(frozen=True)
@@ -158,24 +171,8 @@ class AttackReport:
     level_queries: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "n": self.n,
-            "m": self.m,
-            "q": self.q,
-            "l": self.l,
-            "attack_queries": self.attack_queries,
-            "verify_ok": self.verify_ok,
-            "bound": self.bound,
-            "seed": self.seed,
-            "a_tilde": self.a_tilde,
-            "h0": self.h0,
-            "p": self.p,
-            "schedule": self.schedule,
-            "raw_calls": self.raw_calls,
-            "stage_queries": list(self.stage_queries),
-            "level_queries": list(self.level_queries),
-        }
+        return {**asdict(self), "stage_queries": list(self.stage_queries),
+                "level_queries": list(self.level_queries)}
 
 
 @dataclass(frozen=True)
@@ -213,26 +210,26 @@ def complexity_bound(n: int, q: int, r: int, a_tilde: float = DEFAULT_A_TILDE):
     return int(value) if value.denominator == 1 else float(value)
 
 
-def _cross_collision(evaluate: Callable[[int], int], sampler: BlockSampler):
-    """Search two distinct blocks with equal digest under `evaluate`.
+def _cross_collision(evaluate: Callable, candidates: Iterator):
+    """Search two distinct candidates with equal value under `evaluate`.
 
     Candidates are drawn alternately into two streams and only collisions
     across streams are accepted, mirroring the search for a pair (b, b').
-    Returns (first-drawn block, second-drawn block, digest).
+    Returns ((first-drawn candidate, second-drawn candidate), value).
     """
     first_seen: dict = {}
     second_seen: dict = {}
     while True:
-        bx = next(sampler)
-        dx = evaluate(bx)
+        x = next(candidates)
+        dx = evaluate(x)
         if dx in second_seen:
-            return second_seen[dx], bx, dx
-        first_seen.setdefault(dx, bx)
-        by = next(sampler)
-        dy = evaluate(by)
+            return (second_seen[dx], x), dx
+        first_seen.setdefault(dx, x)
+        y = next(candidates)
+        dy = evaluate(y)
         if dy in first_seen:
-            return first_seen[dy], by, dy
-        second_seen.setdefault(dy, by)
+            return (first_seen[dy], y), dy
+        second_seen.setdefault(dy, y)
 
 
 def block_pair_collision(oracle: CompressionOracle, h: int,
@@ -245,22 +242,29 @@ def block_pair_collision(oracle: CompressionOracle, h: int,
     if sampler is None:
         sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, f"pair:{h}"))
     start = oracle.query_count
-    b1, b2, digest = _cross_collision(lambda b: oracle.compress(h, b), sampler)
+    (b1, b2), digest = _cross_collision(lambda b: oracle.compress(h, b), sampler)
     return b1, b2, digest, oracle.query_count - start
 
 
 def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
                           mc: MulticollisionSet,
                           cap: int = DEFAULT_EXPANSION_CAP) -> VerificationResult:
-    """Expand the multicollision and re-hash every message on the given
-    (counter-isolated) oracle, confirming one common digest and pairwise
-    distinct messages.
+    """Expand the multicollision and hash every message along the schedule
+    word for its length on the given (counter-isolated) oracle, confirming
+    one common digest and pairwise distinct messages.
 
-    Expansions beyond `cap` are sampled deterministically instead of fully
-    enumerated; the result is then flagged complete=False.
+    The set is rejected without a query unless it is well formed, the word
+    covers 1..l within the schedule's declared bound, and h0 and every block
+    lie in the oracle's ranges.  Expansions beyond `cap` are sampled
+    deterministically instead of fully enumerated; the result is then
+    flagged complete=False.
     """
     try:
         mc.validate()
+        alpha = validate_schedule_word(sched, mc.length)
+        blocks = chain(mc.base_blocks.values(), *(c for g in mc.groups for c in g.choices))
+        if not (0 <= h0 < 1 << oracle.n and all(0 <= b < 1 << oracle.m for b in blocks)):
+            raise ValueError("h0 or a block lies outside the oracle's range")
     except (ValueError, TypeError, AttributeError):
         return VerificationResult(False, True, 0)
     size = mc.expansion_size
@@ -269,9 +273,8 @@ def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
         selections = product(*(range(len(g.choices)) for g in mc.groups))
     else:
         complete = False
-        rng_state = derive_seed(0xC011EC7, f"sample:{size}")
+        state = derive_seed(0xC011EC7, f"sample:{size}")
         picks = []
-        state = rng_state
         for _ in range(cap):
             selection = []
             for group in mc.groups:
@@ -280,6 +283,7 @@ def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
             picks.append(tuple(selection))
         selections = iter(picks)
 
+    compress = oracle.compress
     digest = None
     seen_selections: set = set()
     seen_messages: set = set()
@@ -293,13 +297,131 @@ def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
         if message in seen_messages:
             return VerificationResult(False, complete, checked)
         seen_messages.add(message)
-        value = gihf_eval(oracle, sched, h0, message)
+        value = h0
+        for sym in alpha:
+            value = compress(value, message[sym - 1])
         if digest is None:
             digest = value
         elif value != digest:
             return VerificationResult(False, complete, checked)
         checked += 1
     return VerificationResult(True, complete, checked, digest)
+
+
+def _walk_level(oracle, part, units, fillers, state, search):
+    """Hash one part of the schedule word and find one collision per unit.
+
+    A unit is (positions, candidates): message positions whose occurrences
+    form one span of the part, and block tuples aligned with them.  Filler
+    blocks before each span are hashed; search(evaluate, candidates)
+    replays the span per candidate and returns ((first, second), outgoing
+    state), or None.  Returns the new groups, the part's outgoing state and
+    the distinct queries of each search.
+    """
+    first = {}
+    last = {}
+    for idx, sym in enumerate(part):
+        first.setdefault(sym, idx)
+        last[sym] = idx
+    compress = oracle.compress
+    groups = []
+    stage_queries = []
+    cursor = 0
+    for positions, candidates in units:
+        begin = min(first[pos] for pos in positions)
+        end = max(last[pos] for pos in positions)
+        for sym in part[cursor:begin]:
+            state = compress(state, fillers[sym])
+        slot = {pos: at for at, pos in enumerate(positions)}
+        # a span opens with one of its own positions; the rest of it pairs
+        # each symbol with its candidate slot, or -1 and its filler block
+        head = slot[part[begin]]
+        rest = tuple((slot.get(sym, -1), fillers.get(sym))
+                     for sym in part[begin + 1:end + 1])
+
+        if rest:
+            def evaluate(choice, state=state, head=head, rest=rest):
+                value = compress(state, choice[head])
+                for at, filler in rest:
+                    value = compress(value, filler if at < 0 else choice[at])
+                return value
+        else:
+            # a one-symbol span, as in every Joux stage: one compress call
+            def evaluate(choice, state=state, head=head):
+                return compress(state, choice[head])
+
+        before = oracle.query_count
+        found = search(evaluate, candidates)
+        if found is None:
+            raise ConstructionError(
+                f"no collision among the candidates for positions {positions}")
+        pair, state = found
+        stage_queries.append(oracle.query_count - before)
+        groups.append(CollisionGroup(positions, pair))
+        cursor = end + 1
+    for sym in part[cursor:]:
+        state = compress(state, fillers[sym])
+    return groups, state, stage_queries
+
+
+def _inherited_units(groups, blocks):
+    """One unit per block of a later level: the inherited groups tiling the
+    block, with every combination of their choices as candidates."""
+    owner = {pos: gi for gi, group in enumerate(groups) for pos in group.positions}
+    for block in blocks:
+        members = [groups[gi] for gi in dict.fromkeys(owner[pos] for pos in block)]
+        positions = tuple(chain.from_iterable(g.positions for g in members))
+        # the certificate guarantees previous groups tile each block exactly
+        assert len(positions) == len(block)
+        combos = product(*(g.choices for g in members))
+        yield positions, (tuple(chain.from_iterable(combo)) for combo in combos)
+
+
+def _attack(oracle, sched, q, alpha, cert, fillers, sampler, h0, a_tilde, expansion_cap):
+    """Run the certificate's levels along the schedule word alpha, then
+    verify the multicollision on a clone of the oracle.  Level i >= 2 cuts
+    its part into n^(p-i) * k equal blocks; positions outside the
+    subalphabet keep their filler block."""
+    subset = set(cert.subalphabet)
+    start = oracle.query_count
+    raw_start = oracle.raw_calls
+    state = h0
+    groups = []
+    stage_queries = []
+    level_queries = []
+    for level, part in enumerate(split_word(alpha, cert.splits), 1):
+        order = condense(part, subset)
+        if level == 1:
+            fresh = zip(sampler)  # one-block candidates (b,)
+            units = [((sym,), fresh) for sym in order]
+            search = _cross_collision
+        else:
+            blocks = equal_blocks(order, cert.n ** (cert.p - level) * cert.k)
+            units = _inherited_units(groups, blocks)
+            search = table_collision
+        before = oracle.query_count
+        groups, state, stages = _walk_level(oracle, part, units, fillers, state, search)
+        stage_queries.extend(stages)
+        level_queries.append(oracle.query_count - before)
+
+    length = max(alpha)  # alpha covers 1..l
+    base_blocks = {pos: blk for pos, blk in fillers.items() if pos not in subset}
+    mc = MulticollisionSet(length=length, groups=tuple(groups),
+                           base_blocks=base_blocks, r=cert.k)
+    mc.validate()
+    attack_queries = oracle.query_count - start
+    outcome = verify_multicollision(oracle.clone(), sched, h0, mc, cap=expansion_cap)
+    report = AttackReport(
+        r=cert.k, n=oracle.n, m=oracle.m, q=q, l=length,
+        attack_queries=attack_queries,
+        verify_ok=outcome.ok,
+        bound=complexity_bound(oracle.n, q, cert.k, a_tilde),
+        seed=oracle.seed, a_tilde=a_tilde, h0=h0, p=cert.p, schedule=sched.name,
+        raw_calls=oracle.raw_calls - raw_start,
+        stage_queries=tuple(stage_queries),
+        level_queries=tuple(level_queries),
+    )
+    return mc, report
 
 
 def joux_attack(oracle: CompressionOracle, h0: int, r: int, *,
@@ -309,145 +431,19 @@ def joux_attack(oracle: CompressionOracle, h0: int, r: int, *,
     """Build a 2^r-collision on the traditional iterated hash by chaining r
     independent block-pair collisions from h0.
 
-    Returns (MulticollisionSet, AttackReport); the report's stage_queries
-    reconcile exactly with attack_queries.
+    This is the attack engine on the identity word 1..r under the trivial
+    certificate (every position, one part) with no filler blocks.  Returns
+    (MulticollisionSet, AttackReport); the report's stage_queries reconcile
+    exactly with attack_queries.
     """
     if r < 1:
         raise ValueError("collision exponent r must be >= 1")
     if sampler is None:
         sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "joux"))
-    start = oracle.query_count
-    raw_start = oracle.raw_calls
-    state = h0
-    groups = []
-    stage_queries = []
-    for position in range(1, r + 1):
-        b1, b2, state, spent = block_pair_collision(oracle, state, sampler)
-        groups.append(CollisionGroup((position,), ((b1,), (b2,))))
-        stage_queries.append(spent)
-    mc = MulticollisionSet(length=r, groups=tuple(groups), base_blocks={}, r=r)
-    mc.validate()
-    attack_queries = oracle.query_count - start
-    outcome = verify_multicollision(oracle.clone(), identity_schedule(), h0, mc,
-                                    cap=expansion_cap)
-    report = AttackReport(
-        r=r, n=oracle.n, m=oracle.m, q=1, l=r,
-        attack_queries=attack_queries,
-        verify_ok=outcome.ok,
-        bound=complexity_bound(oracle.n, 1, r, a_tilde),
-        seed=oracle.seed, a_tilde=a_tilde, h0=h0, p=1, schedule="identity",
-        raw_calls=oracle.raw_calls - raw_start,
-        stage_queries=tuple(stage_queries),
-        level_queries=(attack_queries,),
-    )
-    return mc, report
-
-
-def _first_level_groups(oracle, part, subset, base, state, sampler):
-    """One pair collision per subalphabet position, walked along the part.
-
-    Each chosen position occupies a span of the part containing no other
-    subalphabet symbol; evaluating a candidate block replays the span with
-    fixed filler blocks, so span length is the per-candidate query cost.
-    """
-    order = condense(part, subset)
-    first = {}
-    last = {}
-    for idx, sym in enumerate(part):
-        if sym in subset:
-            first.setdefault(sym, idx)
-            last[sym] = idx
-    groups = []
-    stage_queries = []
-    cursor = 0
-    for sym in order:
-        for idx in range(cursor, first[sym]):
-            state = oracle.compress(state, base[part[idx]])
-        span = part[first[sym]:last[sym] + 1]
-
-        def evaluate(block, state=state, span=span, sym=sym):
-            value = state
-            for s in span:
-                value = oracle.compress(value, block if s == sym else base[s])
-            return value
-
-        before = oracle.query_count
-        b1, b2, state = _cross_collision(evaluate, sampler)
-        stage_queries.append(oracle.query_count - before)
-        groups.append(CollisionGroup((sym,), ((b1,), (b2,))))
-        cursor = last[sym] + 1
-    for idx in range(cursor, len(part)):
-        state = oracle.compress(state, base[part[idx]])
-    return groups, state, stage_queries
-
-
-def _collapse_level(oracle, part, subset, base, state, groups, block_count):
-    """Collapse the inherited choice groups along one later part.
-
-    The part's subalphabet symbols split into `block_count` consecutive
-    blocks; each block's alphabet is a disjoint union of previous groups.
-    Enumerating the combined choices of those groups and replaying the
-    block's span finds two combinations with equal outgoing state, which
-    become the block's single surviving binary group.
-    """
-    order = condense(part, subset)
-    blocks = equal_blocks(order, block_count)
-    first = {}
-    last = {}
-    for idx, sym in enumerate(part):
-        if sym in subset:
-            first.setdefault(sym, idx)
-            last[sym] = idx
-    by_position = {}
-    for gi, group in enumerate(groups):
-        for pos in group.positions:
-            by_position[pos] = gi
-    new_groups = []
-    stage_queries = []
-    cursor = 0
-    for block in blocks:
-        begin = min(first[sym] for sym in block)
-        end = max(last[sym] for sym in block)
-        for idx in range(cursor, begin):
-            state = oracle.compress(state, base[part[idx]])
-        members = list(dict.fromkeys(by_position[sym] for sym in block))
-        # the certificate guarantees previous groups tile each block exactly
-        assert sum(len(groups[gi].positions) for gi in members) == len(block)
-        span = part[begin:end + 1]
-        before = oracle.query_count
-        table: dict = {}
-        found = None
-        for combo in product(*(range(len(groups[gi].choices)) for gi in members)):
-            assignment = {}
-            for gi, pick in zip(members, combo):
-                group = groups[gi]
-                for pos, blk in zip(group.positions, group.choices[pick]):
-                    assignment[pos] = blk
-            value = state
-            for s in span:
-                value = oracle.compress(value, assignment[s] if s in assignment else base[s])
-            if value in table:
-                found = (table[value], combo, value)
-                break
-            table[value] = combo
-        if found is None:
-            raise ConstructionError(
-                "no collision among the inherited candidate combinations")
-        combo_a, combo_b, state = found
-        positions = []
-        choice_a = []
-        choice_b = []
-        for gi, pick_a, pick_b in zip(members, combo_a, combo_b):
-            group = groups[gi]
-            positions.extend(group.positions)
-            choice_a.extend(group.choices[pick_a])
-            choice_b.extend(group.choices[pick_b])
-        new_groups.append(CollisionGroup(tuple(positions), (tuple(choice_a), tuple(choice_b))))
-        stage_queries.append(oracle.query_count - before)
-        cursor = end + 1
-    for idx in range(cursor, len(part)):
-        state = oracle.compress(state, base[part[idx]])
-    return new_groups, state, stage_queries
+    alpha = tuple(range(1, r + 1))
+    cert = AttackCertificate(alpha, 1, (), oracle.n, r)
+    return _attack(oracle, identity_schedule(), 1, alpha, cert, {}, sampler,
+                   h0, a_tilde, expansion_cap)
 
 
 def generalized_attack(oracle: CompressionOracle, sched: Schedule, q: int,
@@ -478,44 +474,8 @@ def generalized_attack(oracle: CompressionOracle, sched: Schedule, q: int,
             f"schedule cannot serve the required message length l = {length}: {exc}"
         ) from exc
     cert = find_attack_structure(alpha, n_param, r, q)
-
     if sampler is None:
         sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "gihf"))
-    base = {pos: next(sampler) for pos in range(1, length + 1)}
-    subset = set(cert.subalphabet)
-    parts = split_word(alpha, cert.splits)
-
-    start = oracle.query_count
-    raw_start = oracle.raw_calls
-    state = h0
-    level_queries = []
-    before = oracle.query_count
-    groups, state, stage_queries = _first_level_groups(
-        oracle, parts[0], subset, base, state, sampler)
-    level_queries.append(oracle.query_count - before)
-    for i in range(2, cert.p + 1):
-        block_count = n_param ** (cert.p - i) * r
-        before = oracle.query_count
-        groups, state, collapsed = _collapse_level(
-            oracle, parts[i - 1], subset, base, state, groups, block_count)
-        stage_queries.extend(collapsed)
-        level_queries.append(oracle.query_count - before)
-
-    base_blocks = {pos: blk for pos, blk in base.items()
-                   if pos not in subset}
-    mc = MulticollisionSet(length=length, groups=tuple(groups),
-                           base_blocks=base_blocks, r=r)
-    mc.validate()
-    attack_queries = oracle.query_count - start
-    outcome = verify_multicollision(oracle.clone(), sched, h0, mc, cap=expansion_cap)
-    report = AttackReport(
-        r=r, n=oracle.n, m=oracle.m, q=q, l=length,
-        attack_queries=attack_queries,
-        verify_ok=outcome.ok,
-        bound=complexity_bound(oracle.n, q, r, a_tilde),
-        seed=oracle.seed, a_tilde=a_tilde, h0=h0, p=cert.p, schedule=sched.name,
-        raw_calls=oracle.raw_calls - raw_start,
-        stage_queries=tuple(stage_queries),
-        level_queries=tuple(level_queries),
-    )
-    return mc, report
+    fillers = {pos: next(sampler) for pos in range(1, length + 1)}
+    return _attack(oracle, sched, q, alpha, cert, fillers, sampler,
+                   h0, a_tilde, expansion_cap)

@@ -21,6 +21,7 @@ from typing import Optional
 from . import __version__
 from .attacks import (
     MulticollisionSet,
+    VerificationResult,
     complexity_bound,
     generalized_attack,
     joux_attack,
@@ -273,20 +274,35 @@ def _cmd_verify_cert(args) -> int:
     return 0 if ok else 1
 
 
+def _read_collision(path: str):
+    """Oracle, h0, schedule and multicollision of a file written by
+    _write_mc; raises KeyError, TypeError or ValueError if it is malformed."""
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    n, m, seed, h0 = (data[key] for key in ("n", "m", "oracle_seed", "h0"))
+    alpha = tuple(data["alpha"])
+    if any(type(v) is not int for v in (n, m, seed, h0, *alpha)):
+        raise ValueError("n, m, oracle_seed, h0 and alpha must hold integers")
+    # the file's word serves its own length; the verifier checks coverage
+    sched = Schedule(str(data.get("schedule", "file")), word_stats(alpha).max_count,
+                     lambda l: alpha)
+    return (CompressionOracle(n, m, seed), h0, sched,
+            MulticollisionSet.from_dict(data["multicollision"]))
+
+
 def _cmd_verify_collision(args) -> int:
     started = time.time()
-    with open(args.mc, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    mc = MulticollisionSet.from_dict(data["multicollision"])
-    oracle = CompressionOracle(int(data["n"]), int(data["m"]), int(data["oracle_seed"]))
-    alpha = tuple(data["alpha"])
-    words = [()] * mc.length
-    words[mc.length - 1] = alpha
-    sched = schedule_from_words(words, str(data.get("schedule", "file")))
-    outcome = verify_multicollision(oracle, sched, int(data["h0"]), mc, cap=args.cap)
-    _emit("verify collision", {"mc": args.mc, "cap": args.cap},
-          {"ok": outcome.ok, "complete": outcome.complete, "checked": outcome.checked,
-           "digest": outcome.digest}, started)
+    result = {}
+    try:
+        oracle, h0, sched, mc = _read_collision(args.mc)
+    except (KeyError, TypeError, ValueError) as exc:
+        outcome = VerificationResult(False, True, 0)
+        result["error"] = f"malformed collision file: {type(exc).__name__}: {exc}"
+    else:
+        outcome = verify_multicollision(oracle, sched, h0, mc, cap=args.cap)
+    result.update(ok=outcome.ok, complete=outcome.complete, checked=outcome.checked,
+                  digest=outcome.digest)
+    _emit("verify collision", {"mc": args.mc, "cap": args.cap}, result, started)
     _summary(f"multicollision: {'OK' if outcome.ok else 'REJECTED'} "
              f"({outcome.checked} messages{'' if outcome.complete else ', sampled'})")
     return 0 if outcome.ok else 1

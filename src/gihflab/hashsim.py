@@ -1,5 +1,5 @@
-"""Simulated compression oracle, iterated hash evaluators and the birthday
-search baseline.
+"""Simulated compression oracle, iterated hash evaluators and the table
+collision search behind the birthday baseline.
 
 The oracle is a seeded keyed mixer over (state, block) pairs: deterministic,
 approximately uniform, and emphatically not a cryptographic hash.  Its
@@ -43,12 +43,13 @@ class CompressionOracle:
     """Black-box f: {0,1}^n x {0,1}^m -> {0,1}^n with memoized queries.
 
     Same (seed, h, b) always yields the same output; query_count equals the
-    number of distinct (h, b) pairs ever evaluated.
+    number of distinct (h, b) pairs ever evaluated.  The mixer keys on the
+    low 64 bits of h, so n is capped at 64.
     """
 
     def __init__(self, n: int, m: int, seed: int):
-        if not 1 <= n:
-            raise ValueError("hash length n must be >= 1")
+        if not 1 <= n <= 64:
+            raise ValueError("hash length n must lie in 1..64")
         if m <= n:
             raise ValueError("block length m must exceed hash length n")
         self.n = n
@@ -203,23 +204,32 @@ class BlockSampler:
         return value
 
 
+def table_collision(evaluate: Callable, candidates: Iterable, k: int = 2):
+    """First k candidates, in draw order, with one common value under
+    `evaluate`: (candidates, value), or None if `candidates` runs out.
+    Memory-unrestricted: every seen value is kept until some bucket fills."""
+    buckets: dict = {}
+    for candidate in candidates:
+        value = evaluate(candidate)
+        bucket = buckets.setdefault(value, [])
+        bucket.append(candidate)
+        if len(bucket) == k:
+            return tuple(bucket), value
+    return None
+
+
 def birthday_search(oracle: CompressionOracle, h: int, k: int,
                     sampler: Optional[BlockSampler] = None) -> tuple[tuple[int, ...], int]:
     """Find k distinct blocks with equal compress(h, .) by table lookup.
 
     Returns the colliding blocks and the number of distinct queries spent.
-    Memory-unrestricted: every seen value is kept until some bucket fills.
     """
     if k < 2:
         raise ValueError("collision size k must be >= 2")
     if sampler is None:
         sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "birthday"))
     start = oracle.query_count
-    buckets: dict = {}
-    for block in sampler:
-        digest = oracle.compress(h, block)
-        bucket = buckets.setdefault(digest, [])
-        bucket.append(block)
-        if len(bucket) == k:
-            return tuple(bucket), oracle.query_count - start
-    raise RuntimeError("sampler exhausted before finding a collision")
+    found = table_collision(lambda block: oracle.compress(h, block), sampler, k)
+    if found is None:
+        raise RuntimeError("sampler exhausted before finding a collision")
+    return found[0], oracle.query_count - start

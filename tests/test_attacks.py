@@ -13,9 +13,12 @@ from gihflab.attacks import (
 )
 from gihflab.hashsim import (
     CompressionOracle,
+    Schedule,
     gihf_eval,
     identity_schedule,
     mirror_schedule,
+    schedule_from_words,
+    table_collision,
 )
 
 
@@ -147,6 +150,75 @@ class TestVerifyMulticollision:
         assert outcome.ok
         assert not outcome.complete
         assert outcome.checked <= 8
+
+
+class TestVerifierRejectsHostileSets:
+    """Sets that re-hash without error at face value but claim nothing."""
+
+    def _mirror(self):
+        o = CompressionOracle(8, 16, seed=34)
+        mc, report = generalized_attack(o, mirror_schedule(), 2, 8, 2)
+        assert report.verify_ok
+        return o, mc
+
+    def test_rejects_word_missing_positions(self):
+        # a word over one base position leaves every group unhashed
+        o, mc = self._mirror()
+        forged = schedule_from_words([()] * (mc.length - 1) + [(min(mc.base_blocks),)])
+        assert not verify_multicollision(o.clone(), forged, 0, mc)
+
+    def test_rejects_word_above_declared_bound(self):
+        o, mc = self._mirror()
+        understated = Schedule("mirror", 1, mirror_schedule().generator)
+        assert not verify_multicollision(o.clone(), understated, 0, mc)
+
+    @pytest.mark.parametrize("where", ["base", "group", "negative"])
+    def test_rejects_out_of_range_block(self, where):
+        o, mc = self._mirror()
+        base, groups = dict(mc.base_blocks), list(mc.groups)
+        if where == "group":
+            g = groups[1]
+            choice = (1 << 16,) + g.choices[0][1:]
+            groups[1] = CollisionGroup(g.positions, (choice,) + g.choices[1:])
+        else:
+            base[max(base)] = (1 << 16) + 5 if where == "base" else -1
+        bad = MulticollisionSet(mc.length, tuple(groups), base, mc.r)
+        outcome = verify_multicollision(o.clone(), mirror_schedule(), 0, bad)
+        assert not outcome and outcome.checked == 0
+
+    def test_rejects_out_of_range_h0(self):
+        o, mc = self._mirror()
+        assert not verify_multicollision(o.clone(), mirror_schedule(), 1 << 8, mc)
+
+    def test_rejects_empty_set(self):
+        o = CompressionOracle(8, 16, seed=35)
+        empty = MulticollisionSet(0, (), {}, 0)
+        assert not verify_multicollision(o, identity_schedule(), 0, empty)
+
+    @pytest.mark.parametrize("field,value", [
+        ("length", 3.0), ("r", "3"), ("r", True), ("positions", [1.5]),
+        ("choices", [["7"], [8]]), ("base_blocks", [[1, 2.5]]),
+    ])
+    def test_from_dict_rejects_non_integers(self, field, value):
+        o = CompressionOracle(8, 16, seed=26)
+        data = joux_attack(o, 0, 3)[0].to_dict()
+        assert MulticollisionSet.from_dict(data).to_dict() == data
+        if field in ("positions", "choices"):
+            data["groups"][0][field] = value
+        else:
+            data[field] = value
+        with pytest.raises((TypeError, ValueError)):
+            MulticollisionSet.from_dict(data)
+
+
+class TestTableCollision:
+    def test_first_bucket_to_fill_in_draw_order(self):
+        values = {1: "a", 2: "b", 3: "a", 4: "b", 5: "a"}
+        assert table_collision(values.get, iter(values), 3) == ((1, 3, 5), "a")
+        assert table_collision(values.get, iter(values)) == ((1, 3), "a")
+
+    def test_none_when_candidates_run_out(self):
+        assert table_collision(lambda x: x, iter(range(10))) is None
 
 
 class TestGeneralizedAttack:

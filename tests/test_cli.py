@@ -5,6 +5,10 @@ import sys
 
 import pytest
 
+from gihflab import cli
+from gihflab.attacks import generalized_attack
+from gihflab.hashsim import CompressionOracle, mirror_schedule
+
 CLI = [sys.executable, "-m", "gihflab.cli"]
 
 
@@ -188,3 +192,60 @@ class TestDeterminism:
         first = run_cli(*args, stdin_text=stdin_text)
         second = run_cli(*args, stdin_text=stdin_text)
         assert body_without_timing(first.stdout) == body_without_timing(second.stdout)
+
+
+class TestVerifyCollisionHostileFiles:
+    """Damaged or malformed collision files are rejected with a report and
+    exit code 1, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def genuine(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("mc") / "mc.json"
+        mc, report = generalized_attack(CompressionOracle(8, 16, seed=5), mirror_schedule(),
+                                        2, 8, 2)
+        cli._write_mc(str(path), mc, report, mirror_schedule())
+        return json.loads(path.read_text())
+
+    def verify(self, tmp_path, payload):
+        path = tmp_path / "hostile.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        proc = run_cli("verify", "collision", "--mc", str(path), check=False)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1
+        result = report_of(proc)["result"]
+        assert result["ok"] is False
+        return result
+
+    @pytest.mark.parametrize("where", ["base", "group"])
+    def test_out_of_range_block(self, tmp_path, genuine, where):
+        data = json.loads(json.dumps(genuine))
+        mc = data["multicollision"]
+        if where == "base":
+            mc["base_blocks"][3][1] = (1 << 16) + 9
+        else:
+            mc["groups"][1]["choices"][0][0] = 1 << 16
+        assert "error" not in self.verify(tmp_path, data)
+
+    def test_word_missing_positions(self, tmp_path, genuine):
+        data = dict(genuine, alpha=[genuine["multicollision"]["base_blocks"][0][0]])
+        assert "error" not in self.verify(tmp_path, data)
+
+    @pytest.mark.parametrize("payload", [
+        {"n": 8, "m": 16, "oracle_seed": 1, "h0": 0, "alpha": [1],
+         "multicollision": {"length": 1}},
+        {"n": 8.5, "m": 16, "oracle_seed": 1, "h0": 0, "alpha": [1],
+         "multicollision": {"length": 1, "r": 1, "groups": [], "base_blocks": []}},
+        {"n": 80, "m": 96, "oracle_seed": 1, "h0": 0, "alpha": [1],
+         "multicollision": {"length": 1, "r": 1, "groups": [], "base_blocks": []}},
+        {"n": 8, "m": 16, "oracle_seed": 1, "h0": 0, "alpha": ["1"],
+         "multicollision": {"length": 1, "r": 1, "groups": [], "base_blocks": []}},
+        {"n": 8, "m": 16, "oracle_seed": 1, "h0": 0, "alpha": [1],
+         "multicollision": {"length": 1, "r": 1, "base_blocks": [],
+                            "groups": [{"positions": [1], "choices": [["a"], [2]]}]}},
+        [1, 2, 3],
+        "{not json",
+    ], ids=["missing-key", "float-n", "n-above-64", "string-alpha", "string-block",
+            "not-an-object", "not-json"])
+    def test_malformed_file(self, tmp_path, payload):
+        result = self.verify(tmp_path, payload)
+        assert result["error"].startswith("malformed collision file")

@@ -235,3 +235,15 @@ class TestBirthdaySearch:
             o = CompressionOracle(8, 16, seed=2000 + s)
             costs.append(birthday_search(o, 0, 2)[1])
         assert 12 <= statistics.median(costs) <= 40
+
+
+class TestOracleWidthLimit:
+    def test_rejects_hash_length_above_64(self):
+        # the mixer keys on the low 64 bits of the state only
+        for n in (65, 80):
+            with pytest.raises(ValueError):
+                CompressionOracle(n, n + 16, seed=1)
+
+    def test_accepts_hash_length_64(self):
+        o = CompressionOracle(64, 80, seed=1)
+        assert 0 <= o.compress((1 << 64) - 1, 7) < 1 << 64
