@@ -2,10 +2,14 @@
 JSON reports.
 
 Every subcommand is a thin adapter over the library modules; no algorithmic
-logic lives here.  Reports go to stdout as JSON (sorted keys, so identical
-config and seed produce byte-identical bodies apart from the timing block);
-a one-line human summary goes to stderr.  Exit codes: 0 success, 1
-verification failure, 2 usage error.
+logic lives here.  A handler only computes and returns its config, result,
+one-line summary and verdict; main alone times the run and prints the report
+as JSON on stdout (sorted keys, so identical config and seed produce
+byte-identical bodies apart from the timing block) and the summary on
+stderr.  Input that a file reader or the library rejects (a missing file,
+malformed content, an out-of-range option) gets a report whose result is
+{"ok": false, "error": ...}.  Exit codes: 0 success, 1 verification failure
+or rejected input, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,15 +25,12 @@ from typing import Optional
 from . import __version__
 from .attacks import (
     MulticollisionSet,
-    VerificationResult,
-    complexity_bound,
     generalized_attack,
     joux_attack,
     verify_multicollision,
 )
 from .classics import find_arithmetic_cadence, find_n_division
 from .hashsim import (
-    BlockSampler,
     CompressionOracle,
     Schedule,
     birthday_search,
@@ -46,10 +47,12 @@ from .regularity import (
     extremal_witness,
     verify_structure,
 )
-from .words import format_word, format_words, parse_words, word_stats
+from .words import format_words, parse_words, word_stats
 
 SEED_ENV_VAR = "GIHFLAB_SEED"
 
+
+# -- input readers: a bad path raises OSError, malformed content ValueError ----
 
 def _read_words(path: Optional[str]):
     if path is None or path == "-":
@@ -58,182 +61,68 @@ def _read_words(path: Optional[str]):
         return parse_words(handle.read())
 
 
+def _read_word(path: Optional[str]):
+    words = _read_words(path)
+    if not words:
+        raise ValueError(f"{path or 'stdin'} contains no word")
+    return words[0]
+
+
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except RecursionError as exc:
+            raise ValueError("JSON nested too deeply") from exc
+
+
 def _schedule_for(name: str, schedule_file: Optional[str]) -> Schedule:
     if name == "identity":
         return identity_schedule()
     if name == "mirror":
         return mirror_schedule()
     if schedule_file is None:
-        raise SystemExit("--schedule file requires --schedule-file")
+        raise ValueError("--schedule file requires --schedule-file")
     return schedule_from_words(_read_words(schedule_file))
 
 
-def _emit(command: str, config: dict, result: dict, started: float) -> None:
-    report = {
-        "tool": "gihflab",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "result": result,
-        "timing": {"elapsed_s": round(time.time() - started, 6)},
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
+def _read_cert(path: str):
+    """Attack certificate (the file has a "B" key) or structure certificate."""
+    try:
+        data = _load_json(path)
+        cert = (AttackCertificate if "B" in data else StructureCertificate).from_dict(data)
+        if any(type(v) is not int for v in (*cert.subalphabet, *cert.splits)):
+            raise ValueError("the subalphabet and splits must hold integers")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed certificate file: {type(exc).__name__}: {exc}") from exc
+    return cert
 
 
-def _summary(text: str) -> None:
-    print(text, file=sys.stderr)
+def _read_collision(path: str):
+    """Oracle, schedule, h0 and multicollision of a file written by
+    _write_mc."""
+    try:
+        data = _load_json(path)
+        n, m, seed, h0 = (data[key] for key in ("n", "m", "oracle_seed", "h0"))
+        alpha = tuple(data["alpha"])
+        if any(type(v) is not int for v in (n, m, seed, h0, *alpha)):
+            raise ValueError("n, m, oracle_seed, h0 and alpha must hold integers")
+        name = str(data.get("schedule", "file"))
+        oracle = CompressionOracle(n, m, seed)
+        mc = MulticollisionSet.from_dict(data["multicollision"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed collision file: {type(exc).__name__}: {exc}") from exc
+    named = _schedule_for(name, None) if name in ("identity", "mirror") else None
 
+    def word(l: int):
+        # the file's word serves its own length; the verifier checks its
+        # coverage and bound, and (asking only once the set's size checks
+        # pass) rejects it unless it is the labelled schedule's word
+        if named is not None and alpha != tuple(named.generator(l)):
+            raise ValueError(f"alpha is not the {name} word for length {l}")
+        return alpha
 
-# -- subcommand handlers -------------------------------------------------------
-
-def _cmd_classics_cadence(args) -> int:
-    started = time.time()
-    results = []
-    for w in _read_words(args.input):
-        cadence = find_arithmetic_cadence(w, args.s)
-        if cadence is None:
-            results.append({"found": False})
-        else:
-            results.append({
-                "found": True,
-                "positions": list(cadence.positions),
-                "difference": cadence.difference,
-            })
-    _emit("classics cadence", {"s": args.s, "input": args.input or "-"},
-          {"results": results}, started)
-    _summary(f"cadence order {args.s}: {sum(r['found'] for r in results)}/{len(results)} words hit")
-    return 0
-
-
-def _cmd_classics_ndiv(args) -> int:
-    started = time.time()
-    results = []
-    for w in _read_words(args.input):
-        division = find_n_division(w, args.n)
-        if division is None:
-            results.append({"found": False})
-        else:
-            results.append({
-                "found": True,
-                "prefix": list(division.prefix),
-                "factors": [list(f) for f in division.factors],
-                "suffix": list(division.suffix),
-            })
-    _emit("classics ndiv", {"n": args.n, "input": args.input or "-"},
-          {"results": results}, started)
-    _summary(f"{args.n}-division: {sum(r['found'] for r in results)}/{len(results)} words divided")
-    return 0
-
-
-def _cmd_regularity_find(args) -> int:
-    started = time.time()
-    results = []
-    for w in _read_words(args.input):
-        outcome = find_structure(w, args.m, args.q, args.mode)
-        if outcome.certificate is None:
-            results.append({"found": False, "exhaustive": outcome.exhaustive})
-        else:
-            results.append({"found": True, **outcome.certificate.to_dict()})
-    _emit("regularity find",
-          {"m": args.m, "q": args.q, "mode": args.mode, "input": args.input or "-"},
-          {"results": results}, started)
-    _summary(f"structure m={args.m} q={args.q}: "
-             f"{sum(r['found'] for r in results)}/{len(results)} words certified")
-    return 0
-
-
-def _cmd_regularity_witness(args) -> int:
-    started = time.time()
-    w = extremal_witness(args.m)
-    stats = word_stats(w)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(format_words([w]))
-    _emit("regularity witness", {"m": args.m, "out": args.out},
-          {"word": list(w), "length": len(w), "alphabet_size": len(stats.alphabet),
-           "max_count": stats.max_count}, started)
-    _summary(f"witness m={args.m}: length {len(w)} over {len(stats.alphabet)} letters")
-    return 0
-
-
-def _cmd_regularity_compute_n(args) -> int:
-    started = time.time()
-    result = compute_n(args.m, args.q, args.cap)
-    _emit("regularity compute-n", {"m": args.m, "q": args.q, "cap": args.cap},
-          result.to_dict(), started)
-    if result.value is not None:
-        _summary(f"N({args.m},{args.q}) = {result.value} (exhaustive)")
-    else:
-        _summary(f"N({args.m},{args.q}) > {args.cap} (cap hit, partial report)")
-    return 0
-
-
-def _cmd_nesting_attack_structure(args) -> int:
-    started = time.time()
-    words = _read_words(args.input)
-    if not words:
-        raise SystemExit("input contains no word")
-    cert = find_attack_structure(words[0], args.n, args.k, args.q)
-    _emit("nesting attack-structure",
-          {"n": args.n, "k": args.k, "q": args.q, "input": args.input or "-"},
-          cert.to_dict(), started)
-    _summary(f"attack structure: p={cert.p}, |B|={len(cert.subalphabet)}")
-    return 0
-
-
-def _cmd_hashsim_birthday(args) -> int:
-    started = time.time()
-    trials = []
-    for trial in range(args.trials):
-        oracle = CompressionOracle(args.n, args.m, derive_seed(args.seed, f"trial:{trial}"))
-        blocks, queries = birthday_search(oracle, args.h0, args.k)
-        trials.append({"trial": trial, "queries": queries, "blocks": list(blocks)})
-    median = statistics.median(t["queries"] for t in trials)
-    _emit("hashsim birthday",
-          {"n": args.n, "m": args.m, "k": args.k, "trials": args.trials,
-           "seed": args.seed, "h0": args.h0},
-          {"median_queries": median, "trials": trials}, started)
-    _summary(f"birthday k={args.k} n={args.n}: median {median} queries over {args.trials} trials")
-    return 0
-
-
-def _cmd_attack_joux(args) -> int:
-    started = time.time()
-    trials = []
-    all_ok = True
-    for trial in range(args.trials):
-        oracle = CompressionOracle(args.n, args.m, derive_seed(args.seed, f"trial:{trial}"))
-        mc, report = joux_attack(oracle, args.h0, args.r)
-        all_ok &= report.verify_ok
-        trials.append(report.to_dict())
-        if args.mc_out and trial == 0:
-            _write_mc(args.mc_out, mc, report, identity_schedule())
-    mean = statistics.mean(t["attack_queries"] for t in trials)
-    _emit("attack joux",
-          {"n": args.n, "m": args.m, "r": args.r, "trials": args.trials,
-           "seed": args.seed, "h0": args.h0},
-          {"mean_attack_queries": mean, "all_verified": all_ok, "trials": trials},
-          started)
-    _summary(f"joux r={args.r} n={args.n}: mean {mean:.1f} queries, "
-             f"verified={all_ok}")
-    return 0 if all_ok else 1
-
-
-def _cmd_attack_gihf(args) -> int:
-    started = time.time()
-    sched = _schedule_for(args.schedule, args.schedule_file)
-    oracle = CompressionOracle(args.n, args.m, args.seed)
-    mc, report = generalized_attack(oracle, sched, args.q, args.n, args.r, h0=args.h0)
-    if args.mc_out:
-        _write_mc(args.mc_out, mc, report, sched)
-    _emit("attack gihf",
-          {"n": args.n, "m": args.m, "q": args.q, "r": args.r,
-           "schedule": args.schedule, "seed": args.seed, "h0": args.h0},
-          report.to_dict(), started)
-    _summary(f"gihf attack q={args.q} r={args.r} n={args.n}: l={report.l}, "
-             f"{report.attack_queries} queries (bound {report.bound}), "
-             f"verified={report.verify_ok}")
-    return 0 if report.verify_ok else 1
+    return oracle, Schedule(name, word_stats(alpha).max_count, word), h0, mc
 
 
 def _write_mc(path: str, mc: MulticollisionSet, report, sched: Schedule) -> None:
@@ -251,72 +140,161 @@ def _write_mc(path: str, mc: MulticollisionSet, report, sched: Schedule) -> None
         handle.write("\n")
 
 
-def _cmd_verify_cert(args) -> int:
-    started = time.time()
-    with open(args.cert, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    words = _read_words(args.word)
-    if not words:
-        raise SystemExit("word file contains no word")
-    w = words[0]
-    if "B" in data:
-        cert = AttackCertificate.from_dict(data)
+# -- subcommand handlers: each returns (config, result, summary, ok) -----------
+
+def _cmd_classics_cadence(args):
+    results = []
+    for w in _read_words(args.input):
+        cadence = find_arithmetic_cadence(w, args.s)
+        if cadence is None:
+            results.append({"found": False})
+        else:
+            results.append({
+                "found": True,
+                "positions": list(cadence.positions),
+                "difference": cadence.difference,
+            })
+    hits = sum(r["found"] for r in results)
+    return ({"s": args.s, "input": args.input or "-"}, {"results": results},
+            f"cadence order {args.s}: {hits}/{len(results)} words hit", True)
+
+
+def _cmd_classics_ndiv(args):
+    results = []
+    for w in _read_words(args.input):
+        division = find_n_division(w, args.n)
+        if division is None:
+            results.append({"found": False})
+        else:
+            results.append({
+                "found": True,
+                "prefix": list(division.prefix),
+                "factors": [list(f) for f in division.factors],
+                "suffix": list(division.suffix),
+            })
+    hits = sum(r["found"] for r in results)
+    return ({"n": args.n, "input": args.input or "-"}, {"results": results},
+            f"{args.n}-division: {hits}/{len(results)} words divided", True)
+
+
+def _cmd_regularity_find(args):
+    results = []
+    for w in _read_words(args.input):
+        outcome = find_structure(w, args.m, args.q, args.mode)
+        if outcome.certificate is None:
+            results.append({"found": False, "exhaustive": outcome.exhaustive})
+        else:
+            results.append({"found": True, **outcome.certificate.to_dict()})
+    hits = sum(r["found"] for r in results)
+    return ({"m": args.m, "q": args.q, "mode": args.mode, "input": args.input or "-"},
+            {"results": results},
+            f"structure m={args.m} q={args.q}: {hits}/{len(results)} words certified", True)
+
+
+def _cmd_regularity_witness(args):
+    w = extremal_witness(args.m)
+    stats = word_stats(w)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(format_words([w]))
+    return ({"m": args.m, "out": args.out},
+            {"word": list(w), "length": len(w), "alphabet_size": len(stats.alphabet),
+             "max_count": stats.max_count},
+            f"witness m={args.m}: length {len(w)} over {len(stats.alphabet)} letters", True)
+
+
+def _cmd_regularity_compute_n(args):
+    result = compute_n(args.m, args.q, args.cap)
+    if result.value is not None:
+        summary = f"N({args.m},{args.q}) = {result.value} (exhaustive)"
+    else:
+        summary = f"N({args.m},{args.q}) > {args.cap} (cap hit, partial report)"
+    return {"m": args.m, "q": args.q, "cap": args.cap}, result.to_dict(), summary, True
+
+
+def _cmd_nesting_attack_structure(args):
+    cert = find_attack_structure(_read_word(args.input), args.n, args.k, args.q)
+    return ({"n": args.n, "k": args.k, "q": args.q, "input": args.input or "-"},
+            cert.to_dict(), f"attack structure: p={cert.p}, |B|={len(cert.subalphabet)}", True)
+
+
+def _cmd_hashsim_birthday(args):
+    trials = []
+    for trial in range(args.trials):
+        oracle = CompressionOracle(args.n, args.m, derive_seed(args.seed, f"trial:{trial}"))
+        blocks, queries = birthday_search(oracle, args.h0, args.k)
+        trials.append({"trial": trial, "queries": queries, "blocks": list(blocks)})
+    median = statistics.median(t["queries"] for t in trials)
+    return ({"n": args.n, "m": args.m, "k": args.k, "trials": args.trials,
+             "seed": args.seed, "h0": args.h0},
+            {"median_queries": median, "trials": trials},
+            f"birthday k={args.k} n={args.n}: median {median} queries over {args.trials} trials",
+            True)
+
+
+def _cmd_attack_joux(args):
+    trials = []
+    all_ok = True
+    for trial in range(args.trials):
+        oracle = CompressionOracle(args.n, args.m, derive_seed(args.seed, f"trial:{trial}"))
+        mc, report = joux_attack(oracle, args.h0, args.r)
+        all_ok &= report.verify_ok
+        trials.append(report.to_dict())
+        if args.mc_out and trial == 0:
+            _write_mc(args.mc_out, mc, report, identity_schedule())
+    mean = statistics.mean(t["attack_queries"] for t in trials)
+    return ({"n": args.n, "m": args.m, "r": args.r, "trials": args.trials,
+             "seed": args.seed, "h0": args.h0},
+            {"mean_attack_queries": mean, "all_verified": all_ok, "trials": trials},
+            f"joux r={args.r} n={args.n}: mean {mean:.1f} queries, verified={all_ok}", all_ok)
+
+
+def _cmd_attack_gihf(args):
+    sched = _schedule_for(args.schedule, args.schedule_file)
+    oracle = CompressionOracle(args.n, args.m, args.seed)
+    mc, report = generalized_attack(oracle, sched, args.q, args.n, args.r, h0=args.h0)
+    if args.mc_out:
+        _write_mc(args.mc_out, mc, report, sched)
+    return ({"n": args.n, "m": args.m, "q": args.q, "r": args.r,
+             "schedule": args.schedule, "seed": args.seed, "h0": args.h0},
+            report.to_dict(),
+            f"gihf attack q={args.q} r={args.r} n={args.n}: l={report.l}, "
+            f"{report.attack_queries} queries (bound {report.bound}), "
+            f"verified={report.verify_ok}",
+            report.verify_ok)
+
+
+def _cmd_verify_cert(args):
+    cert = _read_cert(args.cert)
+    w = _read_word(args.word)
+    if isinstance(cert, AttackCertificate):
         ok = verify_attack_structure(w, cert.n, cert.k, cert)
         kind = "attack"
     else:
-        cert = StructureCertificate.from_dict(data)
         m = args.m if args.m is not None else len(cert.subalphabet)
         ok = verify_structure(w, cert, m)
         kind = "structure"
-    _emit("verify cert", {"word": args.word or "-", "cert": args.cert, "m": args.m},
-          {"kind": kind, "ok": ok}, started)
-    _summary(f"{kind} certificate: {'OK' if ok else 'REJECTED'}")
-    return 0 if ok else 1
+    return ({"word": args.word or "-", "cert": args.cert, "m": args.m},
+            {"kind": kind, "ok": ok}, f"{kind} certificate: {'OK' if ok else 'REJECTED'}", ok)
 
 
-def _read_collision(path: str):
-    """Oracle, h0, schedule and multicollision of a file written by
-    _write_mc; raises KeyError, TypeError or ValueError if it is malformed."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    n, m, seed, h0 = (data[key] for key in ("n", "m", "oracle_seed", "h0"))
-    alpha = tuple(data["alpha"])
-    if any(type(v) is not int for v in (n, m, seed, h0, *alpha)):
-        raise ValueError("n, m, oracle_seed, h0 and alpha must hold integers")
-    # the file's word serves its own length; the verifier checks coverage
-    sched = Schedule(str(data.get("schedule", "file")), word_stats(alpha).max_count,
-                     lambda l: alpha)
-    return (CompressionOracle(n, m, seed), h0, sched,
-            MulticollisionSet.from_dict(data["multicollision"]))
-
-
-def _cmd_verify_collision(args) -> int:
-    started = time.time()
-    result = {}
-    try:
-        oracle, h0, sched, mc = _read_collision(args.mc)
-    except (KeyError, TypeError, ValueError) as exc:
-        outcome = VerificationResult(False, True, 0)
-        result["error"] = f"malformed collision file: {type(exc).__name__}: {exc}"
-    else:
-        outcome = verify_multicollision(oracle, sched, h0, mc, cap=args.cap)
-    result.update(ok=outcome.ok, complete=outcome.complete, checked=outcome.checked,
-                  digest=outcome.digest)
-    _emit("verify collision", {"mc": args.mc, "cap": args.cap}, result, started)
-    _summary(f"multicollision: {'OK' if outcome.ok else 'REJECTED'} "
-             f"({outcome.checked} messages{'' if outcome.complete else ', sampled'})")
-    return 0 if outcome.ok else 1
+def _cmd_verify_collision(args):
+    oracle, sched, h0, mc = _read_collision(args.mc)
+    outcome = verify_multicollision(oracle, sched, h0, mc, cap=args.cap)
+    return ({"mc": args.mc, "cap": args.cap},
+            {"ok": outcome.ok, "complete": outcome.complete, "checked": outcome.checked,
+             "digest": outcome.digest},
+            f"multicollision: {'OK' if outcome.ok else 'REJECTED'} "
+            f"({outcome.checked} messages{'' if outcome.complete else ', sampled'})",
+            outcome.ok)
 
 
 # -- parser --------------------------------------------------------------------
 
-def _seed_default() -> Optional[int]:
-    raw = os.environ.get(SEED_ENV_VAR)
-    return int(raw) if raw else None
-
-
 def _add_seed(parser: argparse.ArgumentParser) -> None:
-    default = _seed_default()
+    # argparse converts a string default with `type`, so a non-integer
+    # variable is a usage error
+    default = os.environ.get(SEED_ENV_VAR) or None
     parser.add_argument("--seed", type=int, default=default, required=default is None,
                         help=f"run seed (or set {SEED_ENV_VAR})")
 
@@ -326,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gihflab",
         description="Bounded-word regularity certificates and multicollision "
                     "attacks on simulated iterated hash functions.")
-    parser.add_argument("--format", choices=["json"], default="json",
-                        help="report format (json only in v1)")
     sub = parser.add_subparsers(dest="group", required=True)
 
     classics = sub.add_parser("classics", help="classical regularity finders")
@@ -419,9 +395,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    command = f"{args.group} {args.command}"
+    started = time.time()
+    try:
+        config, result, summary, ok = args.func(args)
+    except (OSError, ValueError) as exc:
+        config = {k: v for k, v in vars(args).items() if k not in ("group", "command", "func")}
+        result = {"ok": False, "error": str(exc)}
+        summary, ok = f"{command}: rejected input: {exc}", False
+    report = {
+        "tool": "gihflab",
+        "version": __version__,
+        "command": command,
+        "config": config,
+        "result": result,
+        "timing": {"elapsed_s": round(time.time() - started, 6)},
+    }
+    print(json.dumps(report, indent=2, sort_keys=True))
+    print(summary, file=sys.stderr)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -26,7 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .regularity import find_structure, structure_threshold
+from .regularity import (
+    StructureCertificate,
+    find_structure,
+    structure_threshold,
+    verify_structure,
+)
 from .words import (
     Word,
     condense,
@@ -90,22 +95,37 @@ def partition_bijection(pair: PartitionPair) -> Optional[tuple[int, ...]]:
     ]
     matched_to: dict[int, int] = {}
 
-    def place(i: int, visited: set) -> bool:
-        for j in adjacency[i]:
-            if j not in matched_to:
-                matched_to[j] = i
-                return True
-        for j in adjacency[i]:
-            if j in visited:
+    def free_partner(row: int) -> Optional[int]:
+        return next((j for j in adjacency[row] if j not in matched_to), None)
+
+    def place(root: int) -> bool:
+        # Depth-first augmenting-path search from `root`, on an explicit
+        # stack so that a path through all k rows cannot hit the recursion
+        # limit: a row takes a free partner if it has one, else tries in
+        # turn to move the row holding each partner not yet visited.
+        visited: set = set()
+        stack = [(root, iter(adjacency[root]))]
+        via: list = []  # via[d]: the partner stack[d]'s row takes on success
+        free = free_partner(root)
+        while free is None:
+            partner = next((j for j in stack[-1][1] if j not in visited), None)
+            if partner is None:
+                stack.pop()
+                if not stack:
+                    return False
+                via.pop()
                 continue
-            visited.add(j)
-            if place(matched_to[j], visited):
-                matched_to[j] = i
-                return True
-        return False
+            visited.add(partner)
+            via.append(partner)
+            row = matched_to[partner]
+            stack.append((row, iter(adjacency[row])))
+            free = free_partner(row)
+        for (row, _), partner in zip(stack, via + [free]):
+            matched_to[partner] = row
+        return True
 
     for i in range(k):
-        if not place(i, set()):
+        if not place(i):
             return None
     sigma = [0] * k
     for j, i in matched_to.items():
@@ -375,8 +395,9 @@ def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
 def verify_attack_structure(w: Word, n: int, k: int, cert: AttackCertificate) -> bool:
     """Recompute every condition of an attack certificate.
 
-    Checks |B| = n^(p-1) * k, that each part condenses to a permutation of
-    B, and that cutting level i into n^(p-i)*k blocks of length n^(i-1) and
+    Checks that (B, p, splits) is a structure certificate with
+    |B| = n^(p-1) * k, so each part condenses to a permutation of B, and
+    that cutting level i into n^(p-i)*k blocks of length n^(i-1) and
     level i+1 into n^(p-i-1)*k blocks of length n^i sends every block
     alphabet of the former into some block alphabet of the latter.
     """
@@ -389,21 +410,14 @@ def verify_attack_structure(w: Word, n: int, k: int, cert: AttackCertificate) ->
             return False
     except (TypeError, AttributeError, ValueError):
         return False
-    if n < 1 or k < 1 or p < 1:
+    # the split count bounds p before n^(p-1) is computed, so a hostile p
+    # never builds a huge integer
+    if n < 1 or k < 1 or p != len(splits) + 1:
+        return False
+    if not verify_structure(w, StructureCertificate(subset, p, splits), n ** (p - 1) * k):
         return False
     bset = set(subset)
-    if len(bset) != len(subset) or len(bset) != n ** (p - 1) * k:
-        return False
-    if not bset <= set(w):
-        return False
-    if len(splits) != p - 1 or any(not 0 < s < len(w) for s in splits):
-        return False
-    if any(splits[i] >= splits[i + 1] for i in range(len(splits) - 1)):
-        return False
-    parts = split_word(w, splits)
-    condensed = [condense(part, bset) for part in parts]
-    if not all(is_permutation(c, bset) for c in condensed):
-        return False
+    condensed = [condense(part, bset) for part in split_word(w, splits)]
     for i in range(1, p):
         fine = equal_blocks(condensed[i - 1], n ** (p - i) * k)
         coarse = equal_blocks(condensed[i], n ** (p - i - 1) * k)

@@ -249,3 +249,95 @@ class TestVerifyCollisionHostileFiles:
     def test_malformed_file(self, tmp_path, payload):
         result = self.verify(tmp_path, payload)
         assert result["error"].startswith("malformed collision file")
+
+
+class TestRejectedInput:
+    """Input that a file reader or the library rejects gets a report with an
+    `error` and exit 1, never a traceback (usage errors keep exit 2)."""
+
+    ABSENT = "{dir}/absent.json"
+    WORD = ["--word", "{dir}/word.txt"]
+    GIHF = ["attack", "gihf", "--n", "8", "--m", "16", "--q", "2", "--r", "2", "--seed", "1"]
+    CASES = [
+        ("cadence-order-0", ["classics", "cadence", "--s", "0"], "1 2\n", {}),
+        ("cadence-missing-input",
+         ["classics", "cadence", "--s", "2", "--input", ABSENT], None, {}),
+        ("cadence-non-integer-symbol", ["classics", "cadence", "--s", "2"], "1 x\n", {}),
+        ("ndiv-n-1", ["classics", "ndiv", "--n", "1"], "1 2\n", {}),
+        ("find-m-0", ["regularity", "find", "--m", "0", "--q", "2"], "1 2 1 2\n", {}),
+        ("witness-m-1", ["regularity", "witness", "--m", "1"], None, {}),
+        ("compute-n-m-0", ["regularity", "compute-n", "--m", "0", "--q", "2"], None, {}),
+        ("attack-structure-below-threshold",
+         ["nesting", "attack-structure", "--n", "2", "--k", "2", "--q", "2"], "1 2 1 2\n", {}),
+        ("attack-structure-no-word",
+         ["nesting", "attack-structure", "--n", "2", "--k", "2", "--q", "2"], "", {}),
+        ("birthday-k-1",
+         ["hashsim", "birthday", "--n", "8", "--m", "16", "--k", "1", "--seed", "1"], None, {}),
+        ("joux-n-80",
+         ["attack", "joux", "--n", "80", "--m", "96", "--r", "2", "--seed", "1"], None, {}),
+        ("gihf-schedule-file-not-given", GIHF + ["--schedule", "file"], None, {}),
+        ("gihf-missing-schedule-file",
+         GIHF + ["--schedule", "file", "--schedule-file", ABSENT], None, {}),
+        ("cert-missing-key", ["verify", "cert", *WORD, "--cert", "{dir}/c.json"], None,
+         {"c.json": '{"A": [1, 2]}'}),
+        ("cert-not-an-object", ["verify", "cert", *WORD, "--cert", "{dir}/c.json"], None,
+         {"c.json": "7"}),
+        ("cert-unhashable-symbol", ["verify", "cert", *WORD, "--cert", "{dir}/c.json"], None,
+         {"c.json": '{"A": [[1], 2], "p": 1, "splits": []}'}),
+        ("cert-missing-file", ["verify", "cert", *WORD, "--cert", ABSENT], None, {}),
+        ("collision-missing-file", ["verify", "collision", "--mc", ABSENT], None, {}),
+        ("collision-deeply-nested", ["verify", "collision", "--mc", "{dir}/deep.json"], None,
+         {"deep.json": "[" * 100000 + "]" * 100000}),
+    ]
+
+    @pytest.mark.parametrize("args,stdin_text,files", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_report_and_exit_1(self, tmp_path, args, stdin_text, files):
+        for name, text in dict(files, **{"word.txt": "1 2 1 2\n"}).items():
+            (tmp_path / name).write_text(text)
+        args = [a.format(dir=tmp_path) for a in args]
+        proc = run_cli(*args, stdin_text=stdin_text, check=False)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1
+        report = report_of(proc)
+        assert report["command"] == " ".join(args[:2])
+        assert report["result"]["ok"] is False
+        assert isinstance(report["result"]["error"], str) and report["result"]["error"]
+
+    def test_seed_variable_not_an_integer_is_a_usage_error(self):
+        proc = run_cli("hashsim", "birthday", "--n", "8", "--m", "16",
+                       env_extra={"GIHFLAB_SEED": "abc"}, check=False)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 2
+
+
+class TestScheduleLabel:
+    """A collision file labelled identity or mirror verifies only with that
+    schedule's word for its length."""
+
+    def test_relabelled_schedule_rejected(self, tmp_path):
+        path = tmp_path / "j.json"
+        run_cli("attack", "joux", "--n", "8", "--m", "16", "--r", "3", "--seed", "1",
+                "--mc-out", str(path))
+        data = json.loads(path.read_text())
+        assert data["schedule"] == "identity" and data["alpha"] == [1, 2, 3]
+        assert report_of(run_cli("verify", "collision", "--mc", str(path)))["result"]["ok"]
+
+        for label, ok in (("mirror", False), ("file", True)):
+            path.write_text(json.dumps(dict(data, schedule=label)))
+            proc = run_cli("verify", "collision", "--mc", str(path), check=False)
+            assert "Traceback" not in proc.stderr
+            assert proc.returncode == (0 if ok else 1)
+            assert report_of(proc)["result"]["ok"] is ok
+
+    def test_mirror_word_relabelled_identity_rejected(self, tmp_path):
+        mc, report = generalized_attack(CompressionOracle(8, 16, seed=5), mirror_schedule(),
+                                        2, 8, 2)
+        path = tmp_path / "mc.json"
+        cli._write_mc(str(path), mc, report, mirror_schedule())
+        data = json.loads(path.read_text())
+        for label, ok in (("identity", False), ("file", True)):
+            path.write_text(json.dumps(dict(data, schedule=label)))
+            proc = run_cli("verify", "collision", "--mc", str(path), check=False)
+            assert proc.returncode == (0 if ok else 1)
+            assert report_of(proc)["result"]["ok"] is ok

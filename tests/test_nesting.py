@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -259,3 +260,25 @@ class TestVerifyAttackStructure:
         # control: with an aligned third part the same certificate passes
         aligned = straight + straight + straight
         assert verify_attack_structure(aligned, 2, 2, cert)
+
+
+class TestDeepInputs:
+    def test_bijection_with_augmenting_path_through_half_the_rows(self):
+        # row i < k-1 meets columns i and min(i+2, k-1); row k-1 meets 0 and
+        # 1.  Rows 0..k-2 take their diagonal, so the last row's augmenting
+        # path runs through every even row, deeper than the recursion limit.
+        k = 2500
+        cells = ([(i, i) for i in range(k - 1)] + [(i, min(i + 2, k - 1)) for i in range(k - 1)]
+                 + [(k - 1, 0), (k - 1, 1)])
+        rows = tuple(frozenset(c for c in cells if c[0] == i) for i in range(k))
+        cols = tuple(frozenset(c for c in cells if c[1] == j) for j in range(k))
+        sigma = partition_bijection(PartitionPair(frozenset(cells), rows, cols, 1))
+        assert sigma == tuple(0 if i == k - 1 else min(i + 2, k - 1) if i % 2 == 0 else i
+                              for i in range(k))
+
+    def test_hostile_part_count_rejected_without_huge_power(self):
+        # 3^(10^8 - 1) would take tens of seconds to build
+        cert = AttackCertificate((1, 2), 10 ** 8, (), 3, 2)
+        started = time.perf_counter()
+        assert not verify_attack_structure((1, 2, 1, 2), 3, 2, cert)
+        assert time.perf_counter() - started < 1
