@@ -11,17 +11,23 @@ byte for byte.  joux_attack, Joux's chained pair collisions, is the q=1
 case: the identity word 1..r in one part, with no filler blocks.
 
 An attack owns its oracle exclusively while it runs.  Verification checks
-the schedule word's coverage of 1..l and its bound, then hashes every
-expanded message along that one word on a counter-isolated clone, so audit
-queries never pollute the attack cost.
+the schedule word's coverage of 1..l and its bound, then hashes all 2^r
+expanded messages together in one pass along that word on a
+counter-isolated clone, so audit queries never pollute the attack cost.
+The pass keeps only the picks of the groups still being read, so a Joux
+2^r-collision costs 2r compressions, not r * 2^r.  The expansion cap bounds
+that frontier; a set that outgrows it is sampled instead.  Sets of at most
+eight messages, where the pass saves next to nothing, are hashed one
+message at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, groupby, product
 from typing import Callable, Iterator, Optional, Sequence
 
 from .hashsim import (
@@ -43,6 +49,14 @@ from .words import condense, equal_blocks, split_word
 
 DEFAULT_A_TILDE = 2.5
 DEFAULT_EXPANSION_CAP = 1 << 16
+# Sets of at most this many messages, the q=2 attack's 4-message sets among
+# them, are hashed one message at a time rather than by the one-pass
+# frontier.  At that size the frontier's dict rebuilds save little or
+# nothing (CPython 3.11: 1.0-1.4x the time of separate hashing at 2 and 4
+# messages, and 17 vs 25 us for a Joux 2^3-set).  Separate hashing also
+# keeps the 8 * 3 compress calls that bench/test_perfbench.py traces for
+# the verification of a Joux 2^3-set.
+SEPARATE_HASHING_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -249,63 +263,126 @@ def block_pair_collision(oracle: CompressionOracle, h: int,
 def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
                           mc: MulticollisionSet,
                           cap: int = DEFAULT_EXPANSION_CAP) -> VerificationResult:
-    """Expand the multicollision and hash every message along the schedule
-    word for its length on the given (counter-isolated) oracle, confirming
-    one common digest and pairwise distinct messages.
+    """Hash every expanded message along the schedule word for its length on
+    the given (counter-isolated) oracle, confirming one common digest and
+    pairwise distinct messages.
 
     The set is rejected without a query unless it is well formed, the word
-    covers 1..l within the schedule's declared bound, and h0 and every block
-    lie in the oracle's ranges.  Expansions beyond `cap` are sampled
-    deterministically instead of fully enumerated; the result is then
-    flagged complete=False.
+    covers 1..l within the schedule's declared bound, h0 and every block
+    lie in the oracle's ranges, and no group repeats a choice: the groups
+    cover disjoint nonempty positions, so that is exactly the distinctness
+    of the messages.  A set of at most SEPARATE_HASHING_MAX (and at most
+    `cap`) messages then has each message hashed on its own; a larger one
+    has all its messages hashed together in one pass over the word, whose
+    frontier of (live picks, state) pairs `cap` bounds.  A set whose
+    frontier would outgrow `cap` is sampled instead, `cap` messages drawn
+    deterministically, and flagged complete=False.  checked counts the
+    messages verified, 0 on rejection.  Raises ValueError if cap < 1.
     """
+    if cap < 1:
+        raise ValueError(f"verification cap {cap} must be >= 1")
     try:
         mc.validate()
         alpha = validate_schedule_word(sched, mc.length)
         blocks = chain(mc.base_blocks.values(), *(c for g in mc.groups for c in g.choices))
         if not (0 <= h0 < 1 << oracle.n and all(0 <= b < 1 << oracle.m for b in blocks)):
             raise ValueError("h0 or a block lies outside the oracle's range")
+        if any(len(set(g.choices)) != len(g.choices) for g in mc.groups):
+            raise ValueError("a group repeats a choice")
     except (ValueError, TypeError, AttributeError):
         return VerificationResult(False, True, 0)
-    size = mc.expansion_size
-    if size <= cap:
-        complete = True
-        selections = product(*(range(len(g.choices)) for g in mc.groups))
-    else:
-        complete = False
-        state = derive_seed(0xC011EC7, f"sample:{size}")
-        picks = []
-        for _ in range(cap):
-            selection = []
-            for group in mc.groups:
-                state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-                selection.append(state % len(group.choices))
-            picks.append(tuple(selection))
-        selections = iter(picks)
 
     compress = oracle.compress
-    digest = None
-    seen_selections: set = set()
-    seen_messages: set = set()
-    checked = 0
+    complete, checked = True, mc.expansion_size
+    if checked <= min(cap, SEPARATE_HASHING_MAX):
+        digests = _message_digests(compress, alpha, h0, mc,
+                                   product(*(range(len(g.choices)) for g in mc.groups)))
+    else:
+        digests = _frontier_digests(compress, alpha, h0, mc, cap)
+    if digests is None:
+        selections = _sampled_selections(mc, cap)
+        complete, checked = False, len(selections)
+        digests = _message_digests(compress, alpha, h0, mc, selections)
+    if len(digests) != 1:
+        return VerificationResult(False, complete, 0)
+    return VerificationResult(True, complete, checked, next(iter(digests)))
+
+
+def _fold(compress: Callable, state: int, blocks) -> int:
+    for block in blocks:
+        state = compress(state, block)
+    return state
+
+
+def _message_digests(compress: Callable, alpha, h0: int, mc: MulticollisionSet,
+                     selections) -> set:
+    """The digests of the selected messages of mc, each hashed along alpha
+    on its own; stops at the second distinct digest."""
+    digests: set = set()
     for selection in selections:
-        selection = tuple(selection)
-        if selection in seen_selections:
-            continue  # sampling mode may redraw a combination
-        seen_selections.add(selection)
         message = mc.message(selection)
-        if message in seen_messages:
-            return VerificationResult(False, complete, checked)
-        seen_messages.add(message)
-        value = h0
-        for sym in alpha:
-            value = compress(value, message[sym - 1])
-        if digest is None:
-            digest = value
-        elif value != digest:
-            return VerificationResult(False, complete, checked)
-        checked += 1
-    return VerificationResult(True, complete, checked, digest)
+        digests.add(_fold(compress, h0, [message[sym - 1] for sym in alpha]))
+        if len(digests) > 1:
+            break
+    return digests
+
+
+def _frontier_digests(compress: Callable, alpha, h0: int, mc: MulticollisionSet,
+                      cap: int) -> Optional[set]:
+    """The digests of all messages of mc along alpha, from one pass over it;
+    None as soon as the frontier would exceed cap (key, state) pairs.
+
+    The frontier maps the picks of the live groups, those with occurrences
+    both behind and ahead of the pass, to the set of states their messages
+    reach.  A group's pick joins the key at its first occurrence and leaves
+    it after its last, where the state sets of its picks merge: the rest of
+    the word never reads its blocks again.  Runs of base positions are
+    folded state by state.
+    """
+    owner = {pos: (gi, at) for gi, group in enumerate(mc.groups)
+             for at, pos in enumerate(group.positions)}
+    remaining = Counter(owner[pos][0] for pos in alpha if pos in owner)
+    live: list = []  # the groups whose picks make up the key, in key order
+    frontier = {(): {h0}}
+    for in_group, run in groupby(alpha, owner.__contains__):
+        if not in_group:
+            blocks = [mc.base_blocks[pos] for pos in run]
+            frontier = {key: {_fold(compress, state, blocks) for state in states}
+                        for key, states in frontier.items()}
+            continue
+        for pos in run:
+            gi, at = owner[pos]
+            choices = mc.groups[gi].choices
+            if gi not in live:
+                if sum(map(len, frontier.values())) * len(choices) > cap:
+                    return None
+                live.append(gi)
+                frontier = {key + (pick,): states for key, states in frontier.items()
+                            for pick in range(len(choices))}
+            k = live.index(gi)
+            frontier = {key: {compress(state, choices[key[k]][at]) for state in states}
+                        for key, states in frontier.items()}
+            remaining[gi] -= 1
+            if not remaining[gi]:
+                del live[k]
+                merged: dict = {}
+                for key, states in frontier.items():
+                    merged.setdefault(key[:k] + key[k + 1:], set()).update(states)
+                frontier = merged
+    return frontier[()]
+
+
+def _sampled_selections(mc: MulticollisionSet, cap: int) -> tuple:
+    """cap group selections drawn by a fixed LCG, repeats dropped."""
+    state = derive_seed(0xC011EC7, f"sample:{mc.expansion_size}")
+    picks = []
+    for _ in range(cap):
+        selection = []
+        for group in mc.groups:
+            state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+            selection.append(state % len(group.choices))
+        picks.append(tuple(selection))
+    return tuple(dict.fromkeys(picks))
 
 
 def _walk_level(oracle, part, units, fillers, state, search):

@@ -388,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     cert.set_defaults(func=_cmd_verify_cert)
     collision = verify_sub.add_parser("collision", help="multicollision JSON file")
     collision.add_argument("--mc", required=True)
-    collision.add_argument("--cap", type=int, default=1 << 16)
+    collision.add_argument("--cap", type=int, default=1 << 16,
+                           help="most (live picks, state) pairs the one-pass check may "
+                                "hold; a larger set is sampled with this many messages")
     collision.set_defaults(func=_cmd_verify_collision)
 
     return parser

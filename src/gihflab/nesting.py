@@ -23,6 +23,7 @@ instead of returning anything unverified.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -89,9 +90,10 @@ def partition_bijection(pair: PartitionPair) -> Optional[tuple[int, ...]]:
     """
     pair.validate()
     k = len(pair.blocks_b)
+    column = {e: j for j, block in enumerate(pair.blocks_c) for e in block}
     adjacency = [
-        [j for j in range(k) if len(pair.blocks_b[i] & pair.blocks_c[j]) >= pair.x]
-        for i in range(k)
+        sorted(j for j, size in Counter(column[e] for e in block).items() if size >= pair.x)
+        for block in pair.blocks_b
     ]
     matched_to: dict[int, int] = {}
 

@@ -18,6 +18,7 @@ hit anyway.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
@@ -72,15 +73,16 @@ def verify_structure(w: Word, cert: StructureCertificate, m: int) -> bool:
     """Check a certificate by recomputation only; never raises on bad input."""
     try:
         w = tuple(w)
+        letters = set(w)
         chosen = tuple(cert.subalphabet)
+        subset = set(chosen)
         p = int(cert.p)
-        splits = tuple(cert.splits)
+        splits = tuple(map(operator.index, cert.splits))
     except (TypeError, AttributeError, ValueError):
         return False
-    subset = set(chosen)
     if len(chosen) != len(subset) or len(subset) != m or m < 1:
         return False
-    if not subset <= set(w):
+    if not subset <= letters:
         return False
     if p < 1 or len(splits) != p - 1:
         return False

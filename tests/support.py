@@ -113,3 +113,15 @@ def random_permutations_of(rng: random.Random, alphabet_size: int, count: int):
 
 def certificate_parts(w, cert: StructureCertificate):
     return split_word(tuple(w), cert.splits)
+
+
+def enumerated_digests(oracle, alpha, h0: int, mc):
+    """Digest of every expanded message, each hashed block by block along
+    alpha on its own, without the verifier's one-pass frontier."""
+    out = []
+    for message in mc.messages():
+        state = h0
+        for position in alpha:
+            state = oracle.compress(state, message[position - 1])
+        out.append(state)
+    return out

@@ -1,3 +1,4 @@
+import random
 import statistics
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from gihflab.attacks import (
     CollisionGroup,
     MulticollisionSet,
+    _frontier_digests,
     block_pair_collision,
     complexity_bound,
     generalized_attack,
@@ -20,6 +22,9 @@ from gihflab.hashsim import (
     schedule_from_words,
     table_collision,
 )
+from gihflab.nesting import attack_threshold
+
+from support import enumerated_digests, random_two_permutation_word
 
 
 class TestBlockPairCollision:
@@ -145,11 +150,121 @@ class TestVerifyMulticollision:
         assert not verify_multicollision(o.clone(), identity_schedule(), 0, wrong_r)
 
     def test_partial_sampling_mode(self):
-        o, mc = self._sample(r=5)
-        outcome = verify_multicollision(o.clone(), identity_schedule(), 0, mc, cap=8)
+        # both groups of a mirror-word set are live across the middle of the
+        # word, so its frontier of four (picks, state) pairs outgrows cap=2
+        o = CompressionOracle(8, 16, seed=34)
+        mc, report = generalized_attack(o, mirror_schedule(), 2, 8, 2)
+        outcome = verify_multicollision(o.clone(), mirror_schedule(), 0, mc, cap=2)
         assert outcome.ok
         assert not outcome.complete
-        assert outcome.checked <= 8
+        assert outcome.checked <= 2
+        assert verify_multicollision(o.clone(), mirror_schedule(), 0, mc, cap=4).complete
+
+    def test_frontier_under_cap_is_complete(self):
+        # a Joux frontier never holds more than two pairs, so cap=8 checks
+        # all 32 messages
+        o, mc = self._sample(r=5)
+        outcome = verify_multicollision(o.clone(), identity_schedule(), 0, mc, cap=8)
+        assert outcome.ok and outcome.complete and outcome.checked == 32
+
+    def test_cap_below_one_rejected(self):
+        o, mc = self._sample()
+        for cap in (0, -1):
+            with pytest.raises(ValueError):
+                verify_multicollision(o.clone(), identity_schedule(), 0, mc, cap=cap)
+
+
+def _flipped(mc, rng, m):
+    """mc with one bit of one base block or one group choice block flipped."""
+    bit = 1 << rng.randrange(m)
+    base, groups = dict(mc.base_blocks), list(mc.groups)
+    if base and rng.random() < 0.5:
+        base[rng.choice(sorted(base))] ^= bit
+    else:
+        gi = rng.randrange(len(groups))
+        choices = [list(c) for c in groups[gi].choices]
+        choice = rng.choice(choices)
+        choice[rng.randrange(len(choice))] ^= bit
+        groups[gi] = CollisionGroup(groups[gi].positions, tuple(map(tuple, choices)))
+    return MulticollisionSet(mc.length, tuple(groups), base, mc.r)
+
+
+def _joux_set(seed):
+    o = CompressionOracle(8, 16, seed=seed)
+    return o, identity_schedule(), joux_attack(o, 0, 5)[0]
+
+
+def _mirror_set(seed):
+    o = CompressionOracle(8, 16, seed=seed)
+    return o, mirror_schedule(), generalized_attack(o, mirror_schedule(), 2, 8, 2)[0]
+
+
+def _two_permutation_set(seed):
+    length = attack_threshold(6, 2, 2)
+    word = random_two_permutation_word(random.Random(seed), length)
+    sched = schedule_from_words([()] * (length - 1) + [word], "file")
+    o = CompressionOracle(6, 12, seed=seed)
+    return o, sched, generalized_attack(o, sched, 2, 6, 2)[0]
+
+
+class TestOnePassVerifier:
+    """The one-pass verifier against hashing every message on its own."""
+
+    SOURCES = {"joux": _joux_set, "mirror": _mirror_set,
+               "two-permutation": _two_permutation_set}
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_agrees_with_enumeration(self, source):
+        rng = random.Random(f"flip:{source}")
+        verdicts = []
+        for seed in range(400, 408):
+            o, sched, genuine = self.SOURCES[source](seed)
+            for mc in [genuine] + [_flipped(genuine, rng, o.m) for _ in range(3)]:
+                reference, audit = o.clone(), o.clone()
+                alpha = sched.generator(mc.length)
+                digests = enumerated_digests(reference, alpha, 0, mc)
+                # sets of up to SEPARATE_HASHING_MAX messages skip the pass,
+                # so cross-check it directly too; it queries the same
+                # distinct (state, block) pairs as hashing every message
+                passed = o.clone()
+                assert _frontier_digests(passed.compress, alpha, 0, mc, 1 << 16) == set(digests)
+                assert passed.query_count == reference.query_count
+                messages = list(mc.messages())
+                expected = len(set(digests)) == 1 and len(set(messages)) == len(messages)
+                outcome = verify_multicollision(audit, sched, 0, mc)
+                assert outcome.ok == expected and outcome.complete
+                assert outcome.digest == (digests[0] if expected else None)
+                assert outcome.checked == (len(messages) if expected else 0)
+                # a rejection may stop before every message is hashed
+                assert audit.query_count == reference.query_count if expected \
+                    else audit.query_count <= reference.query_count
+                verdicts.append(expected)
+        assert verdicts[::4] == [True] * 8
+        assert verdicts.count(False) >= 8
+
+    def test_joux_two_to_the_64(self):
+        o = CompressionOracle(16, 24, seed=41)
+        mc, report = joux_attack(o, 0, 64)
+        assert report.verify_ok
+        outcome = verify_multicollision(o.clone(), identity_schedule(), 0, mc)
+        assert outcome.ok and outcome.complete and outcome.checked == 2 ** 64
+        probe = o.clone()
+        for pick in (0, 1):
+            assert gihf_eval(probe, identity_schedule(), 0, mc.message((pick,) * 64)) \
+                == outcome.digest
+
+    def test_groups_live_to_the_end_fall_back_to_sampling(self):
+        # one-position groups on the mirror word 1..6 6..1 are all live
+        # across its middle: 64 pairs fit cap=64, and cap=63 samples
+        rng = random.Random(42)
+        groups = tuple(CollisionGroup((pos,), ((rng.getrandbits(16),), (rng.getrandbits(16),)))
+                       for pos in range(1, 7))
+        mc = MulticollisionSet(6, groups, {}, 6)
+        o = CompressionOracle(8, 16, seed=42)
+        full = verify_multicollision(o.clone(), mirror_schedule(), 0, mc, cap=64)
+        assert full.complete and not full.ok and full.checked == 0
+        sampled = verify_multicollision(o.clone(), mirror_schedule(), 0, mc, cap=63)
+        assert not sampled.complete and sampled.checked <= 63
 
 
 class TestVerifierRejectsHostileSets:

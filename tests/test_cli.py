@@ -160,6 +160,14 @@ class TestAttackCommands:
         assert proc.returncode == 1
         assert report_of(proc)["result"]["ok"] is False
 
+    def test_joux_above_two_to_the_16_checked_in_full(self, tmp_path):
+        mc = tmp_path / "mc.json"
+        run_cli("attack", "joux", "--n", "8", "--m", "16", "--r", "20", "--seed", "5",
+                "--mc-out", str(mc))
+        result = report_of(run_cli("verify", "collision", "--mc", str(mc)))["result"]
+        assert result["ok"] is True and result["complete"] is True
+        assert result["checked"] == 2 ** 20
+
     def test_usage_error_exit_code(self):
         proc = run_cli("attack", "joux", "--n", "8", check=False)
         assert proc.returncode == 2
@@ -225,6 +233,16 @@ class TestVerifyCollisionHostileFiles:
         else:
             mc["groups"][1]["choices"][0][0] = 1 << 16
         assert "error" not in self.verify(tmp_path, data)
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one(self, tmp_path, genuine, cap):
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps(genuine))
+        proc = run_cli("verify", "collision", "--mc", str(path), "--cap", cap, check=False)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1
+        result = report_of(proc)["result"]
+        assert result["ok"] is False and "cap" in result["error"]
 
     def test_word_missing_positions(self, tmp_path, genuine):
         data = dict(genuine, alpha=[genuine["multicollision"]["base_blocks"][0][0]])

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import permutations
 
 import pytest
 
@@ -68,6 +69,20 @@ class TestPartitionBijection:
             partition_bijection(PartitionPair(frozenset({1, 2, 3}),
                                               (frozenset({1}), frozenset({2, 3})),
                                               (frozenset({1, 2}), frozenset({3})), 1))
+
+    def test_matches_brute_force_existence(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            k, size = rng.randint(1, 5), rng.randint(1, 4)
+            ground = frozenset(range(k * size))
+            pair = PartitionPair(ground, random_equal_partition(rng, ground, k),
+                                 random_equal_partition(rng, ground, k), rng.randint(1, size))
+            exists = any(all(len(pair.blocks_b[i] & pair.blocks_c[sigma[i]]) >= pair.x
+                             for i in range(k)) for sigma in permutations(range(k)))
+            sigma = partition_bijection(pair)
+            assert (sigma is not None) == exists
+            if exists:
+                assert sorted(sigma) == list(range(k))
 
     def test_guarantee_at_cubed_ground(self):
         rng = random.Random(11)

@@ -42,6 +42,14 @@ class TestVerifyStructure:
         assert not verify_structure(w, StructureCertificate((1, 9), 2, (2,)), 2)
         assert not verify_structure(w, StructureCertificate((1, 2), 2, (2,)), 3)
 
+    @pytest.mark.parametrize("cert", [
+        StructureCertificate(([1], 2), 1, ()),
+        StructureCertificate((1, 2), 2, ("2",)),
+        StructureCertificate((1, 2), 2, (2.0,)),
+    ], ids=["unhashable-letter", "string-split", "float-split"])
+    def test_malformed_fields_are_rejected_not_raised(self, cert):
+        assert not verify_structure((1, 2, 1, 2), cert, 2)
+
 
 class TestFindStructure:
     def test_witness_absent_exhaustively(self):
