@@ -3,7 +3,8 @@
 One engine runs every attack.  An attack certificate (see nesting) cuts the
 schedule word into parts that condense to permutations of a subalphabet B,
 and one level walker hashes each part, running the level's collision search
-for each block of B-positions.  Level 1 finds one cross-stream pair
+for each of the nesting.level_blocks equal blocks of B-positions it is cut
+into.  Level 1 cuts into singletons and finds one cross-stream pair
 collision per B-position among fresh sampler blocks; each later level
 collapses the >= 2^n combinations of the groups a block inherits by table
 search.  Iteration order is fixed, so an oracle seed reproduces the attack
@@ -16,9 +17,10 @@ expanded messages together in one pass along that word on a
 counter-isolated clone, so audit queries never pollute the attack cost.
 The pass keeps only the picks of the groups still being read, so a Joux
 2^r-collision costs 2r compressions, not r * 2^r.  The expansion cap bounds
-that frontier; a set that outgrows it is sampled instead.  Sets of at most
-eight messages, where the pass saves next to nothing, are hashed one
-message at a time.
+that frontier; a set that outgrows it is sampled instead, with cap
+distinct messages drawn by a seeded walk over the 2^r selections.  Sets of
+at most eight messages, where the pass saves next to nothing, are hashed
+one message at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain, groupby, product
+from itertools import chain, groupby, islice, product
 from typing import Callable, Iterator, Optional, Sequence
 
 from .hashsim import (
@@ -44,8 +46,10 @@ from .nesting import (
     ConstructionError,
     attack_threshold,
     find_attack_structure,
+    level_blocks,
 )
-from .words import condense, equal_blocks, split_word
+from .regularity import structure_threshold
+from .words import condense, equal_blocks, integers, split_word
 
 DEFAULT_A_TILDE = 2.5
 DEFAULT_EXPANSION_CAP = 1 << 16
@@ -138,21 +142,13 @@ class MulticollisionSet:
     def from_dict(cls, data: dict) -> "MulticollisionSet":
         """Inverse of to_dict; raises KeyError, TypeError or ValueError on
         malformed data, including any non-integer field."""
-        length, r = _integers((data["length"], data["r"]))
+        length, r = integers((data["length"], data["r"]))
         groups = tuple(
-            CollisionGroup(_integers(g["positions"]), tuple(_integers(c) for c in g["choices"]))
+            CollisionGroup(integers(g["positions"]), tuple(integers(c) for c in g["choices"]))
             for g in data["groups"]
         )
-        base_blocks = dict(map(_integers, data["base_blocks"]))
+        base_blocks = dict(map(integers, data["base_blocks"]))
         return cls(length=length, groups=groups, base_blocks=base_blocks, r=r)
-
-
-def _integers(values) -> tuple[int, ...]:
-    """The values as a tuple, rejecting anything but integers (bools too)."""
-    values = tuple(values)
-    if any(type(v) is not int for v in values):
-        raise ValueError("multicollision fields must be integers")
-    return values
 
 
 @dataclass(frozen=True)
@@ -206,18 +202,18 @@ def complexity_bound(n: int, q: int, r: int, a_tilde: float = DEFAULT_A_TILDE):
     """Query bound a~ * q * N^ * 2^(n/2) for building a 2^r-collision on a
     q-bounded construction of hash length n.
 
-    N^ is the exact forcing boundary for q = 2 (with m = n^((q-1)^2) *
-    r^(2q-3)), the proven upper bound m^(2^(q-1)) for q >= 3, and by
-    convention r for q = 1 (one pair search per stage).  Returns an int
-    whenever the value is integral.
+    For q >= 2, N^ is regularity.structure_threshold(m, q) with
+    m = n^((q-1)^2) * r^(2q-3): the exact forcing boundary for q = 2 and
+    the proven upper bound for q >= 3.  For q = 1 it is r by convention
+    (one pair search per stage).  Returns an int whenever the value is
+    integral.
     """
     if n < 1 or q < 1 or r < 1:
         raise ValueError("n, q and r must be >= 1")
     if q == 1:
         n_hat = r
     else:
-        m = n ** ((q - 1) ** 2) * r ** (2 * q - 3)
-        n_hat = m * m - m + 1 if q == 2 else m ** (2 ** (q - 1))
+        n_hat = structure_threshold(n ** ((q - 1) ** 2) * r ** (2 * q - 3), q)
     value = Fraction(a_tilde) * q * n_hat * (2 ** (n // 2))
     if n % 2:
         return float(value) * math.sqrt(2)
@@ -246,15 +242,14 @@ def _cross_collision(evaluate: Callable, candidates: Iterator):
         second_seen.setdefault(dy, y)
 
 
-def block_pair_collision(oracle: CompressionOracle, h: int,
-                         sampler: Optional[BlockSampler] = None):
-    """Two distinct blocks b, b' with compress(h, b) == compress(h, b').
+def block_pair_collision(oracle: CompressionOracle, h: int):
+    """Two distinct blocks b, b' with compress(h, b) == compress(h, b'),
+    drawn from the oracle seed's sampler stream for h.
 
     Returns (b, b', next state, distinct queries spent).  Expected cost is a
     small constant times 2^(n/2).
     """
-    if sampler is None:
-        sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, f"pair:{h}"))
+    sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, f"pair:{h}"))
     start = oracle.query_count
     (b1, b2), digest = _cross_collision(lambda b: oracle.compress(h, b), sampler)
     return b1, b2, digest, oracle.query_count - start
@@ -275,9 +270,11 @@ def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
     `cap`) messages then has each message hashed on its own; a larger one
     has all its messages hashed together in one pass over the word, whose
     frontier of (live picks, state) pairs `cap` bounds.  A set whose
-    frontier would outgrow `cap` is sampled instead, `cap` messages drawn
-    deterministically, and flagged complete=False.  checked counts the
-    messages verified, 0 on rejection.  Raises ValueError if cap < 1.
+    frontier would outgrow `cap` is sampled instead and flagged
+    complete=False: min(cap, 2^r) pairwise distinct messages, drawn by a
+    seeded walk over the selection indices, are each hashed on their own.
+    checked counts the messages verified, 0 on rejection.  Raises
+    ValueError if cap < 1.
     """
     if cap < 1:
         raise ValueError(f"verification cap {cap} must be >= 1")
@@ -372,17 +369,19 @@ def _frontier_digests(compress: Callable, alpha, h0: int, mc: MulticollisionSet,
     return frontier[()]
 
 
-def _sampled_selections(mc: MulticollisionSet, cap: int) -> tuple:
-    """cap group selections drawn by a fixed LCG, repeats dropped."""
-    state = derive_seed(0xC011EC7, f"sample:{mc.expansion_size}")
-    picks = []
-    for _ in range(cap):
+def _sampled_selections(mc: MulticollisionSet, cap: int) -> list:
+    """min(cap, 2^r) distinct group selections: a seeded BlockSampler walks
+    the indices 0..2^r - 1, each read as one mixed-radix digit per group (a
+    bijection, since the group sizes multiply to 2^r)."""
+    indices = BlockSampler(mc.r, derive_seed(0xC011EC7, f"sample:{mc.expansion_size}"))
+    selections = []
+    for index in islice(indices, min(cap, mc.expansion_size)):
         selection = []
         for group in mc.groups:
-            state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-            selection.append(state % len(group.choices))
-        picks.append(tuple(selection))
-    return tuple(dict.fromkeys(picks))
+            index, pick = divmod(index, len(group.choices))
+            selection.append(pick)
+        selections.append(tuple(selection))
+    return selections
 
 
 def _walk_level(oracle, part, units, fillers, state, search):
@@ -454,11 +453,11 @@ def _inherited_units(groups, blocks):
         yield positions, (tuple(chain.from_iterable(combo)) for combo in combos)
 
 
-def _attack(oracle, sched, q, alpha, cert, fillers, sampler, h0, a_tilde, expansion_cap):
+def _attack(oracle, sched, q, alpha, cert, fillers, sampler, h0, expansion_cap):
     """Run the certificate's levels along the schedule word alpha, then
-    verify the multicollision on a clone of the oracle.  Level i >= 2 cuts
-    its part into n^(p-i) * k equal blocks; positions outside the
-    subalphabet keep their filler block."""
+    verify the multicollision on a clone of the oracle.  Each level cuts
+    its condensed part into level_blocks(n, k, p) equal blocks, singletons
+    at level 1; positions outside the subalphabet keep their filler block."""
     subset = set(cert.subalphabet)
     start = oracle.query_count
     raw_start = oracle.raw_calls
@@ -466,14 +465,14 @@ def _attack(oracle, sched, q, alpha, cert, fillers, sampler, h0, a_tilde, expans
     groups = []
     stage_queries = []
     level_queries = []
-    for level, part in enumerate(split_word(alpha, cert.splits), 1):
-        order = condense(part, subset)
+    layout = zip(split_word(alpha, cert.splits), level_blocks(cert.n, cert.k, cert.p))
+    for level, (part, count) in enumerate(layout, 1):
+        blocks = equal_blocks(condense(part, subset), count)
         if level == 1:
             fresh = zip(sampler)  # one-block candidates (b,)
-            units = [((sym,), fresh) for sym in order]
+            units = [(block, fresh) for block in blocks]
             search = _cross_collision
         else:
-            blocks = equal_blocks(order, cert.n ** (cert.p - level) * cert.k)
             units = _inherited_units(groups, blocks)
             search = table_collision
         before = oracle.query_count
@@ -492,8 +491,8 @@ def _attack(oracle, sched, q, alpha, cert, fillers, sampler, h0, a_tilde, expans
         r=cert.k, n=oracle.n, m=oracle.m, q=q, l=length,
         attack_queries=attack_queries,
         verify_ok=outcome.ok,
-        bound=complexity_bound(oracle.n, q, cert.k, a_tilde),
-        seed=oracle.seed, a_tilde=a_tilde, h0=h0, p=cert.p, schedule=sched.name,
+        bound=complexity_bound(oracle.n, q, cert.k),
+        seed=oracle.seed, h0=h0, p=cert.p, schedule=sched.name,
         raw_calls=oracle.raw_calls - raw_start,
         stage_queries=tuple(stage_queries),
         level_queries=tuple(level_queries),
@@ -502,8 +501,6 @@ def _attack(oracle, sched, q, alpha, cert, fillers, sampler, h0, a_tilde, expans
 
 
 def joux_attack(oracle: CompressionOracle, h0: int, r: int, *,
-                sampler: Optional[BlockSampler] = None,
-                a_tilde: float = DEFAULT_A_TILDE,
                 expansion_cap: int = DEFAULT_EXPANSION_CAP):
     """Build a 2^r-collision on the traditional iterated hash by chaining r
     independent block-pair collisions from h0.
@@ -515,19 +512,15 @@ def joux_attack(oracle: CompressionOracle, h0: int, r: int, *,
     """
     if r < 1:
         raise ValueError("collision exponent r must be >= 1")
-    if sampler is None:
-        sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "joux"))
+    sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "joux"))
     alpha = tuple(range(1, r + 1))
     cert = AttackCertificate(alpha, 1, (), oracle.n, r)
     return _attack(oracle, identity_schedule(), 1, alpha, cert, {}, sampler,
-                   h0, a_tilde, expansion_cap)
+                   h0, expansion_cap)
 
 
 def generalized_attack(oracle: CompressionOracle, sched: Schedule, q: int,
-                       n_param: int, r: int, *, h0: int = 0,
-                       sampler: Optional[BlockSampler] = None,
-                       a_tilde: float = DEFAULT_A_TILDE,
-                       expansion_cap: int = DEFAULT_EXPANSION_CAP):
+                       n_param: int, r: int, *, h0: int = 0):
     """Build a verified 2^r-collision on the q-bounded generalized iterated
     hash given by `sched`, using the smallest message length whose schedule
     word meets the attack-structure threshold.
@@ -551,8 +544,7 @@ def generalized_attack(oracle: CompressionOracle, sched: Schedule, q: int,
             f"schedule cannot serve the required message length l = {length}: {exc}"
         ) from exc
     cert = find_attack_structure(alpha, n_param, r, q)
-    if sampler is None:
-        sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "gihf"))
+    sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "gihf"))
     fillers = {pos: next(sampler) for pos in range(1, length + 1)}
     return _attack(oracle, sched, q, alpha, cert, fillers, sampler,
-                   h0, a_tilde, expansion_cap)
+                   h0, DEFAULT_EXPANSION_CAP)

@@ -47,7 +47,7 @@ from .regularity import (
     extremal_witness,
     verify_structure,
 )
-from .words import format_words, parse_words, word_stats
+from .words import format_words, integers, parse_words, word_stats
 
 SEED_ENV_VAR = "GIHFLAB_SEED"
 
@@ -90,12 +90,9 @@ def _read_cert(path: str):
     """Attack certificate (the file has a "B" key) or structure certificate."""
     try:
         data = _load_json(path)
-        cert = (AttackCertificate if "B" in data else StructureCertificate).from_dict(data)
-        if any(type(v) is not int for v in (*cert.subalphabet, *cert.splits)):
-            raise ValueError("the subalphabet and splits must hold integers")
+        return (AttackCertificate if "B" in data else StructureCertificate).from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed certificate file: {type(exc).__name__}: {exc}") from exc
-    return cert
 
 
 def _read_collision(path: str):
@@ -103,10 +100,8 @@ def _read_collision(path: str):
     _write_mc."""
     try:
         data = _load_json(path)
-        n, m, seed, h0 = (data[key] for key in ("n", "m", "oracle_seed", "h0"))
-        alpha = tuple(data["alpha"])
-        if any(type(v) is not int for v in (n, m, seed, h0, *alpha)):
-            raise ValueError("n, m, oracle_seed, h0 and alpha must hold integers")
+        n, m, seed, h0 = integers(data[key] for key in ("n", "m", "oracle_seed", "h0"))
+        alpha = integers(data["alpha"])
         name = str(data.get("schedule", "file"))
         oracle = CompressionOracle(n, m, seed)
         mc = MulticollisionSet.from_dict(data["multicollision"])

@@ -15,7 +15,7 @@ distinct seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .words import Word, word_stats
 
@@ -218,16 +218,15 @@ def table_collision(evaluate: Callable, candidates: Iterable, k: int = 2):
     return None
 
 
-def birthday_search(oracle: CompressionOracle, h: int, k: int,
-                    sampler: Optional[BlockSampler] = None) -> tuple[tuple[int, ...], int]:
-    """Find k distinct blocks with equal compress(h, .) by table lookup.
+def birthday_search(oracle: CompressionOracle, h: int, k: int) -> tuple[tuple[int, ...], int]:
+    """Find k distinct blocks with equal compress(h, .) by table lookup,
+    drawn from the oracle seed's birthday sampler stream.
 
     Returns the colliding blocks and the number of distinct queries spent.
     """
     if k < 2:
         raise ValueError("collision size k must be >= 2")
-    if sampler is None:
-        sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "birthday"))
+    sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "birthday"))
     start = oracle.query_count
     found = table_collision(lambda block: oracle.compress(h, block), sampler, k)
     if found is None:

@@ -23,8 +23,11 @@ instead of returning anything unverified.
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Optional, Sequence
 
 from .regularity import (
@@ -38,6 +41,7 @@ from .words import (
     condense,
     equal_blocks,
     first_occurrence_order,
+    integers,
     is_permutation,
     project,
     split_word,
@@ -187,9 +191,7 @@ def _validate_factorization_inputs(perms: Sequence[Word], d: Sequence[int]):
     if len(perms) != r + 1:
         raise ValueError(f"expected {r + 1} permutations for r = {r}, got {len(perms)}")
     alphabet = frozenset(perms[0])
-    expected = d[0]
-    for x in d[1:]:
-        expected *= x * x
+    expected = d[0] * math.prod(d[1:]) ** 2
     if len(alphabet) != expected:
         raise ValueError(f"alphabet size {len(alphabet)} != required {expected}")
     for w in perms:
@@ -227,9 +229,7 @@ def factorization_subset(perms: Sequence[Word], d: Sequence[int]) -> NestingCert
     r = len(d) - 1
     kept = alphabet
     for i in range(r, 0, -1):
-        target = d[0]
-        for j in range(1, i):
-            target *= d[j] * d[j]
+        target = d[0] * math.prod(d[1:i]) ** 2
         take = target // d[i]
         left = project(perms[i - 1], kept)
         right = project(perms[i], kept)
@@ -312,20 +312,24 @@ class AttackCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AttackCertificate":
-        return cls(tuple(data["B"]), int(data["p"]), tuple(data["splits"]),
-                   int(data["n"]), int(data["k"]))
+        """Inverse of to_dict; raises ValueError on a non-integer field."""
+        p, n, k = integers([data["p"], data["n"], data["k"]])
+        return cls(integers(data["B"]), p, integers(data["splits"]), n, k)
+
+
+def level_blocks(n: int, k: int, p: int) -> tuple[int, ...]:
+    """Block counts n^(p-i) * k of levels i = 1..p of an attack certificate:
+    level 1 cuts its condensed part into |B| = n^(p-1) * k singletons."""
+    return tuple(n ** (p - i) * k for i in range(1, p + 1))
 
 
 def _subset_request(n: int, k: int, p: int) -> int:
     # Size of the structure subalphabet that lets us carve out B for a given
     # part count: B is taken directly for p <= 2, via factorization_subset
-    # (whose alphabet precondition is the product below) for p >= 3.
-    if p <= 2:
-        return n ** (p - 1) * k
-    size = n ** (p - 1) * k
-    for i in range(1, p):
-        size *= (n ** (p - 1 - i) * k) ** 2
-    return size
+    # (whose alphabet precondition d0 * d1^2 * ... is the product below) for
+    # p >= 3.
+    blocks = level_blocks(n, k, p)
+    return blocks[0] if p <= 2 else blocks[0] * math.prod(blocks[1:]) ** 2
 
 
 def attack_threshold(n: int, k: int, q: int) -> int:
@@ -357,8 +361,8 @@ def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
     stats = word_stats(w)
     if stats.max_count > q:
         raise ValueError(f"word is not {q}-bounded (max occurrence count {stats.max_count})")
-    needed = attack_threshold(n, k, q)
     request = max(_subset_request(n, k, p) for p in range(1, q + 1))
+    needed = structure_threshold(request, q)
     if len(stats.alphabet) < request:
         raise ValueError(
             f"alphabet size {len(stats.alphabet)} cannot host a size-{request} "
@@ -377,14 +381,11 @@ def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
     p = base.p
 
     if p <= 2:
-        chosen = base.subalphabet[: n ** (p - 1) * k]
+        chosen = base.subalphabet[: level_blocks(n, k, p)[0]]
     else:
-        size = _subset_request(n, k, p)
-        trimmed = base.subalphabet[:size]
-        tset = set(trimmed)
+        tset = set(base.subalphabet[: _subset_request(n, k, p)])
         level_words = [condense(part, tset) for part in parts]
-        divisors = [n ** (p - 1 - i) * k for i in range(p)]
-        nested = factorization_subset(level_words, divisors)
+        nested = factorization_subset(level_words, level_blocks(n, k, p))
         members = set(nested.subalphabet)
         chosen = tuple(a for a in first_occurrence_order(w) if a in members)
 
@@ -399,32 +400,35 @@ def verify_attack_structure(w: Word, n: int, k: int, cert: AttackCertificate) ->
 
     Checks that (B, p, splits) is a structure certificate with
     |B| = n^(p-1) * k, so each part condenses to a permutation of B, and
-    that cutting level i into n^(p-i)*k blocks of length n^(i-1) and
-    level i+1 into n^(p-i-1)*k blocks of length n^i sends every block
-    alphabet of the former into some block alphabet of the latter.
+    that for each pair of consecutive levels, cut into level_blocks(n, k, p)
+    equal blocks, every block alphabet of the finer level lies inside some
+    block alphabet of the coarser one.
     """
     try:
         w = tuple(w)
         subset = tuple(cert.subalphabet)
-        p = int(cert.p)
+        p = operator.index(cert.p)
         splits = tuple(cert.splits)
-        if int(cert.n) != n or int(cert.k) != k:
+        if operator.index(cert.n) != n or operator.index(cert.k) != k:
             return False
     except (TypeError, AttributeError, ValueError):
         return False
-    # the split count bounds p before n^(p-1) is computed, so a hostile p
-    # never builds a huge integer
-    if n < 1 or k < 1 or p != len(splits) + 1:
+    if n < 1 or k < 1:
         return False
-    if not verify_structure(w, StructureCertificate(subset, p, splits), n ** (p - 1) * k):
+    # the structure check bounds p by the word's length, and |B| >= 2^(p-1)
+    # (n >= 2) bounds it by log |B|, before any power of n is built
+    if not verify_structure(w, StructureCertificate(subset, p, splits), len(subset)):
+        return False
+    if n > 1 and len(subset) >> (p - 1) == 0:
+        return False
+    blocks = level_blocks(n, k, p)
+    if blocks[0] != len(subset):
         return False
     bset = set(subset)
     condensed = [condense(part, bset) for part in split_word(w, splits)]
-    for i in range(1, p):
-        fine = equal_blocks(condensed[i - 1], n ** (p - i) * k)
-        coarse = equal_blocks(condensed[i], n ** (p - i - 1) * k)
-        coarse_alphabets = [set(u) for u in coarse]
-        for block in fine:
+    for (fine_word, fine), (coarse_word, coarse) in pairwise(zip(condensed, blocks)):
+        coarse_alphabets = [set(u) for u in equal_blocks(coarse_word, coarse)]
+        for block in equal_blocks(fine_word, fine):
             if not any(set(block) <= u for u in coarse_alphabets):
                 return False
     return True

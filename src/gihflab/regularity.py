@@ -21,12 +21,13 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .words import (
     Word,
     condense,
     first_occurrence_order,
+    integers,
     is_permutation,
     split_word,
     word_stats,
@@ -54,7 +55,9 @@ class StructureCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StructureCertificate":
-        return cls(tuple(data["A"]), int(data["p"]), tuple(data["splits"]))
+        """Inverse of to_dict; raises ValueError on a non-integer field."""
+        (p,) = integers([data["p"]])
+        return cls(integers(data["A"]), p, integers(data["splits"]))
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ def verify_structure(w: Word, cert: StructureCertificate, m: int) -> bool:
         letters = set(w)
         chosen = tuple(cert.subalphabet)
         subset = set(chosen)
-        p = int(cert.p)
+        p = operator.index(cert.p)
         splits = tuple(map(operator.index, cert.splits))
     except (TypeError, AttributeError, ValueError):
         return False
@@ -363,8 +366,6 @@ def structure_threshold(m: int, q: int) -> int:
     word: exact for m = 1, q = 1 and q = 2, a proven upper bound otherwise."""
     if m < 1 or q < 1:
         raise ValueError("m and q must be >= 1")
-    if m == 1:
-        return 1
     if q == 1:
         return m
     if q == 2:

@@ -41,6 +41,14 @@ class WordStats:
     max_count: int
 
 
+def integers(values: Iterable) -> tuple[int, ...]:
+    """The values as a tuple, rejecting anything but integers (bools too)."""
+    values = tuple(values)
+    if any(type(v) is not int for v in values):
+        raise ValueError("fields must hold integers only")
+    return values
+
+
 def word_stats(w: Iterable[int]) -> WordStats:
     counts = Counter(w)
     return WordStats(

@@ -6,7 +6,9 @@ import pytest
 from gihflab.attacks import (
     CollisionGroup,
     MulticollisionSet,
+    _attack,
     _frontier_digests,
+    _sampled_selections,
     block_pair_collision,
     complexity_bound,
     generalized_attack,
@@ -14,15 +16,23 @@ from gihflab.attacks import (
     verify_multicollision,
 )
 from gihflab.hashsim import (
+    BlockSampler,
     CompressionOracle,
     Schedule,
+    derive_seed,
     gihf_eval,
     identity_schedule,
     mirror_schedule,
     schedule_from_words,
     table_collision,
 )
-from gihflab.nesting import attack_threshold
+from gihflab.nesting import (
+    AttackCertificate,
+    attack_threshold,
+    factorization_subset,
+    level_blocks,
+    verify_attack_structure,
+)
 
 from support import enumerated_digests, random_two_permutation_word
 
@@ -265,6 +275,19 @@ class TestOnePassVerifier:
         assert full.complete and not full.ok and full.checked == 0
         sampled = verify_multicollision(o.clone(), mirror_schedule(), 0, mc, cap=63)
         assert not sampled.complete and sampled.checked <= 63
+        assert not sampled.ok
+
+    @pytest.mark.parametrize("sizes", [(2,) * 6, (4, 2, 2, 2, 2)])
+    def test_sampler_draws_distinct_selections(self, sizes):
+        # 2^6 messages: cap draws give min(cap, 64) distinct selections,
+        # each pick within its group's choices
+        groups = tuple(CollisionGroup((pos,), tuple((b,) for b in range(size)))
+                       for pos, size in enumerate(sizes, 1))
+        mc = MulticollisionSet(len(sizes), groups, {}, 6)
+        for cap in (1, 2, 63, 64, 100):
+            selections = _sampled_selections(mc, cap)
+            assert len(selections) == len(set(selections)) == min(cap, 64)
+            assert all(pick < size for sel in selections for pick, size in zip(sel, sizes))
 
 
 class TestVerifierRejectsHostileSets:
@@ -395,6 +418,32 @@ class TestGeneralizedAttack:
                 _, report = generalized_attack(o, mirror_schedule(), 2, n, 2)
                 assert report.verify_ok
                 assert report.attack_queries <= complexity_bound(n, 2, 2)
+
+
+class TestThreeLevelAttack:
+    """The engine on p = 3 certificates over three shuffled permutations of
+    1..n^4 k^5, whose subalphabet B comes from factorization_subset."""
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (4, 2)])
+    def test_three_permutations(self, n, k):
+        l = n ** 4 * k ** 5
+        rng = random.Random(f"three-permutations:{n}:{k}")
+        perms = [rng.sample(range(1, l + 1), l) for _ in range(3)]
+        alpha = tuple(perms[0] + perms[1] + perms[2])
+        subset = factorization_subset(perms, level_blocks(n, k, 3)).subalphabet
+        cert = AttackCertificate(subset, 3, (l, 2 * l), n, k)
+        assert verify_attack_structure(alpha, n, k, cert)
+
+        sched = schedule_from_words([()] * (l - 1) + [alpha])
+        oracle = CompressionOracle(n, 16, seed=60 + k)
+        sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "gihf"))
+        fillers = {pos: next(sampler) for pos in range(1, l + 1)}
+        mc, report = _attack(oracle, sched, 3, alpha, cert, fillers, sampler, 0, 1 << 16)
+        assert report.verify_ok and report.p == 3 and report.r == k
+        assert len(report.level_queries) == 3
+        assert sum(report.level_queries) == report.attack_queries
+        outcome = verify_multicollision(oracle.clone(), sched, 0, mc)
+        assert outcome.ok and outcome.complete and outcome.checked == 2 ** k
 
 
 class TestComplexityBound:

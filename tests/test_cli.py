@@ -275,6 +275,7 @@ class TestRejectedInput:
 
     ABSENT = "{dir}/absent.json"
     WORD = ["--word", "{dir}/word.txt"]
+    WORD6 = ["verify", "cert", "--word", "{dir}/w6.txt", "--cert", "{dir}/c.json"]
     GIHF = ["attack", "gihf", "--n", "8", "--m", "16", "--q", "2", "--r", "2", "--seed", "1"]
     CASES = [
         ("cadence-order-0", ["classics", "cadence", "--s", "0"], "1 2\n", {}),
@@ -303,6 +304,14 @@ class TestRejectedInput:
         ("cert-unhashable-symbol", ["verify", "cert", *WORD, "--cert", "{dir}/c.json"], None,
          {"c.json": '{"A": [[1], 2], "p": 1, "splits": []}'}),
         ("cert-missing-file", ["verify", "cert", *WORD, "--cert", ABSENT], None, {}),
+        # each of these verified on 1 2 3 1 2 3 once its field was truncated
+        ("cert-float-part-count", WORD6, None,
+         {"w6.txt": "1 2 3 1 2 3\n", "c.json": '{"A": [1, 2, 3], "p": 2.9, "splits": [3]}'}),
+        ("cert-string-part-count", WORD6, None,
+         {"w6.txt": "1 2 3 1 2 3\n", "c.json": '{"A": [1, 2, 3], "p": "2", "splits": [3]}'}),
+        ("attack-cert-float-n", WORD6, None,
+         {"w6.txt": "1 2 3 1 2 3\n",
+          "c.json": '{"B": [1, 2], "p": 2, "splits": [3], "n": 2.7, "k": 1}'}),
         ("collision-missing-file", ["verify", "collision", "--mc", ABSENT], None, {}),
         ("collision-deeply-nested", ["verify", "collision", "--mc", "{dir}/deep.json"], None,
          {"deep.json": "[" * 100000 + "]" * 100000}),

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from gihflab import nesting
 from gihflab.nesting import (
     AttackCertificate,
     ConstructionError,
@@ -13,6 +14,7 @@ from gihflab.nesting import (
     attack_threshold,
     factorization_subset,
     find_attack_structure,
+    level_blocks,
     partition_bijection,
     verify_attack_structure,
     verify_nesting,
@@ -246,6 +248,12 @@ class TestVerifyAttackStructure:
         cert = AttackCertificate((1, 2), 2, (2,), 2, 1)
         assert verify_attack_structure((1, 2, 1, 2), 2, 1, cert)
 
+    @pytest.mark.parametrize("p,n,k", [(2.9, 2, 1), (2, 2.7, 1), (2, 2, 1.5)])
+    def test_rejects_non_integer_fields(self, p, n, k):
+        # each field would truncate to the genuine certificate above
+        cert = AttackCertificate((1, 2), p, (2,), n, k)
+        assert not verify_attack_structure((1, 2, 1, 2), 2, 1, cert)
+
     def test_rejects_mutations(self):
         l = 57
         alpha = tuple(range(1, l + 1)) + tuple(range(l, 0, -1))
@@ -297,3 +305,21 @@ class TestDeepInputs:
         started = time.perf_counter()
         assert not verify_attack_structure((1, 2, 1, 2), 3, 2, cert)
         assert time.perf_counter() - started < 1
+
+    def test_long_part_count_rejected_before_any_power_of_n(self, monkeypatch):
+        # 3000 one-letter parts form a structure certificate for B = {1},
+        # but |B| = 1 < 2^(p-1), so no level block count is ever built
+        def refuse(*args):
+            raise AssertionError("level_blocks called")
+
+        monkeypatch.setattr(nesting, "level_blocks", refuse)
+        word = (1,) * 3000
+        cert = AttackCertificate((1,), 3000, tuple(range(1, 3000)), 3, 1)
+        assert not verify_attack_structure(word, 3, 1, cert)
+
+
+class TestLevelBlocks:
+    def test_block_counts_coarsest_last(self):
+        assert level_blocks(4, 2, 3) == (32, 8, 2)
+        assert level_blocks(3, 5, 1) == (5,)
+        assert level_blocks(1, 2, 4) == (2, 2, 2, 2)

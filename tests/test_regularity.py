@@ -46,7 +46,8 @@ class TestVerifyStructure:
         StructureCertificate(([1], 2), 1, ()),
         StructureCertificate((1, 2), 2, ("2",)),
         StructureCertificate((1, 2), 2, (2.0,)),
-    ], ids=["unhashable-letter", "string-split", "float-split"])
+        StructureCertificate((1, 2), 2.9, (2,)),
+    ], ids=["unhashable-letter", "string-split", "float-split", "float-part-count"])
     def test_malformed_fields_are_rejected_not_raised(self, cert):
         assert not verify_structure((1, 2, 1, 2), cert, 2)
 
