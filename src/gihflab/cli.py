@@ -24,6 +24,7 @@ from typing import Optional
 
 from . import __version__
 from .attacks import (
+    DEFAULT_EXPANSION_CAP,
     MulticollisionSet,
     generalized_attack,
     joux_attack,
@@ -175,13 +176,13 @@ def _cmd_classics_ndiv(args):
 def _cmd_regularity_find(args):
     results = []
     for w in _read_words(args.input):
-        outcome = find_structure(w, args.m, args.q, args.mode)
+        outcome = find_structure(w, args.m, args.q)
         if outcome.certificate is None:
             results.append({"found": False, "exhaustive": outcome.exhaustive})
         else:
             results.append({"found": True, **outcome.certificate.to_dict()})
     hits = sum(r["found"] for r in results)
-    return ({"m": args.m, "q": args.q, "mode": args.mode, "input": args.input or "-"},
+    return ({"m": args.m, "q": args.q, "input": args.input or "-"},
             {"results": results},
             f"structure m={args.m} q={args.q}: {hits}/{len(results)} words certified", True)
 
@@ -317,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     find = regularity_sub.add_parser("find", help="search for a certificate")
     find.add_argument("--m", type=int, required=True)
     find.add_argument("--q", type=int, required=True)
-    find.add_argument("--mode", choices=["exhaustive", "greedy"], default="exhaustive")
     find.add_argument("--input", help="word file (default stdin)")
     find.set_defaults(func=_cmd_regularity_find)
     witness = regularity_sub.add_parser("witness", help="extremal 2-bounded witness")
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert.set_defaults(func=_cmd_verify_cert)
     collision = verify_sub.add_parser("collision", help="multicollision JSON file")
     collision.add_argument("--mc", required=True)
-    collision.add_argument("--cap", type=int, default=1 << 16,
+    collision.add_argument("--cap", type=int, default=DEFAULT_EXPANSION_CAP,
                            help="most (live picks, state) pairs the one-pass check may "
                                 "hold; a larger set is sampled with this many messages")
     collision.set_defaults(func=_cmd_verify_collision)

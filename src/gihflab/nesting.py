@@ -368,7 +368,7 @@ def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
             f"alphabet size {len(stats.alphabet)} cannot host a size-{request} "
             f"subalphabet; the guaranteed threshold for (n={n}, k={k}, q={q}) is {needed}")
 
-    outcome = find_structure(w, request, q, "exhaustive")
+    outcome = find_structure(w, request, q)
     if outcome.certificate is None:
         if len(stats.alphabet) >= needed:
             raise ConstructionError(

@@ -11,8 +11,9 @@ The search works factorization-first: for a fixed factorization the valid
 subalphabets are exactly the cliques of a compatibility relation (a letter
 is compatible with another unless one occurs strictly inside the other's
 occurrence span within some part, which would break its condensed run), so
-subset growth with span pruning is sound and the checker re-validates every
-hit anyway.
+one exhaustive depth-first growth of conflict-free subsets, kept on an
+explicit stack rather than the call stack, is sound, and the checker
+re-validates every hit anyway.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .words import (
 )
 
 DEFAULT_MAX_FACTORIZATIONS = 2_000_000
-DEFAULT_GREEDY_BUDGET = 50_000
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,13 @@ def _part_occurrences(part: Word) -> dict:
     return occ
 
 
-def _candidates_and_conflicts(parts, order):
-    """Letters present in every part, plus the pairwise conflict relation.
+def _conflicts(cands, occs) -> list[set]:
+    """Pairwise conflict relation over candidate indices.
 
     Two letters conflict when, inside some part, one has an occurrence
     strictly between the first and last occurrence of the other: projecting
     onto a set containing both would then split the outer letter's run.
     """
-    occs = [_part_occurrences(part) for part in parts]
-    cands = [a for a in order if all(a in occ for occ in occs)]
     index = {a: i for i, a in enumerate(cands)}
     conflicts = [set() for _ in cands]
     for occ in occs:
@@ -129,102 +127,77 @@ def _candidates_and_conflicts(parts, order):
                 if any(lo < x < hi for x in occ[b]):
                     conflicts[index[a]].add(index[b])
                     conflicts[index[b]].add(index[a])
-    return cands, conflicts
+    return conflicts
 
 
-class _Budget:
-    """Node counter for greedy mode; exhaustive mode passes None instead."""
+def _first_subalphabet(parts, order, m) -> Optional[tuple[int, ...]]:
+    """First conflict-free m-subset of the letters present in every part.
 
-    def __init__(self, limit: int):
-        self.remaining = limit
-
-    def spend(self) -> bool:
-        self.remaining -= 1
-        return self.remaining >= 0
-
-
-def _grow_subalphabet(cands, conflicts, m, budget) -> Optional[tuple[int, ...]]:
-    """Depth-first subset growth in candidate order, pruned by conflicts and
-    by remaining-candidate count.  Returns the first m-subset found."""
-    chosen: list[int] = []
+    Depth-first growth over candidate indices in first-occurrence order, on
+    an explicit `chosen` stack, pruned by conflicts and by the number of
+    candidates left; the first subset completed is the lexicographically
+    earliest.
+    """
+    occs = [_part_occurrences(part) for part in parts]
+    cands = [a for a in order if all(a in occ for occ in occs)]
     total = len(cands)
-
-    def grow(start: int) -> Optional[bool]:
-        if len(chosen) == m:
-            return True
-        if len(chosen) + (total - start) < m:
-            return False
-        for idx in range(start, total):
-            if any(idx in conflicts[c] for c in chosen):
-                continue
-            if budget is not None and not budget.spend():
+    if total < m:
+        return None
+    conflicts = _conflicts(cands, occs)
+    chosen: list[int] = []
+    idx = 0
+    while len(chosen) < m:
+        if len(chosen) + total - idx < m:
+            if not chosen:
                 return None
+            idx = chosen.pop() + 1
+        elif any(idx in conflicts[c] for c in chosen):
+            idx += 1
+        else:
             chosen.append(idx)
-            result = grow(idx + 1)
-            if result:
-                return True
-            chosen.pop()
-            if result is None:
-                return None
-        return False
-
-    result = grow(0)
-    if result:
-        return tuple(cands[i] for i in chosen)
-    return None if result is False else _BUDGET_EXHAUSTED
+            idx += 1
+    return tuple(cands[i] for i in chosen)
 
 
-_BUDGET_EXHAUSTED = object()
+def find_structure(w: Word, m: int, q: int, *,
+                   max_factorizations: int = DEFAULT_MAX_FACTORIZATIONS) -> SearchOutcome:
+    """Exhaustively search for a structure certificate with |subalphabet| = m
+    and p <= q.
 
-
-def find_structure(w: Word, m: int, q: int, mode: str = "exhaustive", *,
-                   max_factorizations: int = DEFAULT_MAX_FACTORIZATIONS,
-                   greedy_budget: int = DEFAULT_GREEDY_BUDGET) -> SearchOutcome:
-    """Search for a structure certificate with |subalphabet| = m and p <= q.
-
-    Exhaustive mode enumerates smaller p first, then lexicographically
-    earliest splits, then letters in first-occurrence order, so outputs are
-    deterministic; absence is then a proof of nonexistence.  Greedy mode is
-    the same search under a backtracking budget and may give up early
-    (exhaustive=False).  Rejects words that are not q-bounded and exhaustive
-    requests whose factorization count exceeds `max_factorizations`.
+    Enumerates smaller p first, then lexicographically earliest splits, then
+    letters in first-occurrence order, so outputs are deterministic and
+    absence is a proof of nonexistence.  Rejects words that are not
+    q-bounded and requests whose factorization count exceeds
+    `max_factorizations`; refuses m larger than the word's alphabet without
+    examining any split.
     """
     if m < 1:
         raise ValueError("subalphabet size m must be >= 1")
     if q < 1:
         raise ValueError("occurrence bound q must be >= 1")
-    if mode not in ("exhaustive", "greedy"):
-        raise ValueError(f"unknown mode {mode!r}")
     w = tuple(w)
     stats = word_stats(w)
     if stats.max_count > q:
         raise ValueError(f"word is not {q}-bounded (max occurrence count {stats.max_count})")
 
     length = len(w)
-    if mode == "exhaustive":
-        total = sum(math.comb(max(length - 1, 0), p - 1) for p in range(1, q + 1))
-        if total > max_factorizations:
-            raise ValueError(
-                f"exhaustive search over {total} factorizations exceeds cap {max_factorizations}")
+    total = sum(math.comb(max(length - 1, 0), p - 1) for p in range(1, q + 1))
+    if total > max_factorizations:
+        raise ValueError(
+            f"exhaustive search over {total} factorizations exceeds cap {max_factorizations}")
+    if m > len(stats.alphabet):
+        return SearchOutcome(None, exhaustive=True)
 
     order = first_occurrence_order(w)
-    budget = _Budget(greedy_budget) if mode == "greedy" else None
-
     for p in range(1, q + 1):
         for splits in combinations(range(1, length), p - 1):
-            parts = split_word(w, splits) if length else (w,)
-            cands, conflicts = _candidates_and_conflicts(parts, order)
-            if len(cands) < m:
-                continue
-            found = _grow_subalphabet(cands, conflicts, m, budget)
-            if found is _BUDGET_EXHAUSTED:
-                return SearchOutcome(None, exhaustive=False)
+            found = _first_subalphabet(split_word(w, splits), order, m)
             if found is not None:
                 cert = StructureCertificate(found, p, splits)
                 if not verify_structure(w, cert, m):
                     raise RuntimeError(f"internal error: unsound certificate {cert}")
-                return SearchOutcome(cert, exhaustive=(mode == "exhaustive"))
-    return SearchOutcome(None, exhaustive=(mode == "exhaustive"))
+                return SearchOutcome(cert, exhaustive=True)
+    return SearchOutcome(None, exhaustive=True)
 
 
 # -- witness family and exact boundary ----------------------------------------
@@ -351,7 +324,7 @@ def compute_n(m: int, q: int, alphabet_cap: int) -> ComputeNResult:
         checked = 0
         for candidate in canonical_bounded_words(size, q):
             checked += 1
-            outcome = find_structure(candidate, m, q, "exhaustive")
+            outcome = find_structure(candidate, m, q)
             if outcome.certificate is None:
                 violator = candidate
                 break

@@ -71,7 +71,7 @@ def test_criterion_01_exact_boundary_for_pairs():
 def test_criterion_02_witness_family():
     started = time.time()
     for m in (2, 3, 4, 5):
-        outcome = find_structure(extremal_witness(m), m, 2, "exhaustive")
+        outcome = find_structure(extremal_witness(m), m, 2)
         assert outcome.certificate is None, m
         assert outcome.exhaustive
     rng = random.Random(12021)
@@ -79,7 +79,7 @@ def test_criterion_02_witness_family():
         size = m * m - m + 1
         for _ in range(100):
             w = random_bounded_word(rng, size, 2)
-            outcome = find_structure(w, m, 2, "exhaustive")
+            outcome = find_structure(w, m, 2)
             assert outcome.certificate is not None, (m, w)
             assert verify_structure(w, outcome.certificate, m)
     elapsed = time.time() - started

@@ -3,7 +3,9 @@ from itertools import combinations
 
 import pytest
 
+from gihflab import regularity
 from gihflab.regularity import (
+    SearchOutcome,
     StructureCertificate,
     canonical_bounded_words,
     canonical_form,
@@ -15,7 +17,7 @@ from gihflab.regularity import (
 )
 from gihflab.words import condense, is_permutation, split_word, word_stats
 
-from support import brute_force_structure, random_bounded_word
+from support import brute_force_structure, random_bounded_word, random_two_permutation_word
 
 
 class TestVerifyStructure:
@@ -80,24 +82,45 @@ class TestFindStructure:
             find_structure((1, 2), 0, 2)
         with pytest.raises(ValueError):
             find_structure((1, 2), 1, 0)
-        with pytest.raises(ValueError):
-            find_structure((1, 2), 1, 1, "sloppy")
+        with pytest.raises(TypeError):
+            find_structure((1, 2), 1, 1, "greedy")  # no search modes
 
     def test_exhaustive_cap(self):
         w = tuple(range(1, 1501)) * 3  # 3-bounded, ~10M factorizations at q=3
         with pytest.raises(ValueError):
             find_structure(w, 2, 3, max_factorizations=1_000_000)
 
-    def test_greedy_mode_budget(self):
-        w = extremal_witness(4)
-        outcome = find_structure(w, 4, 2, "greedy", greedy_budget=3)
-        assert outcome.certificate is None
-        assert not outcome.exhaustive
+    def test_oversized_subalphabet_refused_before_any_split(self, monkeypatch):
+        def examine(*args):
+            raise AssertionError("split examined")
 
-    def test_greedy_finds_easy_certificates(self):
-        outcome = find_structure((1, 2, 3, 1, 2, 3), 3, 2, "greedy")
-        assert outcome.certificate is not None
-        assert not outcome.exhaustive
+        monkeypatch.setattr(regularity, "_first_subalphabet", examine)
+        for w, m in (((), 1), ((1, 2, 1, 2), 3), (tuple(range(1, 201)) * 2, 201)):
+            assert find_structure(w, m, 2) == SearchOutcome(None, True)
+
+    def test_long_permutations_do_not_recurse(self):
+        rng = random.Random(11)
+        w = random_two_permutation_word(rng, 1100)
+        cert = find_structure(w, 1100, 2).certificate
+        assert (cert.p, cert.splits) == (2, (1100,))
+        assert verify_structure(w, cert, 1100)
+
+    def test_search_order_matches_brute_force(self):
+        # both loop p, then splits, then subsets, so (p, splits) pins the order
+        rng = random.Random(12)
+        for _ in range(300):
+            q = rng.randint(1, 3)
+            w = random_bounded_word(rng, rng.randint(1, 5), q,
+                                    exact_alphabet=rng.random() < 0.5)
+            m = rng.randint(1, 4)
+            ours = find_structure(w, m, q)
+            brute = brute_force_structure(w, m, q)
+            assert ours.exhaustive
+            assert (ours.certificate is None) == (brute is None), (w, m, q)
+            if brute is not None:
+                assert (ours.certificate.p, ours.certificate.splits) == (brute.p, brute.splits)
+                assert verify_structure(w, ours.certificate, m)
+                assert verify_structure(w, brute, m)
 
     def test_soundness_fuzz(self):
         rng = random.Random(7)
