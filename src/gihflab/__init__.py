@@ -34,7 +34,6 @@ from .hashsim import (
 from .nesting import (
     AttackCertificate,
     ConstructionError,
-    NestingCertificate,
     PartitionPair,
     attack_threshold,
     factorization_subset,
@@ -50,6 +49,7 @@ from .regularity import (
     canonical_bounded_words,
     canonical_form,
     compute_n,
+    factorization_count,
     find_structure,
     extremal_witness,
     structure_threshold,

@@ -48,7 +48,7 @@ from .nesting import (
     find_attack_structure,
     level_blocks,
 )
-from .regularity import structure_threshold
+from .regularity import DEFAULT_MAX_FACTORIZATIONS, factorization_count, structure_threshold
 from .words import condense, equal_blocks, integers, split_word
 
 DEFAULT_A_TILDE = 2.5
@@ -282,7 +282,8 @@ def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
         mc.validate()
         alpha = validate_schedule_word(sched, mc.length)
         blocks = chain(mc.base_blocks.values(), *(c for g in mc.groups for c in g.choices))
-        if not (0 <= h0 < 1 << oracle.n and all(0 <= b < 1 << oracle.m for b in blocks)):
+        if not (0 <= h0 < 1 << oracle.n
+                and all(b >= 0 and b.bit_length() <= oracle.m for b in blocks)):
             raise ValueError("h0 or a block lies outside the oracle's range")
         if any(len(set(g.choices)) != len(g.choices) for g in mc.groups):
             raise ValueError("a group repeats a choice")
@@ -537,6 +538,12 @@ def generalized_attack(oracle: CompressionOracle, sched: Schedule, q: int,
         raise ValueError(
             f"schedule declares bound {sched.q_bound}, exceeding q = {q}")
     length = attack_threshold(n_param, r, q)
+    # refuse, unbuilt, a word find_structure would refuse: its count grows
+    # with the length, and at q >= 2 passes the cap by cap + 2 letters
+    cap = DEFAULT_MAX_FACTORIZATIONS
+    if factorization_count(min(length, cap + 2), q) > cap:
+        raise ValueError(f"the structure search for (n={n_param}, r={r}, q={q}) would "
+                         f"examine more than {cap} factorizations of the schedule word")
     try:
         alpha = validate_schedule_word(sched, length)
     except ValueError as exc:

@@ -79,7 +79,7 @@ class CompressionOracle:
     def compress(self, h: int, b: int) -> int:
         if not 0 <= h < (1 << self.n):
             raise ValueError(f"hash value {h} outside {self.n}-bit range")
-        if not 0 <= b < (1 << self.m):
+        if not (b >= 0 and b.bit_length() <= self.m):  # builds no 2^m
             raise ValueError(f"block {b} outside {self.m}-bit range")
         self.raw_calls += 1
         key = (h, b)

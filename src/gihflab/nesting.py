@@ -45,7 +45,6 @@ from .words import (
     is_permutation,
     project,
     split_word,
-    word_stats,
 )
 
 
@@ -143,40 +142,6 @@ def partition_bijection(pair: PartitionPair) -> Optional[tuple[int, ...]]:
     return result
 
 
-@dataclass(frozen=True)
-class LevelFactorization:
-    """Equal-length projection blocks of two consecutive permutations at one
-    granularity; block alphabets must match pairwise."""
-
-    d: int
-    left_blocks: tuple[Word, ...]
-    right_blocks: tuple[Word, ...]
-
-
-@dataclass(frozen=True)
-class NestingCertificate:
-    """Subset B plus the per-level projection blocks it induces, together
-    with the projections of the final permutation's coarse blocks."""
-
-    subalphabet: tuple[int, ...]
-    levels: tuple[LevelFactorization, ...]
-    final_blocks: tuple[Word, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "B": list(self.subalphabet),
-            "levels": [
-                {
-                    "d": lev.d,
-                    "left_blocks": [list(b) for b in lev.left_blocks],
-                    "right_blocks": [list(b) for b in lev.right_blocks],
-                }
-                for lev in self.levels
-            ],
-            "final_blocks": [list(b) for b in self.final_blocks],
-        }
-
-
 def _validate_factorization_inputs(perms: Sequence[Word], d: Sequence[int]):
     d = tuple(int(x) for x in d)
     if len(d) < 2:
@@ -200,24 +165,10 @@ def _validate_factorization_inputs(perms: Sequence[Word], d: Sequence[int]):
     return perms, d, alphabet
 
 
-def _certificate_for(perms, d, subset) -> NestingCertificate:
-    r = len(d) - 1
-    bset = set(subset)
-    levels = []
-    for i in range(1, r + 1):
-        levels.append(LevelFactorization(
-            d=d[i],
-            left_blocks=equal_blocks(project(perms[i - 1], bset), d[i]),
-            right_blocks=equal_blocks(project(perms[i], bset), d[i]),
-        ))
-    coarse = equal_blocks(perms[r], d[r])
-    final = tuple(project(u, bset) for u in coarse)
-    return NestingCertificate(tuple(subset), tuple(levels), final)
-
-
-def factorization_subset(perms: Sequence[Word], d: Sequence[int]) -> NestingCertificate:
+def factorization_subset(perms: Sequence[Word], d: Sequence[int]) -> tuple[int, ...]:
     """Select B with |B| = d[0] whose projection blocks align between every
-    consecutive pair of the given permutations.
+    consecutive pair of the given permutations; B is returned in the order
+    of the first permutation and is the whole certificate.
 
     Levels are processed from the coarsest granularity d[r] down to d[1]; at
     each level the two block partitions are matched and exactly the needed
@@ -226,15 +177,11 @@ def factorization_subset(perms: Sequence[Word], d: Sequence[int]) -> NestingCert
     every matching exist, so a matching failure aborts loudly.
     """
     perms, d, alphabet = _validate_factorization_inputs(perms, d)
-    r = len(d) - 1
     kept = alphabet
-    for i in range(r, 0, -1):
-        target = d[0] * math.prod(d[1:i]) ** 2
-        take = target // d[i]
-        left = project(perms[i - 1], kept)
-        right = project(perms[i], kept)
-        left_blocks = equal_blocks(left, d[i])
-        right_blocks = equal_blocks(right, d[i])
+    for i in range(len(d) - 1, 0, -1):
+        take = d[0] * math.prod(d[1:i]) ** 2 // d[i]  # letters kept per block
+        left_blocks = equal_blocks(project(perms[i - 1], kept), d[i])
+        right_blocks = equal_blocks(project(perms[i], kept), d[i])
         pair = PartitionPair(
             ground=kept,
             blocks_b=tuple(frozenset(b) for b in left_blocks),
@@ -251,40 +198,35 @@ def factorization_subset(perms: Sequence[Word], d: Sequence[int]) -> NestingCert
             picked = [a for a in left_blocks[j] if a in allowed][:take]
             survivors.update(picked)
         kept = frozenset(survivors)
-    ordered = tuple(a for a in perms[0] if a in kept)
-    cert = _certificate_for(perms, d, ordered)
-    if not verify_nesting(perms, d, cert):
+    subset = tuple(a for a in perms[0] if a in kept)
+    if not verify_nesting(perms, d, subset):
         raise ConstructionError("constructed subset failed verification")
-    return cert
+    return subset
 
 
-def verify_nesting(perms: Sequence[Word], d: Sequence[int],
-                   cert: NestingCertificate) -> bool:
-    """Recompute all projections and factorizations claimed by the
-    certificate and check the alignment conditions exactly."""
+def verify_nesting(perms: Sequence[Word], d: Sequence[int], subset: Sequence[int]) -> bool:
+    """Check a subset B by recomputation only; never raises on bad input.
+
+    B must be d[0] distinct letters of the alphabet; at each level i the
+    d[i] projection blocks of perms[i-1] on B must have the same alphabets
+    as those of perms[i]; and each of the last permutation's d[-1] blocks
+    must hold d[0] / d[-1] letters of B.
+    """
     try:
         perms, d, alphabet = _validate_factorization_inputs(perms, d)
-        subset = tuple(cert.subalphabet)
-    except (ValueError, TypeError, AttributeError):
+        subset = tuple(subset)
+        bset = set(subset)
+    except (ValueError, TypeError):
         return False
-    bset = set(subset)
     if len(bset) != len(subset) or len(bset) != d[0] or not bset <= alphabet:
         return False
-    try:
-        recomputed = _certificate_for(perms, d, subset)
-    except ValueError:
-        return False
-    if recomputed.levels != tuple(cert.levels) or recomputed.final_blocks != tuple(cert.final_blocks):
-        return False
-    for level in recomputed.levels:
-        right_alphabets = [set(b) for b in level.right_blocks]
-        for block in level.left_blocks:
-            if not any(set(block) == other for other in right_alphabets):
+    for left, right, count in zip(perms, perms[1:], d[1:]):
+        right_alphabets = [set(b) for b in equal_blocks(project(right, bset), count)]
+        for block in equal_blocks(project(left, bset), count):
+            if set(block) not in right_alphabets:
                 return False
     size = d[0] // d[-1]
-    if any(len(b) != size for b in recomputed.final_blocks):
-        return False
-    return True
+    return all(len(project(u, bset)) == size for u in equal_blocks(perms[-1], d[-1]))
 
 
 # -- attack structure ----------------------------------------------------------
@@ -348,7 +290,7 @@ def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
     attack_threshold(n, k, q); a failed search above that threshold is a
     defect and aborts loudly.  Smaller alphabets are still attempted (the
     structure may be present by construction), but a failure there is an
-    ordinary refusal naming the guaranteed threshold.
+    ordinary refusal.  find_structure rejects a word that is not q-bounded.
 
     Pipeline: exhaustive structure search for a large subalphabet A, then
     either a direct prefix of A (p <= 2, where the nesting condition is
@@ -358,24 +300,21 @@ def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
     if n < 1 or k < 1 or q < 1:
         raise ValueError("n, k and q must be >= 1")
     w = tuple(w)
-    stats = word_stats(w)
-    if stats.max_count > q:
-        raise ValueError(f"word is not {q}-bounded (max occurrence count {stats.max_count})")
     request = max(_subset_request(n, k, p) for p in range(1, q + 1))
-    needed = structure_threshold(request, q)
-    if len(stats.alphabet) < request:
-        raise ValueError(
-            f"alphabet size {len(stats.alphabet)} cannot host a size-{request} "
-            f"subalphabet; the guaranteed threshold for (n={n}, k={k}, q={q}) is {needed}")
-
     outcome = find_structure(w, request, q)
     if outcome.certificate is None:
-        if len(stats.alphabet) >= needed:
+        size = len(set(w))
+        if size < request:
+            raise ValueError(
+                f"alphabet size {size} is too small for the subalphabet that "
+                f"(n={n}, k={k}, q={q}) needs")
+        # request <= size, so this power of request is bounded by the input
+        if size >= structure_threshold(request, q):
             raise ConstructionError(
                 "structure search failed above the guaranteed threshold")
         raise ValueError(
-            f"no attack structure found; alphabet size {len(stats.alphabet)} is below "
-            f"the guaranteed threshold {needed} for (n={n}, k={k}, q={q})")
+            f"no attack structure found; alphabet size {size} is below "
+            f"the guaranteed threshold for (n={n}, k={k}, q={q})")
     base = outcome.certificate
     parts = split_word(w, base.splits)
     p = base.p
@@ -386,7 +325,7 @@ def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
         tset = set(base.subalphabet[: _subset_request(n, k, p)])
         level_words = [condense(part, tset) for part in parts]
         nested = factorization_subset(level_words, level_blocks(n, k, p))
-        members = set(nested.subalphabet)
+        members = set(nested)
         chosen = tuple(a for a in first_occurrence_order(w) if a in members)
 
     cert = AttackCertificate(tuple(chosen), p, base.splits, n, k)

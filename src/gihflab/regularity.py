@@ -159,6 +159,12 @@ def _first_subalphabet(parts, order, m) -> Optional[tuple[int, ...]]:
     return tuple(cands[i] for i in chosen)
 
 
+def factorization_count(length: int, q: int) -> int:
+    """Number of ways to cut a word of `length` letters into at most q
+    nonempty parts: the factorizations find_structure examines."""
+    return sum(math.comb(max(length - 1, 0), p - 1) for p in range(1, q + 1))
+
+
 def find_structure(w: Word, m: int, q: int, *,
                    max_factorizations: int = DEFAULT_MAX_FACTORIZATIONS) -> SearchOutcome:
     """Exhaustively search for a structure certificate with |subalphabet| = m
@@ -181,7 +187,7 @@ def find_structure(w: Word, m: int, q: int, *,
         raise ValueError(f"word is not {q}-bounded (max occurrence count {stats.max_count})")
 
     length = len(w)
-    total = sum(math.comb(max(length - 1, 0), p - 1) for p in range(1, q + 1))
+    total = factorization_count(length, q)
     if total > max_factorizations:
         raise ValueError(
             f"exhaustive search over {total} factorizations exceeds cap {max_factorizations}")
@@ -238,28 +244,37 @@ def canonical_form(w: Word) -> Word:
 def canonical_bounded_words(size: int, q: int) -> Iterator[Word]:
     """All canonical q-bounded words whose alphabet is exactly {1..size}.
 
-    Enumeration is depth-first: extend by any already-used letter still
-    below its occurrence cap, or by the next fresh letter.
+    Enumeration is depth-first, on the explicit `current` stack: extend by
+    any already-used letter still below its occurrence cap, or by the next
+    fresh letter, trying letters in increasing order, so words come out in
+    tuple order.
     """
     if size < 1 or q < 1:
         raise ValueError("alphabet size and bound must be >= 1")
-    counts = [0] * (size + 2)
+    counts = [0] * (size + 1)
+    full = bytearray(size + 1)  # full[a] = 1 once letter a occurs q times
     current: list[int] = []
-
-    def extend(used: int) -> Iterator[Word]:
-        if used == size:
-            yield tuple(current)
-        limit = min(used + 1, size)
-        for a in range(1, limit + 1):
-            if counts[a] >= q:
-                continue
+    used = 0  # letters in current, which are exactly 1..used
+    a = 1  # next letter to try appending to current
+    while True:
+        a = full.find(0, a, min(used + 1, size) + 1)
+        if a > 0:
             counts[a] += 1
+            full[a] = counts[a] == q
             current.append(a)
-            yield from extend(used + (1 if a == used + 1 else 0))
-            current.pop()
+            used = max(used, a)
+            if used == size:
+                yield tuple(current)
+            a = 1
+        elif current:
+            a = current.pop()
             counts[a] -= 1
-
-    yield from extend(0)
+            full[a] = 0
+            if not counts[a]:  # a was fresh where it was appended
+                used -= 1
+            a += 1
+        else:
+            return
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ from gihflab.attacks import (
 from gihflab.hashsim import CompressionOracle, birthday_search, identity_schedule, mirror_schedule
 from gihflab.nesting import (
     AttackCertificate,
-    LevelFactorization,
-    NestingCertificate,
     PartitionPair,
     factorization_subset,
     find_attack_structure,
@@ -122,8 +120,8 @@ def test_criterion_04_subset_extraction_suite():
         for x in d[1:]:
             size *= x * x
         perms = random_permutations_of(rng, size, r + 1)
-        cert = factorization_subset(perms, d)
-        assert verify_nesting(perms, d, cert)
+        subset = factorization_subset(perms, d)
+        assert verify_nesting(perms, d, subset)
         successes += 1
     elapsed = time.time() - started
     assert successes == 200
@@ -231,27 +229,13 @@ def _attack_mutations(w, cert):
                             cert.p, cert.splits, cert.n, cert.k)
 
 
-def _nesting_mutations(perms, d, cert):
-    ground = set().union(*map(set, perms))
-    fresh = max(ground) + 100
-    yield NestingCertificate((fresh,) + cert.subalphabet[1:], cert.levels,
-                             cert.final_blocks)
-    yield NestingCertificate(cert.subalphabet[:-1], cert.levels, cert.final_blocks)
-    level = cert.levels[0]
-    yield NestingCertificate(cert.subalphabet,
-                             (LevelFactorization(level.d + 1, level.left_blocks,
-                                                 level.right_blocks),)
-                             + cert.levels[1:], cert.final_blocks)
-    corrupted_block = (fresh,) + level.left_blocks[0][1:]
-    yield NestingCertificate(cert.subalphabet,
-                             (LevelFactorization(level.d,
-                                                 (corrupted_block,)
-                                                 + level.left_blocks[1:],
-                                                 level.right_blocks),)
-                             + cert.levels[1:], cert.final_blocks)
-    merged = cert.final_blocks[0] + cert.final_blocks[-1]
-    yield NestingCertificate(cert.subalphabet, cert.levels,
-                             (merged,) + cert.final_blocks[1:])
+def _nesting_mutations(perms, subset):
+    # each mutant is invalid by construction: B must be |B| distinct letters
+    # of the alphabet
+    fresh = max(perms[0]) + 100
+    yield (fresh,) + subset[1:]
+    yield subset[:-1]
+    yield subset + subset[:1]
 
 
 def _multicollision_mutations(mc):
@@ -309,8 +293,8 @@ def test_criterion_09_mutation_robustness():
         d = random_divisor_chain(rng, 6, 1)
         size = d[0] * d[1] * d[1]
         perms = random_permutations_of(rng, size, 2)
-        cert = factorization_subset(perms, d)
-        for mutant in _nesting_mutations(perms, d, cert):
+        subset = factorization_subset(perms, d)
+        for mutant in _nesting_mutations(perms, subset):
             attempted += 1
             rejected += not verify_nesting(perms, d, mutant)
 

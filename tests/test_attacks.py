@@ -402,6 +402,16 @@ class TestGeneralizedAttack:
         with pytest.raises(ValueError, match="241"):
             generalized_attack(o, short, 2, 8, 2)
 
+    def test_oversized_search_refused_before_the_schedule_word(self):
+        # l = attack_threshold(4, 1, 3) = 256^4: the C(l - 1, 2) three-part
+        # factorizations alone far exceed find_structure's cap
+        def generator(l):
+            raise AssertionError(f"schedule word for l = {l} built")
+
+        o = CompressionOracle(4, 8, seed=34)
+        with pytest.raises(ValueError, match="factorizations"):
+            generalized_attack(o, Schedule("never", 3, generator), 3, 4, 1)
+
     def test_mirror_multicollisions_stay_polynomial(self):
         # 2-bounded mirror schedules yield verified collisions with query
         # counts below the stated bound for growing r at fixed n
@@ -430,7 +440,7 @@ class TestThreeLevelAttack:
         rng = random.Random(f"three-permutations:{n}:{k}")
         perms = [rng.sample(range(1, l + 1), l) for _ in range(3)]
         alpha = tuple(perms[0] + perms[1] + perms[2])
-        subset = factorization_subset(perms, level_blocks(n, k, 3)).subalphabet
+        subset = factorization_subset(perms, level_blocks(n, k, 3))
         cert = AttackCertificate(subset, 3, (l, 2 * l), n, k)
         assert verify_attack_structure(alpha, n, k, cert)
 

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
 from gihflab import cli
-from gihflab.attacks import generalized_attack
-from gihflab.hashsim import CompressionOracle, mirror_schedule
+from gihflab.attacks import generalized_attack, joux_attack, verify_multicollision
+from gihflab.hashsim import CompressionOracle, identity_schedule, mirror_schedule
 
 CLI = [sys.executable, "-m", "gihflab.cli"]
 
@@ -233,6 +235,37 @@ class TestVerifyCollisionHostileFiles:
             mc["groups"][1]["choices"][0][0] = 1 << 16
         assert "error" not in self.verify(tmp_path, data)
 
+    @pytest.fixture(scope="class")
+    def joux(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("joux") / "joux.json"
+        mc, report = joux_attack(CompressionOracle(8, 16, seed=5), 0, 3)
+        cli._write_mc(str(path), mc, report, identity_schedule())
+        return json.loads(path.read_text())
+
+    def test_huge_block_length_verifies_quickly(self, tmp_path, joux):
+        # 2^(10^12) would take 125 GB: block ranges are checked by bit length
+        path = tmp_path / "huge-m.json"
+        path.write_text(json.dumps(dict(joux, m=10 ** 12)))
+        started = time.perf_counter()
+        proc = run_cli("verify", "collision", "--mc", str(path), check=False)
+        assert time.perf_counter() - started < 1
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0 and report_of(proc)["result"]["ok"] is True
+
+    def test_large_block_length_verifies_in_little_memory(self, tmp_path, joux):
+        # each 2^(10^8) built would take 12.5 MB
+        path = tmp_path / "large-m.json"
+        path.write_text(json.dumps(dict(joux, m=10 ** 8)))
+        oracle, sched, h0, mc = cli._read_collision(str(path))
+        tracemalloc.start()
+        try:
+            outcome = verify_multicollision(oracle, sched, h0, mc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.ok and outcome.complete
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_cap_below_one(self, tmp_path, genuine, cap):
         path = tmp_path / "mc.json"
@@ -293,6 +326,10 @@ class TestRejectedInput:
          ["hashsim", "birthday", "--n", "8", "--m", "16", "--k", "1", "--seed", "1"], None, {}),
         ("joux-n-80",
          ["attack", "joux", "--n", "80", "--m", "96", "--r", "2", "--seed", "1"], None, {}),
+        # the q=3 word would have 256^4 letters; refused before it is built
+        ("gihf-q3-oversized-search",
+         ["attack", "gihf", "--n", "4", "--m", "8", "--q", "3", "--r", "1",
+          "--schedule", "mirror", "--seed", "1"], None, {}),
         ("gihf-schedule-file-not-given", GIHF + ["--schedule", "file"], None, {}),
         ("gihf-missing-schedule-file",
          GIHF + ["--schedule", "file", "--schedule-file", ABSENT], None, {}),

@@ -8,8 +8,6 @@ from gihflab import nesting
 from gihflab.nesting import (
     AttackCertificate,
     ConstructionError,
-    LevelFactorization,
-    NestingCertificate,
     PartitionPair,
     attack_threshold,
     factorization_subset,
@@ -103,29 +101,28 @@ class TestPartitionBijection:
 
 class TestFactorizationSubset:
     def test_degenerate_two_letters(self):
-        cert = factorization_subset([(1, 2), (2, 1)], [2, 1])
-        assert set(cert.subalphabet) == {1, 2}
+        subset = factorization_subset([(1, 2), (2, 1)], [2, 1])
+        assert set(subset) == {1, 2}
 
     def test_sixteen_letter_instances(self):
         rng = random.Random(12)
         for _ in range(25):
             perms = random_permutations_of(rng, 16, 2)
-            cert = factorization_subset(perms, [4, 2])
-            assert len(cert.subalphabet) == 4
-            assert verify_nesting(perms, [4, 2], cert)
+            subset = factorization_subset(perms, [4, 2])
+            assert len(subset) == 4
+            assert verify_nesting(perms, [4, 2], subset)
 
     def test_uniform_divisor_pairwise_alignment(self):
         # d0=4, d=2, r=2: alphabet of size 4 * 2^4 = 64, three permutations;
         # the kept subset aligns block alphabets between every pair of words
         rng = random.Random(13)
         perms = random_permutations_of(rng, 64, 3)
-        cert = factorization_subset(perms, [4, 2, 2])
-        assert len(cert.subalphabet) == 4
-        assert verify_nesting(perms, [4, 2, 2], cert)
-        subset = set(cert.subalphabet)
+        subset = factorization_subset(perms, [4, 2, 2])
+        assert len(subset) == 4
+        assert verify_nesting(perms, [4, 2, 2], subset)
         families = []
         for w in perms:
-            blocks = equal_blocks(project(w, subset), 2)
+            blocks = equal_blocks(project(w, set(subset)), 2)
             families.append({frozenset(b) for b in blocks})
         assert families[0] == families[1] == families[2]
 
@@ -151,46 +148,41 @@ class TestFactorizationSubset:
             for x in d[1:]:
                 size *= x * x
             perms = random_permutations_of(rng, size, r + 1)
-            cert = factorization_subset(perms, d)
-            assert len(cert.subalphabet) == d[0]
-            assert verify_nesting(perms, d, cert)
+            subset = factorization_subset(perms, d)
+            assert len(subset) == d[0]
+            assert verify_nesting(perms, d, subset)
 
 
 class TestVerifyNesting:
     def _instance(self):
         rng = random.Random(15)
         perms = random_permutations_of(rng, 16, 2)
-        cert = factorization_subset(perms, [4, 2])
-        return perms, cert
+        subset = factorization_subset(perms, [4, 2])
+        return perms, subset
 
     def test_round_trip(self):
-        perms, cert = self._instance()
-        assert verify_nesting(perms, [4, 2], cert)
+        perms, subset = self._instance()
+        assert verify_nesting(perms, [4, 2], subset)
 
     def test_rejects_swapped_member(self):
-        perms, cert = self._instance()
-        bad = NestingCertificate((99,) + cert.subalphabet[1:], cert.levels,
-                                 cert.final_blocks)
-        assert not verify_nesting(perms, [4, 2], bad)
-
-    def test_rejects_tampered_level_blocks(self):
-        perms, cert = self._instance()
-        level = cert.levels[0]
-        reordered = LevelFactorization(level.d, tuple(reversed(level.left_blocks)),
-                                       level.right_blocks)
-        bad = NestingCertificate(cert.subalphabet, (reordered,), cert.final_blocks)
-        assert not verify_nesting(perms, [4, 2], bad)
+        perms, subset = self._instance()
+        assert not verify_nesting(perms, [4, 2], (99,) + subset[1:])
 
     def test_rejects_unequal_final_blocks(self):
-        perms, cert = self._instance()
-        merged = cert.final_blocks[0] + cert.final_blocks[1]
-        bad = NestingCertificate(cert.subalphabet,
-                                 cert.levels, (merged,) + cert.final_blocks[2:])
-        assert not verify_nesting(perms, [4, 2], bad)
+        # B's blocks {1, 2} and {3, 9} align between the two words, but the
+        # final word's blocks 1..8 and 9..16 hold 3 and 1 letters of B
+        perms = (tuple(range(1, 17)),) * 2
+        assert not verify_nesting(perms, [4, 2], (1, 2, 3, 9))
+        assert verify_nesting(perms, [4, 2], (1, 2, 9, 10))
+
+    def test_rejects_unhashable_and_non_iterable_subsets(self):
+        perms, subset = self._instance()
+        assert not verify_nesting(perms, [4, 2], ([1],) + subset[1:])
+        assert not verify_nesting(perms, [4, 2], 7)
 
     def test_rejects_wrong_divisors(self):
-        perms, cert = self._instance()
-        assert not verify_nesting(perms, [4, 1], cert)
+        perms, subset = self._instance()
+        assert not verify_nesting(perms, [4, 1], subset)
 
 
 class TestAttackStructure:
@@ -221,6 +213,15 @@ class TestAttackStructure:
             find_attack_structure((1, 1, 1), 2, 2, 2)
         with pytest.raises(ValueError):
             find_attack_structure((1, 2, 1), 2, 2, 2)
+
+    @pytest.mark.parametrize("q", [16, 40])
+    def test_high_q_refusal_builds_no_threshold(self, q):
+        # structure_threshold(request, q) = request^(2^(q-1)) is too long
+        # to print at q = 16 and to build at q = 40
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="alphabet size 3 "):
+            find_attack_structure((1, 2, 3, 1, 2, 3), 2, 1, q)
+        assert time.perf_counter() - started < 1
 
     def test_random_two_permutation_guarantee(self):
         rng = random.Random(16)

@@ -7,10 +7,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "gihflab"
 
 # (file, qualified name) -> why its depth stays small
-ALLOWED = {
-    ("regularity.py", "canonical_bounded_words.extend"):
-        "depth is the word length size*q, bounded by compute_n's alphabet cap",
-}
+ALLOWED: dict = {}
 
 
 def self_calls(source: str):

@@ -10,6 +10,7 @@ from gihflab.regularity import (
     canonical_bounded_words,
     canonical_form,
     compute_n,
+    factorization_count,
     find_structure,
     extremal_witness,
     structure_threshold,
@@ -84,6 +85,12 @@ class TestFindStructure:
             find_structure((1, 2), 1, 0)
         with pytest.raises(TypeError):
             find_structure((1, 2), 1, 1, "greedy")  # no search modes
+
+    def test_factorization_count(self):
+        assert factorization_count(5, 3) == 1 + 4 + 6
+        assert factorization_count(1, 4) == 1
+        assert factorization_count(0, 2) == 1
+        assert factorization_count(10, 10) == 2 ** 9
 
     def test_exhaustive_cap(self):
         w = tuple(range(1, 1501)) * 3  # 3-bounded, ~10M factorizations at q=3
@@ -223,6 +230,19 @@ class TestCanonicalEnumeration:
     def test_exact_count_single_letter(self):
         assert list(canonical_bounded_words(1, 2)) == [(1,), (1, 1)]
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_matches_brute_force_filter_in_tuple_order(self, size, q):
+        # every q-bounded word over 1..size whose canonical form is itself,
+        # grown one letter at a time: a prefix of a canonical word is
+        # canonical, so dropping non-canonical prefixes loses no word
+        found, layer = [], [()]
+        while layer:
+            layer = [w + (a,) for w in layer for a in range(1, size + 1)
+                     if w.count(a) < q and canonical_form(w + (a,)) == w + (a,)]
+            found += [w for w in layer if len(set(w)) == size]
+        assert list(canonical_bounded_words(size, q)) == sorted(found)
+
 
 class TestComputeN:
     def test_trivial_m_one(self):
@@ -243,6 +263,13 @@ class TestComputeN:
         assert result.value is None
         assert not result.exhaustive
         assert all(r.violator is not None for r in result.reports)
+
+    def test_cap_past_the_recursion_limit(self):
+        # each size's first word is 1 1 1 2 2 2 ... size, 3 * size - 2
+        # letters deep, so a call-stack enumeration would overflow
+        result = compute_n(500, 3, 400)
+        assert result.value is None and not result.exhaustive
+        assert len(result.reports) == 400
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
