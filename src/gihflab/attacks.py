@@ -537,13 +537,14 @@ def generalized_attack(oracle: CompressionOracle, sched: Schedule, q: int,
     if sched.q_bound > q:
         raise ValueError(
             f"schedule declares bound {sched.q_bound}, exceeding q = {q}")
-    length = attack_threshold(n_param, r, q)
     # refuse, unbuilt, a word find_structure would refuse: its count grows
-    # with the length, and at q >= 2 passes the cap by cap + 2 letters
+    # with the length, and at q >= 2 passes the cap by cap + 2 letters, so
+    # the length needs building only past that check, where it is small
     cap = DEFAULT_MAX_FACTORIZATIONS
-    if factorization_count(min(length, cap + 2), q) > cap:
+    if factorization_count(attack_threshold(n_param, r, q, at_most=cap + 2), q) > cap:
         raise ValueError(f"the structure search for (n={n_param}, r={r}, q={q}) would "
                          f"examine more than {cap} factorizations of the schedule word")
+    length = attack_threshold(n_param, r, q)
     try:
         alpha = validate_schedule_word(sched, length)
     except ValueError as exc:

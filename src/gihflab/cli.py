@@ -15,6 +15,7 @@ or rejected input, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import statistics
@@ -288,11 +289,21 @@ def _cmd_verify_collision(args):
 # -- parser --------------------------------------------------------------------
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
-    # argparse converts a string default with `type`, so a non-integer
-    # variable is a usage error
-    default = os.environ.get(SEED_ENV_VAR) or None
-    parser.add_argument("--seed", type=int, default=default, required=default is None,
-                        help=f"run seed (or set {SEED_ENV_VAR})")
+    # the parser is built once per process, so main reads the variable when
+    # --seed is absent
+    parser.add_argument("--seed", type=int, help=f"run seed (or set {SEED_ENV_VAR})")
+
+
+def _seed_from_environment(parser: argparse.ArgumentParser) -> int:
+    """The seed GIHFLAB_SEED sets; a missing or non-integer value is a
+    usage error (exit 2)."""
+    value = os.environ.get(SEED_ENV_VAR)
+    if not value:
+        parser.error(f"--seed is required unless {SEED_ENV_VAR} is set")
+    try:
+        return int(value)
+    except ValueError:
+        parser.error(f"{SEED_ENV_VAR} is not an integer: {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,8 +402,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the eleven subparsers costs more than a small verification
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if "seed" in vars(args) and args.seed is None:
+        args.seed = _seed_from_environment(parser)
     command = f"{args.group} {args.command}"
     started = time.time()
     try:

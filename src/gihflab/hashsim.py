@@ -42,9 +42,16 @@ def derive_seed(seed: int, tag: str) -> int:
 class CompressionOracle:
     """Black-box f: {0,1}^n x {0,1}^m -> {0,1}^n with memoized queries.
 
-    Same (seed, h, b) always yields the same output; query_count equals the
-    number of distinct (h, b) pairs ever evaluated.  The mixer keys on the
-    low 64 bits of h, so n is capped at 64.
+    f(h, b) = mix64(... mix64(mix64(key ^ h) ^ b_0) ^ b_1 ...) mod 2^n over
+    the 64-bit chunks b_0, b_1, ... of b, low chunk first, with the key
+    derived from the seed.  Same (seed, h, b) always yields the same output;
+    query_count equals the number of distinct (h, b) pairs ever evaluated.
+    The mixer keys on the low 64 bits of h, so n is capped at 64.
+
+    compress inlines both mixing rounds and keeps the round of the last
+    state it mixed, so a run of misses at one chaining state (a birthday
+    search) costs one mixing round per block, not two; the function is
+    unchanged.
     """
 
     def __init__(self, n: int, m: int, seed: int):
@@ -58,6 +65,11 @@ class CompressionOracle:
         self._memo: dict = {}
         self.raw_calls = 0
         self._key = mix64(self.seed ^ _GOLDEN)
+        self._bound = 1 << n
+        self._out_mask = self._bound - 1
+        # one-entry cache: the last state h and its round mix64(key ^ h)
+        self._last_h = None
+        self._last_round = 0
 
     @property
     def query_count(self) -> int:
@@ -67,26 +79,38 @@ class CompressionOracle:
         """Fresh oracle computing the same function with its own counter."""
         return CompressionOracle(self.n, self.m, self.seed)
 
-    def _derive(self, h: int, b: int) -> int:
-        acc = mix64(self._key ^ h)
-        while True:
-            acc = mix64(acc ^ (b & _MASK64))
-            b >>= 64
-            if not b:
-                break
-        return acc & ((1 << self.n) - 1)
-
     def compress(self, h: int, b: int) -> int:
-        if not 0 <= h < (1 << self.n):
+        if not 0 <= h < self._bound:
             raise ValueError(f"hash value {h} outside {self.n}-bit range")
         if not (b >= 0 and b.bit_length() <= self.m):  # builds no 2^m
             raise ValueError(f"block {b} outside {self.m}-bit range")
         self.raw_calls += 1
         key = (h, b)
         cached = self._memo.get(key)
-        if cached is None:
-            cached = self._derive(h, b)
-            self._memo[key] = cached
+        if cached is not None:
+            return cached
+        # mix64, inlined: its input mask is a no-op, as key ^ h and
+        # acc ^ chunk are below 2^64
+        if h == self._last_h:
+            acc = self._last_round
+        else:
+            z = self._key ^ h
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            acc = z ^ (z >> 31)
+            self._last_h = h
+            self._last_round = acc
+        while b > _MASK64:
+            z = acc ^ (b & _MASK64)
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            acc = z ^ (z >> 31)
+            b >>= 64
+        z = acc ^ b
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        cached = (z ^ (z >> 31)) & self._out_mask
+        self._memo[key] = cached
         return cached
 
 
@@ -173,12 +197,20 @@ def gihf_eval(oracle: CompressionOracle, sched: Schedule, h0: int,
     return f_alpha(oracle, h0, message, tuple(sched.generator(len(message))))
 
 
+def _low_bits(x: int, m: int) -> int:
+    """x mod 2^m for x >= 0, building no 2^m unless x already has more than
+    m bits."""
+    high = x >> m
+    return x - (high << m) if high else x
+
+
 class BlockSampler:
     """Deterministic stream of distinct message blocks.
 
     Walks a seeded affine permutation of {0..2^m - 1} from the start, so the
     first 2^m draws are pairwise distinct and any (seed, m) pair reproduces
-    the same stream.
+    the same stream.  Neither construction nor a draw builds 2^m, so a huge
+    m costs no more than its blocks.
     """
 
     def __init__(self, m: int, seed: int):
@@ -186,22 +218,23 @@ class BlockSampler:
             raise ValueError("block length m must be >= 1")
         self.m = m
         self.seed = int(seed)
-        space = 1 << m
-        self._mult = (2 * mix64(self.seed) + 1) % space
+        self._mult = _low_bits(2 * mix64(self.seed) + 1, m)
         if self._mult == 1 and m > 1:
-            self._mult = (self._mult + 2) % space
-        self._offset = mix64(self.seed ^ 0xA5A5A5A5A5A5A5A5) % space
+            self._mult = 3
+        self._offset = _low_bits(mix64(self.seed ^ 0xA5A5A5A5A5A5A5A5), m)
         self._index = 0
 
     def __iter__(self) -> Iterator[int]:
         return self
 
     def __next__(self) -> int:
-        if self._index >= (1 << self.m):
+        index = self._index
+        if index.bit_length() > self.m:  # index >= 2^m
             raise RuntimeError("block space exhausted")
-        value = (self._mult * self._index + self._offset) % (1 << self.m)
-        self._index += 1
-        return value
+        self._index = index + 1
+        value = self._mult * index + self._offset
+        high = value >> self.m  # _low_bits, inlined
+        return value - (high << self.m) if high else value
 
 
 def table_collision(evaluate: Callable, candidates: Iterable, k: int = 2):

@@ -268,19 +268,19 @@ def level_blocks(n: int, k: int, p: int) -> tuple[int, ...]:
 def _subset_request(n: int, k: int, p: int) -> int:
     # Size of the structure subalphabet that lets us carve out B for a given
     # part count: B is taken directly for p <= 2, via factorization_subset
-    # (whose alphabet precondition d0 * d1^2 * ... is the product below) for
-    # p >= 3.
-    blocks = level_blocks(n, k, p)
-    return blocks[0] if p <= 2 else blocks[0] * math.prod(blocks[1:]) ** 2
+    # for p >= 3, whose alphabet precondition d0 * d1^2 * ... * d(p-1)^2 over
+    # level_blocks(n, k, p) is n^((p-1)^2) * k^(2p-1).  It grows with p, so
+    # p = q is the largest request a q-bounded word can need.
+    return n ** (p - 1) * k if p <= 2 else n ** ((p - 1) ** 2) * k ** (2 * p - 1)
 
 
-def attack_threshold(n: int, k: int, q: int) -> int:
+def attack_threshold(n: int, k: int, q: int, *, at_most: Optional[int] = None) -> int:
     """Alphabet size of the schedule word above which the attack-structure
-    construction is guaranteed to succeed (exact for q <= 2)."""
+    construction is guaranteed to succeed (exact for q <= 2).  With
+    `at_most`, the smaller of the two, built no larger than `at_most`."""
     if n < 1 or k < 1 or q < 1:
         raise ValueError("n, k and q must be >= 1")
-    request = max(_subset_request(n, k, p) for p in range(1, q + 1))
-    return structure_threshold(request, q)
+    return structure_threshold(_subset_request(n, k, q), q, at_most=at_most)
 
 
 def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
@@ -300,7 +300,7 @@ def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
     if n < 1 or k < 1 or q < 1:
         raise ValueError("n, k and q must be >= 1")
     w = tuple(w)
-    request = max(_subset_request(n, k, p) for p in range(1, q + 1))
+    request = _subset_request(n, k, q)
     outcome = find_structure(w, request, q)
     if outcome.certificate is None:
         size = len(set(w))

@@ -349,13 +349,21 @@ def compute_n(m: int, q: int, alphabet_cap: int) -> ComputeNResult:
     return ComputeNResult(m, q, None, False, alphabet_cap, tuple(reports))
 
 
-def structure_threshold(m: int, q: int) -> int:
+def structure_threshold(m: int, q: int, *, at_most: Optional[int] = None) -> int:
     """Least alphabet size guaranteeing a size-m certificate in any q-bounded
-    word: exact for m = 1, q = 1 and q = 2, a proven upper bound otherwise."""
+    word: exact for m = 1, q = 1 and q = 2, a proven upper bound otherwise.
+    With `at_most`, the smaller of the two, built no larger than `at_most`
+    (m^(2^(q-1)) is squared q - 1 times, and stops once it reaches the cap)."""
     if m < 1 or q < 1:
         raise ValueError("m and q must be >= 1")
     if q == 1:
-        return m
-    if q == 2:
-        return m * m - m + 1
-    return m ** (2 ** (q - 1))
+        value = m
+    elif q == 2:
+        value = m * m - m + 1
+    else:
+        value = m
+        for _ in range(q - 1):
+            if value == 1 or (at_most is not None and value >= at_most):
+                break
+            value *= value
+    return value if at_most is None else min(value, at_most)

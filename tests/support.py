@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
+from gihflab.hashsim import mix64
 from gihflab.regularity import StructureCertificate, verify_structure
 from gihflab.words import split_word
 
@@ -125,3 +126,26 @@ def enumerated_digests(oracle, alpha, h0: int, mc):
             state = oracle.compress(state, message[position - 1])
         out.append(state)
     return out
+
+
+def reference_compress(seed: int, n: int, h: int, b: int) -> int:
+    """The compression oracle's function, transcribed plainly: one mix64
+    round on key ^ h, then one per 64-bit chunk of b, low chunk first."""
+    acc = mix64(mix64(seed ^ 0x9E3779B97F4A7C15) ^ h)
+    while True:
+        acc = mix64(acc ^ (b & ((1 << 64) - 1)))
+        b >>= 64
+        if not b:
+            break
+    return acc % (1 << n)
+
+
+def reference_sampler_stream(m: int, seed: int, count: int) -> list:
+    """The first `count` blocks of BlockSampler(m, seed), by the affine
+    formula (mult * i + offset) mod 2^m."""
+    space = 1 << m
+    mult = (2 * mix64(seed) + 1) % space
+    if mult == 1 and m > 1:
+        mult = (mult + 2) % space
+    offset = mix64(seed ^ 0xA5A5A5A5A5A5A5A5) % space
+    return [(mult * i + offset) % space for i in range(count)]

@@ -367,6 +367,45 @@ class TestRejectedInput:
         assert report["result"]["ok"] is False
         assert isinstance(report["result"]["error"], str) and report["result"]["error"]
 
+    @pytest.mark.parametrize("q", [20, 64])
+    def test_gihf_high_q_refused_before_the_threshold_is_built(self, capsys, q):
+        started = time.perf_counter()
+        code = cli.main(["attack", "gihf", "--n", "4", "--m", "8", "--q", str(q), "--r", "1",
+                         "--schedule", "mirror", "--seed", "1"])
+        elapsed = time.perf_counter() - started
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["result"]["error"] == (
+            f"the structure search for (n=4, r=1, q={q}) would examine more than "
+            f"2000000 factorizations of the schedule word")
+        assert elapsed < 0.5
+
+    def test_attack_structure_high_q_refused_quickly(self, tmp_path, capsys):
+        word = tmp_path / "w.txt"
+        word.write_text("1 2 3 1 2 3\n")
+        started = time.perf_counter()
+        code = cli.main(["nesting", "attack-structure", "--n", "2", "--k", "1", "--q", "3000",
+                         "--input", str(word)])
+        elapsed = time.perf_counter() - started
+        assert code == 1
+        assert "alphabet size 3 " in json.loads(capsys.readouterr().out)["result"]["error"]
+        assert elapsed < 1
+
+    def test_seed_variable_read_at_parse_time(self, monkeypatch, capsys):
+        # the parser is built once per process; each call reads the variable
+        argv = ["hashsim", "birthday", "--n", "8", "--m", "16"]
+        for seed in ("11", "12"):
+            monkeypatch.setenv("GIHFLAB_SEED", seed)
+            assert cli.main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["config"]["seed"] == int(seed)
+        for value in (None, "abc"):
+            if value is None:
+                monkeypatch.delenv("GIHFLAB_SEED")
+            else:
+                monkeypatch.setenv("GIHFLAB_SEED", value)
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+
     def test_seed_variable_not_an_integer_is_a_usage_error(self):
         proc = run_cli("hashsim", "birthday", "--n", "8", "--m", "16",
                        env_extra={"GIHFLAB_SEED": "abc"}, check=False)

@@ -1,5 +1,7 @@
 import random
 import statistics
+import time
+import tracemalloc
 
 import pytest
 
@@ -16,6 +18,8 @@ from gihflab.hashsim import (
     schedule_from_words,
     validate_schedule_word,
 )
+
+from support import reference_compress, reference_sampler_stream
 
 
 class TestCompressionOracle:
@@ -93,6 +97,52 @@ class TestCompressionOracle:
         for counts in (lo, hi):
             chi2 = sum((c - expected) ** 2 / expected for c in counts)
             assert chi2 < 400
+
+
+class TestKernelCrossCheck:
+    """compress against the plain transcription of the oracle function, on
+    streams that leave a state and come back to it, so that the one-entry
+    round cache is hit, replaced and refilled."""
+
+    CASES = sorted({(n, m) for n in (1, 8, 24, 63, 64) for m in (n + 1, 64, 65, 200) if m > n})
+
+    @staticmethod
+    def _queries(rng, n, m, count):
+        states = [rng.getrandbits(n) for _ in range(3)] + [0, (1 << n) - 1]
+        blocks = [0, 1, (1 << m) - 1, (1 << min(m, 64)) - 1, 1 << (m - 1)]
+        out = []
+        h = states[0]
+        for _ in range(count):
+            if rng.random() < 0.3:
+                h = rng.choice(states)  # jump to a state, often one seen before
+            if rng.random() < 0.2:
+                b = rng.choice(blocks)
+            elif out and rng.random() < 0.2:
+                h, b = rng.choice(out)  # a memo hit, possibly at another state
+            else:
+                b = rng.getrandbits(rng.randint(1, m))
+            out.append((h, b))
+        return out
+
+    @pytest.mark.parametrize("n, m", CASES)
+    def test_matches_reference_and_counts(self, n, m):
+        rng = random.Random(n * 1000 + m)
+        seed = rng.getrandbits(64)
+        oracle = CompressionOracle(n, m, seed)
+        queries = self._queries(rng, n, m, 400)
+        for i, (h, b) in enumerate(queries, 1):
+            assert oracle.compress(h, b) == reference_compress(seed, n, h, b)
+            assert oracle.raw_calls == i
+        assert oracle.query_count == len(set(queries))
+
+        twin = oracle.clone()
+        assert twin.query_count == 0 and twin.raw_calls == 0
+        for h, b in reversed(queries[-50:]):
+            assert twin.compress(h, b) == reference_compress(seed, n, h, b)
+        assert twin.query_count == len(set(queries[-50:]))
+        assert twin.raw_calls == 50
+        assert oracle.query_count == len(set(queries))
+        assert oracle.raw_calls == len(queries)
 
 
 class TestIteratedEvaluators:
@@ -201,6 +251,28 @@ class TestBlockSampler:
         [next(sampler) for _ in range(4)]
         with pytest.raises(RuntimeError):
             next(sampler)
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 32, 64, 65, 130])
+    def test_stream_is_the_affine_formula(self, m):
+        count = min(1 << m, 1000)
+        for seed in (0, 5, 2 ** 64 - 1):
+            sampler = BlockSampler(m, seed)
+            assert [next(sampler) for _ in range(count)] == \
+                reference_sampler_stream(m, seed, count)
+
+    def test_huge_block_length_builds_no_power(self):
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            sampler = BlockSampler(4_000_000_000, seed=9)
+            blocks = [next(sampler) for _ in range(1000)]
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(set(blocks)) == 1000
+        assert elapsed < 0.5
+        assert peak < 1 << 20
 
     def test_seed_changes_stream(self):
         a = [next(BlockSampler(12, seed=1)) for _ in range(1)]

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from itertools import permutations
@@ -17,6 +18,7 @@ from gihflab.nesting import (
     verify_attack_structure,
     verify_nesting,
 )
+from gihflab.regularity import structure_threshold
 from gihflab.words import equal_blocks, project
 
 from support import (
@@ -207,6 +209,30 @@ class TestAttackStructure:
         assert attack_threshold(8, 2, 2) == 241
         with pytest.raises(ValueError):
             attack_threshold(0, 1, 1)
+
+    def test_request_closed_form_is_the_level_product(self):
+        # d0 * d1^2 * ... over level_blocks, the nesting lemma's alphabet,
+        # and the largest request over p <= q is the p = q one
+        def product(n, k, p):
+            d = level_blocks(n, k, p)
+            return d[0] if p <= 2 else d[0] * math.prod(d[1:]) ** 2
+
+        for n in range(1, 5):
+            for k in range(1, 4):
+                for p in range(1, 7):
+                    assert nesting._subset_request(n, k, p) == product(n, k, p)
+                for q in range(1, 5):
+                    request = max(product(n, k, p) for p in range(1, q + 1))
+                    assert attack_threshold(n, k, q) == structure_threshold(request, q)
+
+    def test_capped_threshold_builds_no_power(self):
+        assert attack_threshold(4, 1, 3, at_most=10 ** 10) == 256 ** 4
+        assert attack_threshold(4, 1, 3, at_most=1000) == 1000
+        assert attack_threshold(8, 2, 2, at_most=100) == 100
+        assert attack_threshold(8, 2, 2, at_most=10 ** 6) == 241
+        started = time.perf_counter()
+        assert attack_threshold(4, 1, 64, at_most=2_000_002) == 2_000_002
+        assert time.perf_counter() - started < 0.5
 
     def test_refuses_unbounded_and_tiny_words(self):
         with pytest.raises(ValueError):

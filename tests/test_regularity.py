@@ -287,3 +287,13 @@ class TestStructureThreshold:
 
     def test_upper_bound_regime(self):
         assert structure_threshold(3, 3) == 3 ** 4
+
+    def test_capped_value_is_the_minimum(self):
+        for m in range(1, 6):
+            for q in range(1, 6):
+                for cap in (1, 2, 10, 10 ** 6):
+                    assert structure_threshold(m, q, at_most=cap) == \
+                        min(structure_threshold(m, q), cap)
+        # 2^(2^(10^5 - 1)) is never built
+        assert structure_threshold(2, 10 ** 5, at_most=100) == 100
+        assert structure_threshold(1, 10 ** 5, at_most=100) == 1
