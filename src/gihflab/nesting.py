@@ -265,22 +265,42 @@ def level_blocks(n: int, k: int, p: int) -> tuple[int, ...]:
     return tuple(n ** (p - i) * k for i in range(1, p + 1))
 
 
-def _subset_request(n: int, k: int, p: int) -> int:
+def _capped_power(base: int, exp: int, cap: int) -> int:
+    # min(base ** exp, cap), built no larger than about cap^2: a power whose
+    # bit-length bound (base.bit_length() - 1) * exp reaches cap's is past it
+    if base > 1 and (base.bit_length() - 1) * exp >= cap.bit_length():
+        return cap
+    return min(base ** exp, cap)
+
+
+def _subset_request(n: int, k: int, p: int, *, at_most: Optional[int] = None) -> int:
     # Size of the structure subalphabet that lets us carve out B for a given
     # part count: B is taken directly for p <= 2, via factorization_subset
     # for p >= 3, whose alphabet precondition d0 * d1^2 * ... * d(p-1)^2 over
     # level_blocks(n, k, p) is n^((p-1)^2) * k^(2p-1).  It grows with p, so
-    # p = q is the largest request a q-bounded word can need.
-    return n ** (p - 1) * k if p <= 2 else n ** ((p - 1) ** 2) * k ** (2 * p - 1)
+    # p = q is the largest request a q-bounded word can need.  With
+    # `at_most`, the smaller of the request and the cap, neither power built
+    # far past the cap.
+    if p <= 2:
+        value = n ** (p - 1) * k
+    elif at_most is None:
+        value = n ** ((p - 1) ** 2) * k ** (2 * p - 1)
+    else:
+        value = (_capped_power(n, (p - 1) ** 2, at_most)
+                 * _capped_power(k, 2 * p - 1, at_most))
+    return value if at_most is None else min(value, at_most)
 
 
 def attack_threshold(n: int, k: int, q: int, *, at_most: Optional[int] = None) -> int:
     """Alphabet size of the schedule word above which the attack-structure
     construction is guaranteed to succeed (exact for q <= 2).  With
-    `at_most`, the smaller of the two, built no larger than `at_most`."""
+    `at_most`, the smaller of the two, built no larger than `at_most`
+    (the threshold is at least the request, so capping the request first
+    leaves the capped threshold unchanged)."""
     if n < 1 or k < 1 or q < 1:
         raise ValueError("n, k and q must be >= 1")
-    return structure_threshold(_subset_request(n, k, q), q, at_most=at_most)
+    request = _subset_request(n, k, q, at_most=at_most)
+    return structure_threshold(request, q, at_most=at_most)
 
 
 def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
@@ -300,16 +320,17 @@ def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
     if n < 1 or k < 1 or q < 1:
         raise ValueError("n, k and q must be >= 1")
     w = tuple(w)
-    request = _subset_request(n, k, q)
+    size = len(set(w))
+    # a request past the alphabet is refused by find_structure without a
+    # search, after its own input checks, so it need not be built in full
+    request = _subset_request(n, k, q, at_most=size + 1)
     outcome = find_structure(w, request, q)
     if outcome.certificate is None:
-        size = len(set(w))
         if size < request:
             raise ValueError(
                 f"alphabet size {size} is too small for the subalphabet that "
                 f"(n={n}, k={k}, q={q}) needs")
-        # request <= size, so this power of request is bounded by the input
-        if size >= structure_threshold(request, q):
+        if size >= structure_threshold(request, q, at_most=size + 1):
             raise ConstructionError(
                 "structure search failed above the guaranteed threshold")
         raise ValueError(

@@ -8,11 +8,15 @@ certificates, verifies them by pure recomputation, generates the extremal
 and computes the boundary exhaustively at desk scale.
 
 The search works factorization-first: for a fixed factorization the valid
-subalphabets are exactly the cliques of a compatibility relation (a letter
-is compatible with another unless one occurs strictly inside the other's
-occurrence span within some part, which would break its condensed run), so
-one exhaustive depth-first growth of conflict-free subsets, kept on an
-explicit stack rather than the call stack, is sound, and the checker
+subalphabets are exactly the independent sets of a conflict relation over
+the letters present in every part.  Two letters conflict when their
+occurrence spans overlap in some part, since one then occurs strictly inside
+the other's span and a condensed run would break.  The relation is held as
+one integer bitmask per candidate, built per part from running masks of the
+spans started and still open at each position, so it costs big-int
+operations linear in the part rather than a test per pair of letters.  One
+exhaustive depth-first growth of conflict-free subsets, kept on an explicit
+stack rather than the call stack, is then sound, and the checker
 re-validates every hit anyway.
 """
 
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterator, Optional
 
 from .words import (
@@ -99,51 +103,61 @@ def verify_structure(w: Word, cert: StructureCertificate, m: int) -> bool:
 
 # -- finder ------------------------------------------------------------------
 
-def _part_occurrences(part: Word) -> dict:
-    occ: dict = {}
-    for idx, sym in enumerate(part):
-        occ.setdefault(sym, []).append(idx)
-    return occ
+def _span_conflicts(parts, order, m) -> tuple[list, Optional[list[int]]]:
+    """Letters present in every part, in first-occurrence order, and, when
+    there are at least m of them, their conflict relation as one bitmask per
+    candidate (bit j of masks[i] set iff candidates i and j conflict).
 
-
-def _conflicts(cands, occs) -> list[set]:
-    """Pairwise conflict relation over candidate indices.
-
-    Two letters conflict when, inside some part, one has an occurrence
-    strictly between the first and last occurrence of the other: projecting
-    onto a set containing both would then split the outer letter's run.
+    Two letters conflict when their occurrence spans overlap in some part:
+    one then occurs strictly inside the other's span, so projecting onto a
+    set containing both would split the outer letter's run.  Span j meets
+    span i iff j starts at or before i's end and ends at or after i's start,
+    so per part the masks come from two running ORs over positions, one of
+    spans started so far and one of spans still open, in O(|part| + |cands|)
+    big-int operations rather than a test per pair.
     """
-    index = {a: i for i, a in enumerate(cands)}
-    conflicts = [set() for _ in cands]
-    for occ in occs:
-        for a in cands:
-            pa = occ[a]
-            lo, hi = pa[0], pa[-1]
-            if hi - lo < 2:
-                continue
-            for b in cands:
-                if b == a:
-                    continue
-                if any(lo < x < hi for x in occ[b]):
-                    conflicts[index[a]].add(index[b])
-                    conflicts[index[b]].add(index[a])
-    return conflicts
+    spans = []
+    for part in parts:
+        first: dict = {}
+        last: dict = {}
+        for pos, sym in enumerate(part):
+            first.setdefault(sym, pos)
+            last[sym] = pos
+        spans.append((len(part), first, last))
+    cands = [a for a in order if all(a in first for _, first, _ in spans)]
+    if len(cands) < m:
+        return cands, None
+    masks = [0] * len(cands)
+    for size, first, last in spans:
+        starts = [0] * size
+        ends = [0] * size
+        for i, a in enumerate(cands):
+            starts[first[a]] = 1 << i
+            ends[last[a]] = 1 << i
+        started = list(accumulate(starts, operator.or_))
+        ending = list(accumulate(reversed(ends), operator.or_))
+        ending.reverse()
+        for i, a in enumerate(cands):
+            masks[i] |= started[last[a]] & ending[first[a]]
+    for i in range(len(cands)):
+        masks[i] &= ~(1 << i)
+    return cands, masks
 
 
 def _first_subalphabet(parts, order, m) -> Optional[tuple[int, ...]]:
     """First conflict-free m-subset of the letters present in every part.
 
+    Letters conflict when their spans overlap in some part; the relation is
+    a bitmask per candidate built from running span masks (_span_conflicts).
     Depth-first growth over candidate indices in first-occurrence order, on
     an explicit `chosen` stack, pruned by conflicts and by the number of
     candidates left; the first subset completed is the lexicographically
     earliest.
     """
-    occs = [_part_occurrences(part) for part in parts]
-    cands = [a for a in order if all(a in occ for occ in occs)]
-    total = len(cands)
-    if total < m:
+    cands, masks = _span_conflicts(parts, order, m)
+    if masks is None:
         return None
-    conflicts = _conflicts(cands, occs)
+    total = len(cands)
     chosen: list[int] = []
     idx = 0
     while len(chosen) < m:
@@ -151,11 +165,11 @@ def _first_subalphabet(parts, order, m) -> Optional[tuple[int, ...]]:
             if not chosen:
                 return None
             idx = chosen.pop() + 1
-        elif any(idx in conflicts[c] for c in chosen):
-            idx += 1
-        else:
+            continue
+        bit = 1 << idx
+        if not any(masks[c] & bit for c in chosen):
             chosen.append(idx)
-            idx += 1
+        idx += 1
     return tuple(cands[i] for i in chosen)
 
 

@@ -85,6 +85,22 @@ def brute_force_structure(w, m: int, q: int):
     return None
 
 
+def reference_conflicts(parts, cands):
+    """Pairwise conflict relation over candidate indices, by its definition:
+    candidates a and b conflict when, in some part, b occurs strictly
+    between the first and last occurrence of a (or a inside b's span)."""
+    conflicts = [set() for _ in cands]
+    for part in parts:
+        positions = {a: [i for i, s in enumerate(part) if s == a] for a in cands}
+        for i, a in enumerate(cands):
+            lo, hi = positions[a][0], positions[a][-1]
+            for j, b in enumerate(cands):
+                if j != i and any(lo < x < hi for x in positions[b]):
+                    conflicts[i].add(j)
+                    conflicts[j].add(i)
+    return conflicts
+
+
 def random_equal_partition(rng: random.Random, ground, k: int):
     """Shuffle the ground set and cut it into k equal blocks."""
     items = list(ground)

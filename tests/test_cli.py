@@ -390,6 +390,19 @@ class TestRejectedInput:
         assert "alphabet size 3 " in json.loads(capsys.readouterr().out)["result"]["error"]
         assert elapsed < 1
 
+    def test_attack_structure_high_q_odd_n_refused_quickly(self, tmp_path, capsys):
+        # at n = 3 the uncapped request 3^(2999^2) took seconds to build
+        word = tmp_path / "w.txt"
+        word.write_text("1 2 3 1 2 3\n")
+        started = time.perf_counter()
+        code = cli.main(["nesting", "attack-structure", "--n", "3", "--k", "1", "--q", "3000",
+                         "--input", str(word)])
+        elapsed = time.perf_counter() - started
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["result"]["error"] == (
+            "alphabet size 3 is too small for the subalphabet that (n=3, k=1, q=3000) needs")
+        assert elapsed < 1
+
     def test_seed_variable_read_at_parse_time(self, monkeypatch, capsys):
         # the parser is built once per process; each call reads the variable
         argv = ["hashsim", "birthday", "--n", "8", "--m", "16"]

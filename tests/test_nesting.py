@@ -234,6 +234,25 @@ class TestAttackStructure:
         assert attack_threshold(4, 1, 64, at_most=2_000_002) == 2_000_002
         assert time.perf_counter() - started < 0.5
 
+    def test_capped_request_is_the_minimum(self):
+        for n in range(1, 5):
+            for k in range(1, 4):
+                for p in range(1, 7):
+                    exact = nesting._subset_request(n, k, p)
+                    caps = {1, 2, 3, exact // 2, exact - 1, exact, exact + 1, 2 * exact,
+                            10 ** 6} | set(range(1, min(exact, 40) + 2))
+                    for cap in caps:
+                        assert nesting._subset_request(n, k, p, at_most=cap) == \
+                            min(exact, cap), (n, k, p, cap)
+
+    def test_capped_request_builds_no_power(self):
+        # 3^(2999^2) is the uncapped request of (n=3, k=1, q=3000)
+        started = time.perf_counter()
+        assert attack_threshold(3, 1, 3000, at_most=2_000_002) == 2_000_002
+        with pytest.raises(ValueError, match="alphabet size 3 is too small"):
+            find_attack_structure((1, 2, 3, 1, 2, 3), 3, 1, 3000)
+        assert time.perf_counter() - started < 0.5
+
     def test_refuses_unbounded_and_tiny_words(self):
         with pytest.raises(ValueError):
             find_attack_structure((1, 1, 1), 2, 2, 2)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -16,9 +17,20 @@ from gihflab.regularity import (
     structure_threshold,
     verify_structure,
 )
-from gihflab.words import condense, is_permutation, split_word, word_stats
+from gihflab.words import (
+    condense,
+    first_occurrence_order,
+    is_permutation,
+    split_word,
+    word_stats,
+)
 
-from support import brute_force_structure, random_bounded_word, random_two_permutation_word
+from support import (
+    brute_force_structure,
+    random_bounded_word,
+    random_two_permutation_word,
+    reference_conflicts,
+)
 
 
 class TestVerifyStructure:
@@ -172,6 +184,59 @@ class TestFindStructure:
         subset = set(cert.subalphabet)
         for part in split_word(w, cert.splits):
             assert is_permutation(condense(part, subset), subset)
+
+
+class TestSpanConflicts:
+    def test_masks_match_the_pairwise_definition(self):
+        rng = random.Random(13)
+        singles = adjacent = 0
+        for _ in range(2000):
+            q = rng.randint(1, 3)
+            w = random_bounded_word(rng, rng.randint(1, 12), q,
+                                    exact_alphabet=rng.random() < 0.5)
+            if rng.random() < 0.3:  # gather one letter's occurrences side by side
+                a = rng.choice(w)
+                rest = [s for s in w if s != a]
+                i = rng.randint(0, len(rest))
+                w = tuple(rest[:i] + [a] * w.count(a) + rest[i:])
+            p = rng.randint(1, min(3, len(w)))
+            splits = tuple(sorted(rng.sample(range(1, len(w)), p - 1)))
+            parts = split_word(w, splits)
+            cands, masks = regularity._span_conflicts(parts, first_occurrence_order(w), 0)
+            assert cands == [a for a in first_occurrence_order(w)
+                             if all(a in part for part in parts)]
+            relation = [{j for j in range(len(cands)) if mask >> j & 1} for mask in masks]
+            assert relation == reference_conflicts(parts, cands), (w, splits)
+            counts = [part.count(a) for part in parts for a in cands]
+            singles += counts.count(1)
+            adjacent += sum(1 for part in parts for x, y in zip(part, part[1:])
+                            if x == y and x in cands)
+        assert singles and adjacent
+
+    def test_masks_only_for_enough_candidates(self):
+        parts = split_word((1, 2, 3, 1, 2, 3), (3,))
+        assert regularity._span_conflicts(parts, [1, 2, 3], 4) == ([1, 2, 3], None)
+        assert regularity._span_conflicts(parts, [1, 2, 3], 3) == ([1, 2, 3], [0, 0, 0])
+        # one part: every span overlaps every other
+        assert regularity._span_conflicts(((1, 2, 3, 1, 2, 3),), [1, 2, 3], 1) == \
+            ([1, 2, 3], [0b110, 0b101, 0b011])
+
+    def test_long_two_permutation_search_stays_small(self):
+        # the pairwise sets held the complete graph on 993 letters at p = 1;
+        # tracing slows the search tenfold, so one seed is measured
+        for seed in (0, 1, 2):
+            w = random_two_permutation_word(random.Random(seed), 993)
+            if seed == 0:
+                tracemalloc.start()
+                try:
+                    cert = find_structure(w, 32, 2).certificate
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 4_000_000
+            else:
+                cert = find_structure(w, 32, 2).certificate
+            assert (cert.p, cert.splits, cert.subalphabet) == (2, (32,), w[:32])
 
 
 class TestWitnessFamily:
