@@ -12,7 +12,6 @@ from .attacks import (
     CollisionGroup,
     MulticollisionSet,
     VerificationResult,
-    block_pair_collision,
     complexity_bound,
     generalized_attack,
     joux_attack,

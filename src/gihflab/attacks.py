@@ -2,13 +2,14 @@
 
 One engine runs every attack.  An attack certificate (see nesting) cuts the
 schedule word into parts that condense to permutations of a subalphabet B,
-and one level walker hashes each part, running the level's collision search
-for each of the nesting.level_blocks equal blocks of B-positions it is cut
-into.  Level 1 cuts into singletons and finds one cross-stream pair
-collision per B-position among fresh sampler blocks; each later level
-collapses the >= 2^n combinations of the groups a block inherits by table
-search.  Iteration order is fixed, so an oracle seed reproduces the attack
-byte for byte.  joux_attack, Joux's chained pair collisions, is the q=1
+and one level walker hashes each part, running one table search
+(hashsim.table_collision) for each of the nesting.level_blocks equal blocks
+of B-positions it is cut into.  Every level searches the same way; only its
+candidates differ.  Level 1 cuts into singletons and searches fresh sampler
+blocks for a pair per B-position, as Joux does per stage; each later level
+collapses the >= 2^n combinations of the groups a block inherits.
+Iteration order is fixed, so an oracle seed reproduces the attack byte for
+byte.  joux_attack, Joux's chained pair collisions, is the q=1
 case: the identity word 1..r in one part, with no filler blocks.
 
 An attack owns its oracle exclusively while it runs.  Verification checks
@@ -48,7 +49,7 @@ from .nesting import (
     find_attack_structure,
     level_blocks,
 )
-from .regularity import DEFAULT_MAX_FACTORIZATIONS, factorization_count, structure_threshold
+from .regularity import DEFAULT_MAX_FACTORIZATIONS, factorization_count
 from .words import condense, equal_blocks, integers, split_word
 
 DEFAULT_A_TILDE = 2.5
@@ -202,57 +203,18 @@ def complexity_bound(n: int, q: int, r: int, a_tilde: float = DEFAULT_A_TILDE):
     """Query bound a~ * q * N^ * 2^(n/2) for building a 2^r-collision on a
     q-bounded construction of hash length n.
 
-    For q >= 2, N^ is regularity.structure_threshold(m, q) with
-    m = n^((q-1)^2) * r^(2q-3): the exact forcing boundary for q = 2 and
-    the proven upper bound for q >= 3.  For q = 1 it is r by convention
-    (one pair search per stage).  Returns an int whenever the value is
-    integral.
+    N^ is nesting.attack_threshold(n, r, q), the length of the word the
+    attack builds: r for q = 1 (one pair search per stage), the exact
+    forcing boundary (nr)^2 - nr + 1 for q = 2 and the proven upper bound
+    for q >= 3.  Returns an int whenever the value is integral.
     """
     if n < 1 or q < 1 or r < 1:
         raise ValueError("n, q and r must be >= 1")
-    if q == 1:
-        n_hat = r
-    else:
-        n_hat = structure_threshold(n ** ((q - 1) ** 2) * r ** (2 * q - 3), q)
+    n_hat = attack_threshold(n, r, q)
     value = Fraction(a_tilde) * q * n_hat * (2 ** (n // 2))
     if n % 2:
         return float(value) * math.sqrt(2)
     return int(value) if value.denominator == 1 else float(value)
-
-
-def _cross_collision(evaluate: Callable, candidates: Iterator):
-    """Search two distinct candidates with equal value under `evaluate`.
-
-    Candidates are drawn alternately into two streams and only collisions
-    across streams are accepted, mirroring the search for a pair (b, b').
-    Returns ((first-drawn candidate, second-drawn candidate), value).
-    """
-    first_seen: dict = {}
-    second_seen: dict = {}
-    while True:
-        x = next(candidates)
-        dx = evaluate(x)
-        if dx in second_seen:
-            return (second_seen[dx], x), dx
-        first_seen.setdefault(dx, x)
-        y = next(candidates)
-        dy = evaluate(y)
-        if dy in first_seen:
-            return (first_seen[dy], y), dy
-        second_seen.setdefault(dy, y)
-
-
-def block_pair_collision(oracle: CompressionOracle, h: int):
-    """Two distinct blocks b, b' with compress(h, b) == compress(h, b'),
-    drawn from the oracle seed's sampler stream for h.
-
-    Returns (b, b', next state, distinct queries spent).  Expected cost is a
-    small constant times 2^(n/2).
-    """
-    sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, f"pair:{h}"))
-    start = oracle.query_count
-    (b1, b2), digest = _cross_collision(lambda b: oracle.compress(h, b), sampler)
-    return b1, b2, digest, oracle.query_count - start
 
 
 def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
@@ -385,14 +347,14 @@ def _sampled_selections(mc: MulticollisionSet, cap: int) -> list:
     return selections
 
 
-def _walk_level(oracle, part, units, fillers, state, search):
+def _walk_level(oracle, part, units, fillers, state):
     """Hash one part of the schedule word and find one collision per unit.
 
     A unit is (positions, candidates): message positions whose occurrences
     form one span of the part, and block tuples aligned with them.  Filler
-    blocks before each span are hashed; search(evaluate, candidates)
-    replays the span per candidate and returns ((first, second), outgoing
-    state), or None.  Returns the new groups, the part's outgoing state and
+    blocks before each span are hashed; table_collision then replays the
+    span per candidate, in draw order, until two candidates reach one
+    outgoing state.  Returns the new groups, the part's outgoing state and
     the distinct queries of each search.
     """
     first = {}
@@ -428,7 +390,7 @@ def _walk_level(oracle, part, units, fillers, state, search):
                 return compress(state, choice[head])
 
         before = oracle.query_count
-        found = search(evaluate, candidates)
+        found = table_collision(evaluate, candidates)
         if found is None:
             raise ConstructionError(
                 f"no collision among the candidates for positions {positions}")
@@ -472,12 +434,10 @@ def _attack(oracle, sched, q, alpha, cert, fillers, sampler, h0, expansion_cap):
         if level == 1:
             fresh = zip(sampler)  # one-block candidates (b,)
             units = [(block, fresh) for block in blocks]
-            search = _cross_collision
         else:
             units = _inherited_units(groups, blocks)
-            search = table_collision
         before = oracle.query_count
-        groups, state, stages = _walk_level(oracle, part, units, fillers, state, search)
+        groups, state, stages = _walk_level(oracle, part, units, fillers, state)
         stage_queries.extend(stages)
         level_queries.append(oracle.query_count - before)
 
@@ -504,7 +464,8 @@ def _attack(oracle, sched, q, alpha, cert, fillers, sampler, h0, expansion_cap):
 def joux_attack(oracle: CompressionOracle, h0: int, r: int, *,
                 expansion_cap: int = DEFAULT_EXPANSION_CAP):
     """Build a 2^r-collision on the traditional iterated hash by chaining r
-    independent block-pair collisions from h0.
+    block-pair collisions from h0, each the first repeated value of
+    compress(h, .) over the next fresh blocks of one sampler stream.
 
     This is the attack engine on the identity word 1..r under the trivial
     certificate (every position, one part) with no filler blocks.  Returns

@@ -1,5 +1,6 @@
-"""Simulated compression oracle, iterated hash evaluators and the table
-collision search behind the birthday baseline.
+"""Simulated compression oracle, iterated hash evaluators and the one
+collision search, table_collision, that every attack level and the birthday
+baseline run.
 
 The oracle is a seeded keyed mixer over (state, block) pairs: deterministic,
 approximately uniform, and emphatically not a cryptographic hash.  Its
@@ -209,7 +210,7 @@ class BlockSampler:
 
     Walks a seeded affine permutation of {0..2^m - 1} from the start, so the
     first 2^m draws are pairwise distinct and any (seed, m) pair reproduces
-    the same stream.  Neither construction nor a draw builds 2^m, so a huge
+    the same stream; a further draw raises ValueError.  Neither construction nor a draw builds 2^m, so a huge
     m costs no more than its blocks.
     """
 
@@ -230,7 +231,8 @@ class BlockSampler:
     def __next__(self) -> int:
         index = self._index
         if index.bit_length() > self.m:  # index >= 2^m
-            raise RuntimeError("block space exhausted")
+            # m is input too small for the draws asked of it
+            raise ValueError(f"block space of {self.m}-bit blocks exhausted")
         self._index = index + 1
         value = self._mult * index + self._offset
         high = value >> self.m  # _low_bits, inlined
@@ -255,7 +257,8 @@ def birthday_search(oracle: CompressionOracle, h: int, k: int) -> tuple[tuple[in
     """Find k distinct blocks with equal compress(h, .) by table lookup,
     drawn from the oracle seed's birthday sampler stream.
 
-    Returns the colliding blocks and the number of distinct queries spent.
+    Returns the colliding blocks and the number of distinct queries spent;
+    raises ValueError if the 2^m blocks run out first.
     """
     if k < 2:
         raise ValueError("collision size k must be >= 2")
@@ -263,5 +266,5 @@ def birthday_search(oracle: CompressionOracle, h: int, k: int) -> tuple[tuple[in
     start = oracle.query_count
     found = table_collision(lambda block: oracle.compress(h, block), sampler, k)
     if found is None:
-        raise RuntimeError("sampler exhausted before finding a collision")
+        raise ValueError("sampler exhausted before finding a collision")
     return found[0], oracle.query_count - start

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from gihflab.hashsim import mix64
+from gihflab.hashsim import derive_seed, mix64
 from gihflab.regularity import StructureCertificate, verify_structure
 from gihflab.words import split_word
 
@@ -165,3 +165,28 @@ def reference_sampler_stream(m: int, seed: int, count: int) -> list:
         mult = (mult + 2) % space
     offset = mix64(seed ^ 0xA5A5A5A5A5A5A5A5) % space
     return [(mult * i + offset) % space for i in range(count)]
+
+
+def reference_joux_pairs(n: int, m: int, seed: int, h0: int, r: int):
+    """Joux's chained pairs by a plain loop over the reference sampler
+    stream and compression function: per stage, keep value -> first block
+    over the next fresh blocks, and the first repeated value gives the
+    stage's pair and the next state.  Returns the r pairs (first block,
+    second block) and the blocks drawn per stage."""
+    # a stage draws at most 2^n + 1 blocks before some value repeats
+    stream = iter(reference_sampler_stream(
+        m, derive_seed(seed, "joux"), min(1 << m, r * ((1 << n) + 1))))
+    pairs, draws, state = [], [], h0
+    for _ in range(r):
+        first_block, drawn = {}, 0
+        while True:
+            block = next(stream)
+            drawn += 1
+            value = reference_compress(seed, n, state, block)
+            if value in first_block:
+                break
+            first_block[value] = block
+        pairs.append((first_block[value], block))
+        draws.append(drawn)
+        state = value
+    return pairs, draws

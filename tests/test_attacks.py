@@ -9,7 +9,6 @@ from gihflab.attacks import (
     _attack,
     _frontier_digests,
     _sampled_selections,
-    block_pair_collision,
     complexity_bound,
     generalized_attack,
     joux_attack,
@@ -34,31 +33,50 @@ from gihflab.nesting import (
     verify_attack_structure,
 )
 
-from support import enumerated_digests, random_two_permutation_word
+from support import enumerated_digests, random_two_permutation_word, reference_joux_pairs
 
 
-class TestBlockPairCollision:
+class TestFirstLevelPair:
+    """One Joux stage: the first-level table search over fresh blocks."""
+
     def test_pair_verifies_and_chains(self):
         o = CompressionOracle(8, 16, seed=21)
-        b1, b2, h_next, queries = block_pair_collision(o, 0)
+        mc, report = joux_attack(o, 0, 1)
+        ((b1,), (b2,)), = (g.choices for g in mc.groups)
         assert b1 != b2
         probe = o.clone()
-        assert probe.compress(0, b1) == probe.compress(0, b2) == h_next
-        assert queries == o.query_count
+        h_next = probe.compress(0, b1)
+        assert probe.compress(0, b2) == h_next
+        assert verify_multicollision(o.clone(), identity_schedule(), 0, mc).digest == h_next
+        assert report.attack_queries == report.stage_queries[0] == o.query_count
 
+    # one table expects sqrt(pi/2) * 2^(n/2) draws per pair; the windows are
+    # those of the former cross-stream search, sqrt(2) dearer, scaled by 1/sqrt(2)
     def test_mean_cost_n8(self):
         costs = []
         for s in range(200):
             o = CompressionOracle(8, 16, seed=s)
-            costs.append(block_pair_collision(o, 0)[3])
-        assert 15 <= statistics.mean(costs) <= 60
+            costs.append(joux_attack(o, 0, 1)[1].attack_queries)
+        assert 11 <= statistics.mean(costs) <= 42
 
     def test_mean_cost_n16(self):
         costs = []
         for s in range(30):
             o = CompressionOracle(16, 24, seed=s)
-            costs.append(block_pair_collision(o, 0)[3])
-        assert 350 <= statistics.mean(costs) <= 1100
+            costs.append(joux_attack(o, 0, 1)[1].attack_queries)
+        assert 250 <= statistics.mean(costs) <= 780
+
+    @pytest.mark.parametrize("n,m,seed,h0,r", [
+        (4, 8, 1, 0, 6), (8, 16, 22, 0, 5), (8, 70, 3, 200, 4), (12, 20, 7, 1, 3),
+        (16, 24, 41, 0, 2),
+    ])
+    def test_matches_brute_force_reference(self, n, m, seed, h0, r):
+        mc, report = joux_attack(CompressionOracle(n, m, seed=seed), h0, r)
+        pairs, draws = reference_joux_pairs(n, m, seed, h0, r)
+        assert [g.positions for g in mc.groups] == [(i,) for i in range(1, r + 1)]
+        assert [(g.choices[0][0], g.choices[1][0]) for g in mc.groups] == pairs
+        assert list(report.stage_queries) == draws
+        assert report.attack_queries == sum(draws)
 
 
 class TestJouxAttack:
@@ -464,8 +482,17 @@ class TestComplexityBound:
         assert complexity_bound(16, 1, 4) == int(2.5 * 1 * 4 * 256)
 
     def test_q3_upper_bound_regime(self):
-        # m = 4^4 * 2^3 = 2048, N-hat = 2048^4, times 2.5 * 3 * 2^2
-        assert complexity_bound(4, 3, 2) == 30 * 2048 ** 4
+        # N-hat = attack_threshold(4, 2, 3) = (4^4 * 2^5)^4 = 8192^4, the
+        # length of the word the attack builds, times 2.5 * 3 * 2^2
+        assert complexity_bound(4, 3, 2) == 30 * 8192 ** 4
+
+    def test_closed_forms_up_to_q2(self):
+        # N-hat is r at q = 1 and (nr)^2 - nr + 1 at q = 2
+        for n in range(2, 9, 2):
+            for r in range(1, 5):
+                scale = 2.5 * 2 ** (n // 2)
+                assert complexity_bound(n, 1, r) == scale * r
+                assert complexity_bound(n, 2, r) == scale * 2 * ((n * r) ** 2 - n * r + 1)
 
     def test_odd_n_gives_float(self):
         value = complexity_bound(9, 1, 1)

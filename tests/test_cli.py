@@ -324,6 +324,14 @@ class TestRejectedInput:
          ["nesting", "attack-structure", "--n", "2", "--k", "2", "--q", "2"], "", {}),
         ("birthday-k-1",
          ["hashsim", "birthday", "--n", "8", "--m", "16", "--k", "1", "--seed", "1"], None, {}),
+        # m too small for the blocks the searches draw
+        ("birthday-block-space-exhausted",
+         ["hashsim", "birthday", "--n", "4", "--m", "5", "--k", "100", "--seed", "1"], None, {}),
+        ("joux-block-space-exhausted",
+         ["attack", "joux", "--n", "2", "--m", "3", "--r", "4", "--seed", "1"], None, {}),
+        ("joux-trials-block-space-exhausted",
+         ["attack", "joux", "--n", "4", "--m", "5", "--r", "8", "--trials", "20",
+          "--seed", "3"], None, {}),
         ("joux-n-80",
          ["attack", "joux", "--n", "80", "--m", "96", "--r", "2", "--seed", "1"], None, {}),
         # the q=3 word would have 256^4 letters; refused before it is built

@@ -249,7 +249,7 @@ class TestBlockSampler:
     def test_exhaustion(self):
         sampler = BlockSampler(2, seed=1)
         [next(sampler) for _ in range(4)]
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="exhausted"):
             next(sampler)
 
     @pytest.mark.parametrize("m", [1, 2, 10, 32, 64, 65, 130])

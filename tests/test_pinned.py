@@ -2,9 +2,9 @@
 
 The determinism tests compare two runs of one checkout, so they cannot see
 a change that moves every seeded output the same way.  These digests were
-taken from the code before the attack engine was unified; a change that
-alters seeded blocks, query counts or report fields on purpose must say so
-and update them.
+taken once the first attack level searched its pairs with the same table
+search as every later level; a change that alters seeded blocks, query
+counts or report fields on purpose must say so and update them.
 """
 
 import hashlib
@@ -44,7 +44,7 @@ def _library_runs():
 def test_library_outputs_pinned():
     runs = [[mc.to_dict(), report.to_dict()] for mc, report in _library_runs()]
     assert sha256(json.dumps(runs, sort_keys=True)) == (
-        "1127565f0e67a4f1360e5f5c7b1e1407e0018ff21af92fa78ee3face8417ecc5")
+        "a9367081cbc30d484e613c53c0fff89f2aed56345cbe1c864a5ba290cdef84c4")
 
 
 def test_cli_outputs_pinned(tmp_path):
@@ -54,8 +54,8 @@ def test_cli_outputs_pinned(tmp_path):
     gihf = run_cli("attack", "gihf", "--n", "8", "--m", "16", "--q", "2", "--r", "2",
                    "--schedule", "mirror", "--seed", "9", "--mc-out", str(mc))
     assert sha256(body_without_timing(joux.stdout)) == (
-        "52391c49b5ee56bdba08cbc624004ebbd124049c84f3438d73361066ca4a66bf")
+        "4a29e29efad625c908e1c701b29b2a19a500f37db631f03616451b48c3592e49")
     assert sha256(body_without_timing(gihf.stdout)) == (
-        "61924b8c253e534cf8df07e84f5f82a46ad4b7975a974fd8ab8e7c0c46b03708")
+        "d3821ded60c91de96a69066041c58340181202f144c701ae4bba739b9f98f26f")
     assert sha256(mc.read_bytes()) == (
-        "3a36a8b924ff8898dee4bba0243fbc613e769a4e88eaf53b0944cf287d4ae986")
+        "a6843b7cd3f6e5edd6c684e857d132a3de3725287d72aa3c9357d95bcba8d443")
