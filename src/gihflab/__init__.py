@@ -61,7 +61,6 @@ from .words import (
     condense,
     is_permutation,
     is_q_bounded,
-    lex_less,
     project,
     word_stats,
 )

@@ -17,11 +17,12 @@ the schedule word's coverage of 1..l and its bound, then hashes all 2^r
 expanded messages together in one pass along that word on a
 counter-isolated clone, so audit queries never pollute the attack cost.
 The pass keeps only the picks of the groups still being read, so a Joux
-2^r-collision costs 2r compressions, not r * 2^r.  The expansion cap bounds
-that frontier; a set that outgrows it is sampled instead, with cap
-distinct messages drawn by a seeded walk over the 2^r selections.  Sets of
-at most eight messages, where the pass saves next to nothing, are hashed
-one message at a time.
+2^r-collision costs 2r compressions, not r * 2^r, and it hashes runs of
+fixed blocks with hashsim.f_plus.  The expansion cap bounds that frontier;
+a set that outgrows it is sampled instead, with cap distinct messages drawn
+by a seeded walk over the 2^r selections.  Sampled messages, and sets of at
+most eight messages, where the pass saves next to nothing, are hashed one
+message at a time with hashsim.f_alpha, the iterated compression itself.
 """
 
 from __future__ import annotations
@@ -31,13 +32,15 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain, groupby, islice, product
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .hashsim import (
     BlockSampler,
     CompressionOracle,
     Schedule,
     derive_seed,
+    f_alpha,
+    f_plus,
     identity_schedule,
     table_collision,
     validate_schedule_word,
@@ -88,7 +91,6 @@ class MulticollisionSet:
 
     def validate(self) -> None:
         seen: set = set()
-        expansion = 1
         for group in self.groups:
             if len(group.positions) != len(set(group.positions)):
                 raise ValueError("duplicate position inside a group")
@@ -99,12 +101,12 @@ class MulticollisionSet:
                 raise ValueError("each group needs at least two choices")
             if any(len(c) != len(group.positions) for c in group.choices):
                 raise ValueError("choice width must match the group positions")
-            expansion *= len(group.choices)
         # cheap size checks come first, so a hostile length or r never
         # builds a huge set or integer
         covered = seen | set(self.base_blocks)
         if len(seen) + len(self.base_blocks) != self.length or covered != set(range(1, self.length + 1)):
             raise ValueError("groups plus base blocks must cover every position exactly once")
+        expansion = self.expansion_size
         if self.r < 1 or expansion.bit_length() != self.r + 1 or expansion != 2 ** self.r:
             raise ValueError(f"expansion size {expansion} is not 2^{self.r} with r >= 1")
 
@@ -199,9 +201,9 @@ class VerificationResult:
         return self.ok
 
 
-def complexity_bound(n: int, q: int, r: int, a_tilde: float = DEFAULT_A_TILDE):
-    """Query bound a~ * q * N^ * 2^(n/2) for building a 2^r-collision on a
-    q-bounded construction of hash length n.
+def complexity_bound(n: int, q: int, r: int):
+    """Query bound a~ * q * N^ * 2^(n/2), with a~ = DEFAULT_A_TILDE, for
+    building a 2^r-collision on a q-bounded construction of hash length n.
 
     N^ is nesting.attack_threshold(n, r, q), the length of the word the
     attack builds: r for q = 1 (one pair search per stage), the exact
@@ -211,7 +213,7 @@ def complexity_bound(n: int, q: int, r: int, a_tilde: float = DEFAULT_A_TILDE):
     if n < 1 or q < 1 or r < 1:
         raise ValueError("n, q and r must be >= 1")
     n_hat = attack_threshold(n, r, q)
-    value = Fraction(a_tilde) * q * n_hat * (2 ** (n // 2))
+    value = Fraction(DEFAULT_A_TILDE) * q * n_hat * (2 ** (n // 2))
     if n % 2:
         return float(value) * math.sqrt(2)
     return int(value) if value.denominator == 1 else float(value)
@@ -252,42 +254,34 @@ def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
     except (ValueError, TypeError, AttributeError):
         return VerificationResult(False, True, 0)
 
-    compress = oracle.compress
     complete, checked = True, mc.expansion_size
     if checked <= min(cap, SEPARATE_HASHING_MAX):
-        digests = _message_digests(compress, alpha, h0, mc,
+        digests = _message_digests(oracle, alpha, h0, mc,
                                    product(*(range(len(g.choices)) for g in mc.groups)))
     else:
-        digests = _frontier_digests(compress, alpha, h0, mc, cap)
+        digests = _frontier_digests(oracle, alpha, h0, mc, cap)
     if digests is None:
         selections = _sampled_selections(mc, cap)
         complete, checked = False, len(selections)
-        digests = _message_digests(compress, alpha, h0, mc, selections)
+        digests = _message_digests(oracle, alpha, h0, mc, selections)
     if len(digests) != 1:
         return VerificationResult(False, complete, 0)
     return VerificationResult(True, complete, checked, next(iter(digests)))
 
 
-def _fold(compress: Callable, state: int, blocks) -> int:
-    for block in blocks:
-        state = compress(state, block)
-    return state
-
-
-def _message_digests(compress: Callable, alpha, h0: int, mc: MulticollisionSet,
+def _message_digests(oracle: CompressionOracle, alpha, h0: int, mc: MulticollisionSet,
                      selections) -> set:
-    """The digests of the selected messages of mc, each hashed along alpha
-    on its own; stops at the second distinct digest."""
+    """The digests f_alpha of the selected messages of mc, each hashed on
+    its own; stops at the second distinct digest."""
     digests: set = set()
     for selection in selections:
-        message = mc.message(selection)
-        digests.add(_fold(compress, h0, [message[sym - 1] for sym in alpha]))
+        digests.add(f_alpha(oracle, h0, mc.message(selection), alpha))
         if len(digests) > 1:
             break
     return digests
 
 
-def _frontier_digests(compress: Callable, alpha, h0: int, mc: MulticollisionSet,
+def _frontier_digests(oracle: CompressionOracle, alpha, h0: int, mc: MulticollisionSet,
                       cap: int) -> Optional[set]:
     """The digests of all messages of mc along alpha, from one pass over it;
     None as soon as the frontier would exceed cap (key, state) pairs.
@@ -297,8 +291,9 @@ def _frontier_digests(compress: Callable, alpha, h0: int, mc: MulticollisionSet,
     reach.  A group's pick joins the key at its first occurrence and leaves
     it after its last, where the state sets of its picks merge: the rest of
     the word never reads its blocks again.  Runs of base positions are
-    folded state by state.
+    hashed with f_plus, state by state.
     """
+    compress = oracle.compress
     owner = {pos: (gi, at) for gi, group in enumerate(mc.groups)
              for at, pos in enumerate(group.positions)}
     remaining = Counter(owner[pos][0] for pos in alpha if pos in owner)
@@ -307,7 +302,7 @@ def _frontier_digests(compress: Callable, alpha, h0: int, mc: MulticollisionSet,
     for in_group, run in groupby(alpha, owner.__contains__):
         if not in_group:
             blocks = [mc.base_blocks[pos] for pos in run]
-            frontier = {key: {_fold(compress, state, blocks) for state in states}
+            frontier = {key: {f_plus(oracle, state, blocks) for state in states}
                         for key, states in frontier.items()}
             continue
         for pos in run:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Callable, Optional
+from typing import Optional
 
-from .words import Word, lex_less
+from .words import Word
 
 # Exhaustive caps for find_n_division (factorizations x permutations blow up
 # combinatorially past this point).
@@ -89,26 +89,26 @@ def find_arithmetic_cadence(w: Word, s: int) -> Optional[Cadence]:
     return None
 
 
-def check_n_division(w: Word, division: NDivision,
-                     key: Optional[Callable[[int], int]] = None) -> bool:
+def check_n_division(w: Word, division: NDivision) -> bool:
     """Re-verify a division: every nontrivial shuffle of the middle factors
-    must be lexicographically strictly greater than w."""
+    must be lexicographically strictly greater than w.  A shuffle keeps the
+    length of w, so Python's tuple order is that order."""
     n = len(division.factors)
     if any(not f for f in division.factors):
         return False
-    if division.assemble(tuple(range(n))) != tuple(w):
-        return False
+    w = tuple(w)
     identity = tuple(range(n))
+    if division.assemble(identity) != w:
+        return False
     for sigma in permutations(range(n)):
         if sigma == identity:
             continue
-        if not lex_less(w, division.assemble(sigma), key):
+        if not w < division.assemble(sigma):
             return False
     return True
 
 
-def find_n_division(w: Word, n: int,
-                    key: Optional[Callable[[int], int]] = None) -> Optional[NDivision]:
+def find_n_division(w: Word, n: int) -> Optional[NDivision]:
     """Exhaustively search for an n-division of w, or None if none exists.
 
     Raises ValueError for n < 2 or instances above the documented caps
@@ -126,6 +126,6 @@ def find_n_division(w: Word, n: int,
             factors=tuple(w[cuts[i]:cuts[i + 1]] for i in range(n)),
             suffix=w[cuts[-1]:],
         )
-        if check_n_division(w, division, key):
+        if check_n_division(w, division):
             return division
     return None

@@ -306,6 +306,7 @@ def _seed_from_environment(parser: argparse.ArgumentParser) -> int:
         parser.error(f"{SEED_ENV_VAR} is not an integer: {value!r}")
 
 
+@functools.cache  # building the eleven subparsers costs more than a small verification
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gihflab",
@@ -402,14 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # building the eleven subparsers costs more than a small verification
-    return build_parser()
-
-
 def main(argv: Optional[list] = None) -> int:
-    parser = _parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     if "seed" in vars(args) and args.seed is None:
         args.seed = _seed_from_environment(parser)

@@ -179,8 +179,7 @@ def factorization_count(length: int, q: int) -> int:
     return sum(math.comb(max(length - 1, 0), p - 1) for p in range(1, q + 1))
 
 
-def find_structure(w: Word, m: int, q: int, *,
-                   max_factorizations: int = DEFAULT_MAX_FACTORIZATIONS) -> SearchOutcome:
+def find_structure(w: Word, m: int, q: int) -> SearchOutcome:
     """Exhaustively search for a structure certificate with |subalphabet| = m
     and p <= q.
 
@@ -188,8 +187,8 @@ def find_structure(w: Word, m: int, q: int, *,
     letters in first-occurrence order, so outputs are deterministic and
     absence is a proof of nonexistence.  Rejects words that are not
     q-bounded and requests whose factorization count exceeds
-    `max_factorizations`; refuses m larger than the word's alphabet without
-    examining any split.
+    DEFAULT_MAX_FACTORIZATIONS; refuses m larger than the word's alphabet
+    without examining any split.
     """
     if m < 1:
         raise ValueError("subalphabet size m must be >= 1")
@@ -202,9 +201,9 @@ def find_structure(w: Word, m: int, q: int, *,
 
     length = len(w)
     total = factorization_count(length, q)
-    if total > max_factorizations:
-        raise ValueError(
-            f"exhaustive search over {total} factorizations exceeds cap {max_factorizations}")
+    if total > DEFAULT_MAX_FACTORIZATIONS:
+        raise ValueError(f"exhaustive search over {total} factorizations exceeds "
+                         f"cap {DEFAULT_MAX_FACTORIZATIONS}")
     if m > len(stats.alphabet):
         return SearchOutcome(None, exhaustive=True)
 
@@ -308,15 +307,19 @@ class ComputeNResult:
     admits a size-m certificate.  Checking one size suffices for all larger
     ones: deleting any letter from a larger-alphabet word yields a word of
     the previous size whose certificate lifts back (projection commutes with
-    condensation on subalphabets).  exhaustive=False flags a cap hit.
+    condensation on subalphabets).  exhaustive is False exactly when every
+    size up to the cap had a violator.
     """
 
     m: int
     q: int
     value: Optional[int]
-    exhaustive: bool
     alphabet_cap: int
     reports: tuple[SizeReport, ...]
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.value is not None
 
     def to_dict(self) -> dict:
         return {
@@ -359,8 +362,8 @@ def compute_n(m: int, q: int, alphabet_cap: int) -> ComputeNResult:
                 break
         reports.append(SizeReport(size, checked, violator))
         if violator is None:
-            return ComputeNResult(m, q, size, True, alphabet_cap, tuple(reports))
-    return ComputeNResult(m, q, None, False, alphabet_cap, tuple(reports))
+            return ComputeNResult(m, q, size, alphabet_cap, tuple(reports))
+    return ComputeNResult(m, q, None, alphabet_cap, tuple(reports))
 
 
 def structure_threshold(m: int, q: int, *, at_most: Optional[int] = None) -> int:

@@ -14,13 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
-Symbol = int
 Word = tuple[int, ...]
 Alphabet = frozenset[int]
-
-EMPTY: Word = ()
 
 
 def word(symbols: Iterable[int]) -> Word:
@@ -89,26 +86,6 @@ def is_permutation(w: Iterable[int], alphabet: Iterable[int]) -> bool:
     return len(w) == len(alphabet) and frozenset(w) == alphabet
 
 
-def lex_less(u: Iterable[int], v: Iterable[int],
-             key: Optional[Callable[[int], int]] = None) -> bool:
-    """Strict lexicographic order on words.
-
-    u < v iff u is a proper prefix of v, or at the first differing position
-    the symbol of u orders strictly before the symbol of v.  `key` remaps
-    symbols to their rank under a custom total order; by default symbols
-    compare as integers.
-    """
-    u = tuple(u)
-    v = tuple(v)
-    if key is not None:
-        u = tuple(key(s) for s in u)
-        v = tuple(key(s) for s in v)
-    for a, b in zip(u, v):
-        if a != b:
-            return a < b
-    return len(u) < len(v)
-
-
 def first_occurrence_order(w: Iterable[int]) -> tuple[int, ...]:
     """Distinct symbols of w, ordered by first appearance."""
     return tuple(dict.fromkeys(w))
@@ -140,12 +117,8 @@ def equal_blocks(w: Word, count: int) -> tuple[Word, ...]:
 
 # -- word file format -------------------------------------------------------
 
-def parse_word_line(line: str) -> Word:
-    return word(line.split())
-
-
 def parse_words(text: str) -> list[Word]:
-    return [parse_word_line(line) for line in text.splitlines()]
+    return [word(line.split()) for line in text.splitlines()]
 
 
 def format_word(w: Word) -> str:

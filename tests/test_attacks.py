@@ -255,7 +255,7 @@ class TestOnePassVerifier:
                 # so cross-check it directly too; it queries the same
                 # distinct (state, block) pairs as hashing every message
                 passed = o.clone()
-                assert _frontier_digests(passed.compress, alpha, 0, mc, 1 << 16) == set(digests)
+                assert _frontier_digests(passed, alpha, 0, mc, 1 << 16) == set(digests)
                 assert passed.query_count == reference.query_count
                 messages = list(mc.messages())
                 expected = len(set(digests)) == 1 and len(set(messages)) == len(messages)
@@ -280,6 +280,23 @@ class TestOnePassVerifier:
         for pick in (0, 1):
             assert gihf_eval(probe, identity_schedule(), 0, mc.message((pick,) * 64)) \
                 == outcome.digest
+
+    def test_frontier_costs_two_compressions_per_joux_stage(self):
+        o = CompressionOracle(16, 24, seed=43)
+        mc, _ = joux_attack(o, 0, 16)
+        audit = o.clone()
+        outcome = verify_multicollision(audit, identity_schedule(), 0, mc)
+        assert outcome.ok and outcome.complete and outcome.checked == 2 ** 16
+        assert audit.raw_calls == 2 * 16
+
+    def test_small_sets_cost_one_word_per_message(self):
+        # mirror at n = 8, r = 1: two messages along a word of 2 * 57 letters
+        o = CompressionOracle(8, 16, seed=44)
+        mc, _ = generalized_attack(o, mirror_schedule(), 2, 8, 1)
+        audit = o.clone()
+        outcome = verify_multicollision(audit, mirror_schedule(), 0, mc)
+        assert outcome.ok and outcome.complete and outcome.checked == 2
+        assert audit.raw_calls == 2 * 114
 
     def test_groups_live_to_the_end_fall_back_to_sampling(self):
         # one-position groups on the mirror word 1..6 6..1 are all live
@@ -498,9 +515,6 @@ class TestComplexityBound:
         value = complexity_bound(9, 1, 1)
         assert isinstance(value, float)
         assert value == pytest.approx(2.5 * 2 ** 4.5)
-
-    def test_custom_constant(self):
-        assert complexity_bound(16, 2, 2, a_tilde=5.0) == 2 * 1_271_040
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -107,7 +107,7 @@ class TestFindStructure:
     def test_exhaustive_cap(self):
         w = tuple(range(1, 1501)) * 3  # 3-bounded, ~10M factorizations at q=3
         with pytest.raises(ValueError):
-            find_structure(w, 2, 3, max_factorizations=1_000_000)
+            find_structure(w, 2, 3)
 
     def test_oversized_subalphabet_refused_before_any_split(self, monkeypatch):
         def examine(*args):

@@ -11,7 +11,6 @@ from gihflab.words import (
     format_words,
     is_permutation,
     is_q_bounded,
-    lex_less,
     parse_words,
     project,
     split_word,
@@ -116,43 +115,6 @@ class TestIsPermutation:
             a = {s for s in range(1, 6) if rng.random() < 0.5}
             if is_permutation(w, a):
                 assert len(w) == len(a)
-
-
-class TestLexLess:
-    def test_proper_prefix(self):
-        assert lex_less((1, 2), (1, 2, 3))
-        assert not lex_less((1, 2, 3), (1, 2))
-
-    def test_first_difference(self):
-        assert lex_less((1, 3), (2, 1))
-
-    def test_irreflexive(self):
-        assert not lex_less((5,), (5,))
-
-    def test_custom_order(self):
-        # reverse order: 2 comes before 1
-        assert lex_less((2,), (1,), key=lambda s: -s)
-
-    def test_strict_total_order(self):
-        rng = random.Random(106)
-        words = list({random_word(rng, max_len=6, max_sym=3) for _ in range(60)})
-        for u in words:
-            assert not lex_less(u, u)
-        for _ in range(400):
-            u, v = rng.sample(words, 2)
-            assert lex_less(u, v) != lex_less(v, u)  # trichotomy on distinct words
-        for _ in range(400):
-            u, v, w = (rng.choice(words) for _ in range(3))
-            if lex_less(u, v) and lex_less(v, w):
-                assert lex_less(u, w)
-
-    def test_agrees_with_tuple_order(self):
-        # Python's tuple comparison implements the same order for int symbols
-        rng = random.Random(107)
-        for _ in range(500):
-            u = random_word(rng, max_len=6)
-            v = random_word(rng, max_len=6)
-            assert lex_less(u, v) == (u < v)
 
 
 class TestHelpers:
