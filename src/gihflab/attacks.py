@@ -201,19 +201,18 @@ class VerificationResult:
         return self.ok
 
 
-def complexity_bound(n: int, q: int, r: int):
-    """Query bound a~ * q * N^ * 2^(n/2), with a~ = DEFAULT_A_TILDE, for
-    building a 2^r-collision on a q-bounded construction of hash length n.
-
-    N^ is nesting.attack_threshold(n, r, q), the length of the word the
-    attack builds: r for q = 1 (one pair search per stage), the exact
-    forcing boundary (nr)^2 - nr + 1 for q = 2 and the proven upper bound
-    for q >= 3.  Returns an int whenever the value is integral.
+def complexity_bound(n: int, q: int, l: int):
+    """Query bound a~ * q * N^ * 2^(n/2), with a~ = DEFAULT_A_TILDE, for an
+    attack on a q-bounded construction of hash length n that ran on a
+    message of N^ = l blocks.  Both attacks build a 2^r-collision on
+    l = nesting.attack_threshold(n, r, q) blocks: r for q = 1 (one pair
+    search per stage), the exact forcing boundary (nr)^2 - nr + 1 for q = 2
+    and the proven upper bound for q >= 3.  Returns an int whenever the
+    value is integral.
     """
-    if n < 1 or q < 1 or r < 1:
-        raise ValueError("n, q and r must be >= 1")
-    n_hat = attack_threshold(n, r, q)
-    value = Fraction(DEFAULT_A_TILDE) * q * n_hat * (2 ** (n // 2))
+    if n < 1 or q < 1 or l < 1:
+        raise ValueError("n, q and l must be >= 1")
+    value = Fraction(DEFAULT_A_TILDE) * q * l * (2 ** (n // 2))
     if n % 2:
         return float(value) * math.sqrt(2)
     return int(value) if value.denominator == 1 else float(value)
@@ -447,7 +446,7 @@ def _attack(oracle, sched, q, alpha, cert, fillers, sampler, h0, expansion_cap):
         r=cert.k, n=oracle.n, m=oracle.m, q=q, l=length,
         attack_queries=attack_queries,
         verify_ok=outcome.ok,
-        bound=complexity_bound(oracle.n, q, cert.k),
+        bound=complexity_bound(oracle.n, q, length),
         seed=oracle.seed, h0=h0, p=cert.p, schedule=sched.name,
         raw_calls=oracle.raw_calls - raw_start,
         stage_queries=tuple(stage_queries),

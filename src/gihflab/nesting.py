@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 from .regularity import (
     StructureCertificate,
+    capped_power,
     find_structure,
     structure_threshold,
     verify_structure,
@@ -265,30 +266,17 @@ def level_blocks(n: int, k: int, p: int) -> tuple[int, ...]:
     return tuple(n ** (p - i) * k for i in range(1, p + 1))
 
 
-def _capped_power(base: int, exp: int, cap: int) -> int:
-    # min(base ** exp, cap), built no larger than about cap^2: a power whose
-    # bit-length bound (base.bit_length() - 1) * exp reaches cap's is past it
-    if base > 1 and (base.bit_length() - 1) * exp >= cap.bit_length():
-        return cap
-    return min(base ** exp, cap)
-
-
 def _subset_request(n: int, k: int, p: int, *, at_most: Optional[int] = None) -> int:
     # Size of the structure subalphabet that lets us carve out B for a given
-    # part count: B is taken directly for p <= 2, via factorization_subset
-    # for p >= 3, whose alphabet precondition d0 * d1^2 * ... * d(p-1)^2 over
-    # level_blocks(n, k, p) is n^((p-1)^2) * k^(2p-1).  It grows with p, so
-    # p = q is the largest request a q-bounded word can need.  With
-    # `at_most`, the smaller of the request and the cap, neither power built
-    # far past the cap.
-    if p <= 2:
-        value = n ** (p - 1) * k
-    elif at_most is None:
-        value = n ** ((p - 1) ** 2) * k ** (2 * p - 1)
-    else:
-        value = (_capped_power(n, (p - 1) ** 2, at_most)
-                 * _capped_power(k, 2 * p - 1, at_most))
-    return value if at_most is None else min(value, at_most)
+    # part count: B is taken directly for p <= 2, n^(p-1) * k letters, via
+    # factorization_subset for p >= 3, whose alphabet precondition
+    # d0 * d1^2 * ... * d(p-1)^2 over level_blocks(n, k, p) is
+    # n^((p-1)^2) * k^(2p-1).  It grows with p, so p = q is the largest
+    # request a q-bounded word can need.  With `at_most`, the smaller of the
+    # request and the cap, neither power built far past the cap.
+    n_exp, k_exp = (p - 1, 1) if p <= 2 else ((p - 1) ** 2, 2 * p - 1)
+    return capped_power(capped_power(n, n_exp, at_most) * capped_power(k, k_exp, at_most),
+                        1, at_most)
 
 
 def attack_threshold(n: int, k: int, q: int, *, at_most: Optional[int] = None) -> int:

@@ -175,8 +175,16 @@ def _first_subalphabet(parts, order, m) -> Optional[tuple[int, ...]]:
 
 def factorization_count(length: int, q: int) -> int:
     """Number of ways to cut a word of `length` letters into at most q
-    nonempty parts: the factorizations find_structure examines."""
-    return sum(math.comb(max(length - 1, 0), p - 1) for p in range(1, q + 1))
+    nonempty parts, the factorizations find_structure examines, or
+    DEFAULT_MAX_FACTORIZATIONS + 1 once that count passes the cap.  At most
+    min(q, length) binomials are summed: no word has more nonempty parts
+    than letters."""
+    total = 0
+    for p in range(1, min(q, max(length, 1)) + 1):
+        total += math.comb(max(length - 1, 0), p - 1)
+        if total > DEFAULT_MAX_FACTORIZATIONS:
+            return DEFAULT_MAX_FACTORIZATIONS + 1
+    return total
 
 
 def find_structure(w: Word, m: int, q: int) -> SearchOutcome:
@@ -200,15 +208,14 @@ def find_structure(w: Word, m: int, q: int) -> SearchOutcome:
         raise ValueError(f"word is not {q}-bounded (max occurrence count {stats.max_count})")
 
     length = len(w)
-    total = factorization_count(length, q)
-    if total > DEFAULT_MAX_FACTORIZATIONS:
-        raise ValueError(f"exhaustive search over {total} factorizations exceeds "
-                         f"cap {DEFAULT_MAX_FACTORIZATIONS}")
+    if factorization_count(length, q) > DEFAULT_MAX_FACTORIZATIONS:
+        raise ValueError(f"exhaustive search over more than "
+                         f"{DEFAULT_MAX_FACTORIZATIONS} factorizations")
     if m > len(stats.alphabet):
         return SearchOutcome(None, exhaustive=True)
 
     order = first_occurrence_order(w)
-    for p in range(1, q + 1):
+    for p in range(1, min(q, length) + 1):
         for splits in combinations(range(1, length), p - 1):
             found = _first_subalphabet(split_word(w, splits), order, m)
             if found is not None:
@@ -366,21 +373,25 @@ def compute_n(m: int, q: int, alphabet_cap: int) -> ComputeNResult:
     return ComputeNResult(m, q, None, alphabet_cap, tuple(reports))
 
 
+def capped_power(base: int, exp: int, cap: Optional[int]) -> int:
+    """min(base ** exp, cap), or base ** exp when cap is None, built no
+    larger than about cap^2: a power whose bit-length bound
+    (base.bit_length() - 1) * exp reaches cap's is past it."""
+    if cap is not None and base > 1 and (base.bit_length() - 1) * exp >= cap.bit_length():
+        return cap
+    value = base ** exp
+    return value if cap is None else min(value, cap)
+
+
 def structure_threshold(m: int, q: int, *, at_most: Optional[int] = None) -> int:
     """Least alphabet size guaranteeing a size-m certificate in any q-bounded
-    word: exact for m = 1, q = 1 and q = 2, a proven upper bound otherwise.
-    With `at_most`, the smaller of the two, built no larger than `at_most`
-    (m^(2^(q-1)) is squared q - 1 times, and stops once it reaches the cap)."""
+    word: m^(2^(q-1)), but m * m - m + 1 at q = 2; exact for m = 1, q = 1
+    and q = 2, a proven upper bound otherwise.  With `at_most`, the smaller
+    of the two, built no larger than about at_most^2 (capped_power)."""
     if m < 1 or q < 1:
         raise ValueError("m and q must be >= 1")
-    if q == 1:
-        value = m
-    elif q == 2:
-        value = m * m - m + 1
-    else:
-        value = m
-        for _ in range(q - 1):
-            if value == 1 or (at_most is not None and value >= at_most):
-                break
-            value *= value
-    return value if at_most is None else min(value, at_most)
+    if q == 2:
+        return capped_power(m * m - m + 1, 1, at_most)
+    # an exponent past the cap's bit length puts any m >= 2 past the cap
+    bits = None if at_most is None else at_most.bit_length()
+    return capped_power(m, capped_power(2, q - 1, bits), at_most)

@@ -23,6 +23,7 @@ from gihflab.hashsim import CompressionOracle, birthday_search, identity_schedul
 from gihflab.nesting import (
     AttackCertificate,
     PartitionPair,
+    attack_threshold,
     factorization_subset,
     find_attack_structure,
     partition_bijection,
@@ -164,7 +165,7 @@ def test_criterion_06_joux_attack():
 
 
 def test_criterion_07_generalized_attack_q2():
-    bound = complexity_bound(16, 2, 2)
+    bound = complexity_bound(16, 2, attack_threshold(16, 2, 2))
     assert bound == 1_271_040
     for seed in range(5):
         oracle = CompressionOracle(16, 24, seed=7000 + seed)

@@ -408,7 +408,8 @@ class TestGeneralizedAttack:
         mc, report = generalized_attack(o, mirror_schedule(), 2, 8, 2)
         assert report.l == 241
         assert report.verify_ok
-        assert report.attack_queries <= report.bound == complexity_bound(8, 2, 2)
+        assert report.attack_queries <= report.bound == complexity_bound(
+            8, 2, attack_threshold(8, 2, 2))
         messages = list(mc.messages())
         assert len(set(messages)) == 4
         digests = {gihf_eval(o.clone(), mirror_schedule(), 0, msg) for msg in messages}
@@ -454,7 +455,7 @@ class TestGeneralizedAttack:
             o = CompressionOracle(8, 16, seed=32 + r)
             mc, report = generalized_attack(o, mirror_schedule(), 2, 8, r)
             assert report.verify_ok
-            assert report.attack_queries <= complexity_bound(8, 2, r)
+            assert report.attack_queries <= complexity_bound(8, 2, attack_threshold(8, r, 2))
 
     def test_bound_holds_across_ten_seeded_runs(self):
         for n, seeds in ((8, range(8)), (16, range(2))):
@@ -462,7 +463,7 @@ class TestGeneralizedAttack:
                 o = CompressionOracle(n, n + 8, seed=500 + seed)
                 _, report = generalized_attack(o, mirror_schedule(), 2, n, 2)
                 assert report.verify_ok
-                assert report.attack_queries <= complexity_bound(n, 2, 2)
+                assert report.attack_queries <= complexity_bound(n, 2, attack_threshold(n, 2, 2))
 
 
 class TestThreeLevelAttack:
@@ -485,6 +486,8 @@ class TestThreeLevelAttack:
         fillers = {pos: next(sampler) for pos in range(1, l + 1)}
         mc, report = _attack(oracle, sched, 3, alpha, cert, fillers, sampler, 0, 1 << 16)
         assert report.verify_ok and report.p == 3 and report.r == k
+        # the bound covers the l letters attacked: 7,680 and 245,760
+        assert report.attack_queries <= report.bound == complexity_bound(n, 3, l)
         assert len(report.level_queries) == 3
         assert sum(report.level_queries) == report.attack_queries
         outcome = verify_multicollision(oracle.clone(), sched, 0, mc)
@@ -493,23 +496,30 @@ class TestThreeLevelAttack:
 
 class TestComplexityBound:
     def test_q2_reference_value(self):
-        assert complexity_bound(16, 2, 2) == 1_271_040
+        assert complexity_bound(16, 2, attack_threshold(16, 2, 2)) == 1_271_040
 
     def test_q1_joux_convention(self):
-        assert complexity_bound(16, 1, 4) == int(2.5 * 1 * 4 * 256)
+        assert complexity_bound(16, 1, attack_threshold(16, 4, 1)) == int(2.5 * 1 * 4 * 256)
 
     def test_q3_upper_bound_regime(self):
         # N-hat = attack_threshold(4, 2, 3) = (4^4 * 2^5)^4 = 8192^4, the
         # length of the word the attack builds, times 2.5 * 3 * 2^2
-        assert complexity_bound(4, 3, 2) == 30 * 8192 ** 4
+        assert complexity_bound(4, 3, attack_threshold(4, 2, 3)) == 30 * 8192 ** 4
 
     def test_closed_forms_up_to_q2(self):
         # N-hat is r at q = 1 and (nr)^2 - nr + 1 at q = 2
         for n in range(2, 9, 2):
             for r in range(1, 5):
                 scale = 2.5 * 2 ** (n // 2)
-                assert complexity_bound(n, 1, r) == scale * r
-                assert complexity_bound(n, 2, r) == scale * 2 * ((n * r) ** 2 - n * r + 1)
+                assert complexity_bound(n, 1, attack_threshold(n, r, 1)) == scale * r
+                assert complexity_bound(n, 2, attack_threshold(n, r, 2)) == \
+                    scale * 2 * ((n * r) ** 2 - n * r + 1)
+
+    def test_bound_reads_the_length_given(self):
+        # no threshold is built, so a q whose m^(2^(q-1)) would overflow a
+        # float or fill memory costs one product
+        assert complexity_bound(5, 6, 1) == pytest.approx(2.5 * 6 * 4 * 2 ** 0.5)
+        assert complexity_bound(16, 64, 993) == 2.5 * 64 * 993 * 256
 
     def test_odd_n_gives_float(self):
         value = complexity_bound(9, 1, 1)

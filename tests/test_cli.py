@@ -78,6 +78,19 @@ class TestRegularityCommands:
                        "--mode", "greedy", stdin_text="1 2 1 2\n", check=False)
         assert proc.returncode == 2
 
+    def test_find_at_huge_q_examines_only_the_word(self, tmp_path, capsys):
+        # a word of 4 letters has at most 4 nonempty parts, whatever q is
+        words = tmp_path / "words.txt"
+        words.write_text("1 2 1 2\n")
+        started = time.perf_counter()
+        code = cli.main(["regularity", "find", "--m", "2", "--q", "10000000",
+                         "--input", str(words)])
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["result"]["results"] == [
+            {"A": [1, 2], "found": True, "p": 2, "splits": [2]}]
+        assert elapsed < 0.5
+
     def test_find_and_verify_cert_round_trip(self, tmp_path):
         words = tmp_path / "words.txt"
         words.write_text("1 2 3 1 2 3\n")
@@ -375,7 +388,7 @@ class TestRejectedInput:
         assert report["result"]["ok"] is False
         assert isinstance(report["result"]["error"], str) and report["result"]["error"]
 
-    @pytest.mark.parametrize("q", [20, 64])
+    @pytest.mark.parametrize("q", [20, 64, 3000, 20000])
     def test_gihf_high_q_refused_before_the_threshold_is_built(self, capsys, q):
         started = time.perf_counter()
         code = cli.main(["attack", "gihf", "--n", "4", "--m", "8", "--q", str(q), "--r", "1",

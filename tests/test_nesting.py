@@ -231,7 +231,9 @@ class TestAttackStructure:
         assert attack_threshold(8, 2, 2, at_most=100) == 100
         assert attack_threshold(8, 2, 2, at_most=10 ** 6) == 241
         started = time.perf_counter()
-        assert attack_threshold(4, 1, 64, at_most=2_000_002) == 2_000_002
+        for q in (64, 3000, 20000):
+            assert attack_threshold(4, 1, q, at_most=2_000_002) == 2_000_002
+            assert attack_threshold(1, 1, q, at_most=2_000_002) == 1
         assert time.perf_counter() - started < 0.5
 
     def test_capped_request_is_the_minimum(self):
@@ -248,7 +250,11 @@ class TestAttackStructure:
     def test_capped_request_builds_no_power(self):
         # 3^(2999^2) is the uncapped request of (n=3, k=1, q=3000)
         started = time.perf_counter()
-        assert attack_threshold(3, 1, 3000, at_most=2_000_002) == 2_000_002
+        for q in (3000, 20000):
+            assert nesting._subset_request(3, 1, q, at_most=2_000_002) == 2_000_002
+            assert nesting._subset_request(1, 2, q, at_most=2_000_002) == 2_000_002
+            assert nesting._subset_request(1, 1, q, at_most=2_000_002) == 1
+            assert attack_threshold(3, 1, q, at_most=2_000_002) == 2_000_002
         with pytest.raises(ValueError, match="alphabet size 3 is too small"):
             find_attack_structure((1, 2, 3, 1, 2, 3), 3, 1, 3000)
         assert time.perf_counter() - started < 0.5

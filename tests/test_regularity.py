@@ -1,4 +1,6 @@
+import math
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -6,10 +8,12 @@ import pytest
 
 from gihflab import regularity
 from gihflab.regularity import (
+    DEFAULT_MAX_FACTORIZATIONS,
     SearchOutcome,
     StructureCertificate,
     canonical_bounded_words,
     canonical_form,
+    capped_power,
     compute_n,
     factorization_count,
     find_structure,
@@ -104,9 +108,22 @@ class TestFindStructure:
         assert factorization_count(0, 2) == 1
         assert factorization_count(10, 10) == 2 ** 9
 
+    def test_factorization_count_is_the_capped_binomial_sum(self):
+        cap = DEFAULT_MAX_FACTORIZATIONS
+        for length in range(31):
+            for q in range(1, 31):
+                exact = sum(math.comb(max(length - 1, 0), p - 1) for p in range(1, q + 1))
+                assert factorization_count(length, q) == min(exact, cap + 1), (length, q)
+
+    def test_factorization_count_stops_at_the_cap(self):
+        started = time.perf_counter()
+        assert factorization_count(2_000_002, 20000) == DEFAULT_MAX_FACTORIZATIONS + 1
+        assert factorization_count(10 ** 6, 10 ** 7) == DEFAULT_MAX_FACTORIZATIONS + 1
+        assert time.perf_counter() - started < 0.1
+
     def test_exhaustive_cap(self):
         w = tuple(range(1, 1501)) * 3  # 3-bounded, ~10M factorizations at q=3
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="more than 2000000 factorizations"):
             find_structure(w, 2, 3)
 
     def test_oversized_subalphabet_refused_before_any_split(self, monkeypatch):
@@ -362,3 +379,18 @@ class TestStructureThreshold:
         # 2^(2^(10^5 - 1)) is never built
         assert structure_threshold(2, 10 ** 5, at_most=100) == 100
         assert structure_threshold(1, 10 ** 5, at_most=100) == 1
+        started = time.perf_counter()
+        for q in (3000, 20000):
+            for m in (1, 2, 3, 1000):
+                for cap in (1, 2, 10, 2_000_002):
+                    assert structure_threshold(m, q, at_most=cap) == (1 if m == 1 else cap)
+        assert time.perf_counter() - started < 0.1
+
+    def test_capped_power_is_the_minimum(self):
+        for base in range(6):
+            for exp in range(8):
+                for cap in (0, 1, 2, 3, 10, 100, 10 ** 6):
+                    assert capped_power(base, exp, cap) == min(base ** exp, cap)
+                assert capped_power(base, exp, None) == base ** exp
+        # 3^(10^12) is never built
+        assert capped_power(3, 10 ** 12, 2_000_002) == 2_000_002
