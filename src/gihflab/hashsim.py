@@ -16,6 +16,8 @@ distinct seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .words import Word, word_stats
@@ -52,7 +54,8 @@ class CompressionOracle:
     compress inlines both mixing rounds and keeps the round of the last
     state it mixed, so a run of misses at one chaining state (a birthday
     search) costs one mixing round per block, not two; the function is
-    unchanged.
+    unchanged.  The memo maps the one int b << n | h to the output, which
+    is injective once h is known to lie below 2^n, and builds no 2^m.
     """
 
     def __init__(self, n: int, m: int, seed: int):
@@ -86,7 +89,7 @@ class CompressionOracle:
         if not (b >= 0 and b.bit_length() <= self.m):  # builds no 2^m
             raise ValueError(f"block {b} outside {self.m}-bit range")
         self.raw_calls += 1
-        key = (h, b)
+        key = b << self.n | h  # one int per pair: h < 2^n after the check
         cached = self._memo.get(key)
         if cached is not None:
             return cached
@@ -210,8 +213,11 @@ class BlockSampler:
 
     Walks a seeded affine permutation of {0..2^m - 1} from the start, so the
     first 2^m draws are pairwise distinct and any (seed, m) pair reproduces
-    the same stream; a further draw raises ValueError.  Neither construction nor a draw builds 2^m, so a huge
-    m costs no more than its blocks.
+    the same stream; every further draw raises ValueError.  The sampler is
+    one shared stream: iter(sampler) returns it and next(sampler) reads from
+    it, so next() draws followed by a loop over the sampler continue where
+    the draws stopped.  The walk steps by addition and builds 2^m only on a
+    wrap past it, so a huge m costs no more than its blocks.
     """
 
     def __init__(self, m: int, seed: int):
@@ -219,34 +225,55 @@ class BlockSampler:
             raise ValueError("block length m must be >= 1")
         self.m = m
         self.seed = int(seed)
-        self._mult = _low_bits(2 * mix64(self.seed) + 1, m)
-        if self._mult == 1 and m > 1:
-            self._mult = 3
-        self._offset = _low_bits(mix64(self.seed ^ 0xA5A5A5A5A5A5A5A5), m)
-        self._index = 0
+        mult = _low_bits(2 * mix64(self.seed) + 1, m)
+        if mult == 1 and m > 1:
+            mult = 3
+        offset = _low_bits(mix64(self.seed ^ 0xA5A5A5A5A5A5A5A5), m)
+        # chain retries an iterator that raised, so every draw past 2^m
+        # raises, not only the first
+        self._stream = chain(_affine_walk(m, mult, offset),
+                             iter(partial(_exhausted, m), None))
 
     def __iter__(self) -> Iterator[int]:
-        return self
+        return self._stream
 
     def __next__(self) -> int:
-        index = self._index
-        if index.bit_length() > self.m:  # index >= 2^m
-            # m is input too small for the draws asked of it
-            raise ValueError(f"block space of {self.m}-bit blocks exhausted")
-        self._index = index + 1
-        value = self._mult * index + self._offset
-        high = value >> self.m  # _low_bits, inlined
-        return value - (high << self.m) if high else value
+        return next(self._stream)
+
+
+def _affine_walk(m: int, mult: int, offset: int) -> Iterator[int]:
+    """(mult * i + offset) mod 2^m for i = 0, 1, ..., 2^m - 1: mult is odd,
+    so the walk is back at offset after exactly 2^m steps."""
+    value = offset
+    while True:
+        yield value
+        value += mult
+        if value >> m:  # both terms are below 2^m
+            value -= 1 << m
+        if value == offset:
+            return
+
+
+def _exhausted(m: int):
+    raise ValueError(f"block space of {m}-bit blocks exhausted")
 
 
 def table_collision(evaluate: Callable, candidates: Iterable, k: int = 2):
     """First k candidates, in draw order, with one common value under
     `evaluate`: (candidates, value), or None if `candidates` runs out.
-    Memory-unrestricted: every seen value is kept until some bucket fills."""
+    Memory-unrestricted: the first candidate of every seen value is kept,
+    and a value that repeats gets a bucket of its candidates until one
+    bucket holds k.  Only the values are hashed, never the candidates."""
+    if k < 2:
+        raise ValueError("collision size k must be >= 2")
+    first: dict = {}
     buckets: dict = {}
     for candidate in candidates:
         value = evaluate(candidate)
-        bucket = buckets.setdefault(value, [])
+        if value not in first:
+            first[value] = candidate
+            continue
+        bucket = buckets.setdefault(value, [first[value]])
         bucket.append(candidate)
         if len(bucket) == k:
             return tuple(bucket), value
@@ -258,13 +285,9 @@ def birthday_search(oracle: CompressionOracle, h: int, k: int) -> tuple[tuple[in
     drawn from the oracle seed's birthday sampler stream.
 
     Returns the colliding blocks and the number of distinct queries spent;
-    raises ValueError if the 2^m blocks run out first.
+    raises ValueError if k < 2 or if the 2^m blocks run out first.
     """
-    if k < 2:
-        raise ValueError("collision size k must be >= 2")
     sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "birthday"))
     start = oracle.query_count
-    found = table_collision(lambda block: oracle.compress(h, block), sampler, k)
-    if found is None:
-        raise ValueError("sampler exhausted before finding a collision")
-    return found[0], oracle.query_count - start
+    blocks, _ = table_collision(lambda block: oracle.compress(h, block), sampler, k)
+    return blocks, oracle.query_count - start

@@ -167,6 +167,18 @@ def reference_sampler_stream(m: int, seed: int, count: int) -> list:
     return [(mult * i + offset) % space for i in range(count)]
 
 
+def reference_table_collision(evaluate, candidates, k: int):
+    """hashsim.table_collision as a plain value -> list of candidates table:
+    the first list to reach k candidates, or None."""
+    buckets = {}
+    for candidate in candidates:
+        value = evaluate(candidate)
+        buckets.setdefault(value, []).append(candidate)
+        if len(buckets[value]) == k:
+            return tuple(buckets[value]), value
+    return None
+
+
 def reference_joux_pairs(n: int, m: int, seed: int, h0: int, r: int):
     """Joux's chained pairs by a plain loop over the reference sampler
     stream and compression function: per stage, keep value -> first block

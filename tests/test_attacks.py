@@ -1,5 +1,7 @@
 import random
 import statistics
+import time
+import tracemalloc
 
 import pytest
 
@@ -33,7 +35,12 @@ from gihflab.nesting import (
     verify_attack_structure,
 )
 
-from support import enumerated_digests, random_two_permutation_word, reference_joux_pairs
+from support import (
+    enumerated_digests,
+    random_two_permutation_word,
+    reference_joux_pairs,
+    reference_table_collision,
+)
 
 
 class TestFirstLevelPair:
@@ -110,6 +117,32 @@ class TestJouxAttack:
         mc, report = joux_attack(o, 0, 3)
         assert report.verify_ok
         assert o.query_count - before == report.attack_queries
+
+    def test_memo_bytes_per_query(self):
+        # one memo entry per distinct query: its key, its value and its
+        # share of the dict, with the attack's result still held
+        tracemalloc.start()
+        try:
+            o = CompressionOracle(20, 28, seed=7)
+            result = joux_attack(o, 0, 8)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert result[1].verify_ok
+        assert held / o.query_count < 128
+
+    def test_huge_block_length_builds_no_power(self):
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            _, report = joux_attack(CompressionOracle(8, 10 ** 9, seed=1), 0, 4)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verify_ok
+        assert elapsed < 0.5
+        assert peak < 1 << 20
 
     def test_rejects_r_zero(self):
         o = CompressionOracle(8, 16, seed=25)
@@ -392,6 +425,24 @@ class TestTableCollision:
 
     def test_none_when_candidates_run_out(self):
         assert table_collision(lambda x: x, iter(range(10))) is None
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_value_to_list_reference(self, k):
+        rng = random.Random(400 + k)
+        for _ in range(200):
+            # a short stream over few values often has no k-collision
+            values = [rng.randrange(rng.choice((3, 8, 40)))
+                      for _ in range(rng.randint(0, 30))]
+            ints = range(len(values))
+            lists = [[i] for i in ints]  # unhashable candidates
+            assert table_collision(values.__getitem__, iter(ints), k) == \
+                reference_table_collision(values.__getitem__, ints, k)
+            assert table_collision(lambda c: values[c[0]], iter(lists), k) == \
+                reference_table_collision(lambda c: values[c[0]], lists, k)
+
+    def test_rejects_k_below_two(self):
+        with pytest.raises(ValueError):
+            table_collision(lambda x: x, iter(range(10)), 1)
 
 
 class TestGeneralizedAttack:

@@ -2,6 +2,7 @@ import random
 import statistics
 import time
 import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -16,6 +17,7 @@ from gihflab.hashsim import (
     identity_schedule,
     mirror_schedule,
     schedule_from_words,
+    table_collision,
     validate_schedule_word,
 )
 
@@ -247,10 +249,33 @@ class TestBlockSampler:
         assert all(0 <= b < 1024 for b in first)
 
     def test_exhaustion(self):
+        # every draw past 2^m raises, however it is drawn: a stream that
+        # raised once and then ended would let a table search return None
         sampler = BlockSampler(2, seed=1)
         [next(sampler) for _ in range(4)]
         with pytest.raises(ValueError, match="exhausted"):
             next(sampler)
+        with pytest.raises(ValueError, match="exhausted"):
+            for _ in sampler:
+                pass
+        with pytest.raises(ValueError, match="exhausted"):
+            next(sampler)
+
+        sampler = BlockSampler(2, seed=1)
+        for _ in range(2):  # four distinct values, then the space runs out
+            with pytest.raises(ValueError, match="exhausted"):
+                table_collision(lambda choice: choice, zip(sampler))
+
+    @pytest.mark.parametrize("m", [2, 10, 65])
+    def test_next_then_iter_is_one_stream(self, m):
+        # generalized_attack draws its fillers with next() and then hands
+        # the sampler to level 1, which loops over it
+        count = min(1 << m, 300)
+        for drawn in (0, 1, count // 2, count):
+            sampler = BlockSampler(m, seed=m)
+            blocks = [next(sampler) for _ in range(drawn)]
+            blocks += islice(iter(sampler), count - drawn)
+            assert blocks == reference_sampler_stream(m, m, count)
 
     @pytest.mark.parametrize("m", [1, 2, 10, 32, 64, 65, 130])
     def test_stream_is_the_affine_formula(self, m):
