@@ -17,7 +17,11 @@ spans started and still open at each position, so it costs big-int
 operations linear in the part rather than a test per pair of letters.  One
 exhaustive depth-first growth of conflict-free subsets, kept on an explicit
 stack rather than the call stack, is then sound, and the checker
-re-validates every hit anyway.
+re-validates every hit anyway.  Two exact prunes leave the search order and
+its first certificate unchanged: only factorizations whose parts all hold at
+least m letters are enumerated, and a factorization is refused before any
+growth when fewer than m candidates conflict with at most (candidates - m)
+others, as every letter of a conflict-free m-subset does.
 """
 
 from __future__ import annotations
@@ -124,7 +128,8 @@ def _span_conflicts(parts, order, m) -> tuple[list, Optional[list[int]]]:
             first.setdefault(sym, pos)
             last[sym] = pos
         spans.append((len(part), first, last))
-    cands = [a for a in order if all(a in first for _, first, _ in spans)]
+    common = set(spans[0][1]).intersection(*(first for _, first, _ in spans[1:]))
+    cands = [a for a in order if a in common]
     if len(cands) < m:
         return cands, None
     masks = [0] * len(cands)
@@ -149,15 +154,20 @@ def _first_subalphabet(parts, order, m) -> Optional[tuple[int, ...]]:
 
     Letters conflict when their spans overlap in some part; the relation is
     a bitmask per candidate built from running span masks (_span_conflicts).
-    Depth-first growth over candidate indices in first-occurrence order, on
-    an explicit `chosen` stack, pruned by conflicts and by the number of
-    candidates left; the first subset completed is the lexicographically
-    earliest.
+    Each letter of a conflict-free m-subset conflicts only with letters
+    outside it, so unless m candidates conflict with at most total - m
+    others none exists, and the split is refused before any growth.
+    Otherwise depth-first growth over candidate indices in first-occurrence
+    order, on an explicit `chosen` stack, pruned by conflicts and by the
+    number of candidates left; the first subset completed is the
+    lexicographically earliest.
     """
     cands, masks = _span_conflicts(parts, order, m)
     if masks is None:
         return None
     total = len(cands)
+    if sorted(map(int.bit_count, masks))[m - 1] > total - m:
+        return None
     chosen: list[int] = []
     idx = 0
     while len(chosen) < m:
@@ -175,8 +185,9 @@ def _first_subalphabet(parts, order, m) -> Optional[tuple[int, ...]]:
 
 def factorization_count(length: int, q: int) -> int:
     """Number of ways to cut a word of `length` letters into at most q
-    nonempty parts, the factorizations find_structure examines, or
-    DEFAULT_MAX_FACTORIZATIONS + 1 once that count passes the cap.  At most
+    nonempty parts, or DEFAULT_MAX_FACTORIZATIONS + 1 once that count passes
+    the cap.  This is the count find_structure's cap reads; the search
+    itself examines only the admissible splits among them.  At most
     min(q, length) binomials are summed: no word has more nonempty parts
     than letters."""
     total = 0
@@ -193,7 +204,13 @@ def find_structure(w: Word, m: int, q: int) -> SearchOutcome:
 
     Enumerates smaller p first, then lexicographically earliest splits, then
     letters in first-occurrence order, so outputs are deterministic and
-    absence is a proof of nonexistence.  Rejects words that are not
+    absence is a proof of nonexistence.  A part that condenses to a
+    permutation of m letters holds at least m letters, so only admissible
+    splits, whose parts all do, are examined: C(l - p*m + p - 1, p - 1) of
+    them at each p, in the same order, taken from the splits of the word
+    shrunk by m - 1 letters per part with cut i moved back by i * (m - 1).
+    A split whose conflict degrees already rule out m letters is refused
+    before any growth (_first_subalphabet).  Rejects words that are not
     q-bounded and requests whose factorization count exceeds
     DEFAULT_MAX_FACTORIZATIONS; refuses m larger than the word's alphabet
     without examining any split.
@@ -215,8 +232,10 @@ def find_structure(w: Word, m: int, q: int) -> SearchOutcome:
         return SearchOutcome(None, exhaustive=True)
 
     order = first_occurrence_order(w)
-    for p in range(1, min(q, length) + 1):
-        for splits in combinations(range(1, length), p - 1):
+    shift = m - 1
+    for p in range(1, min(q, length // m) + 1):
+        for cuts in combinations(range(1, length - p * shift), p - 1):
+            splits = tuple(c + i * shift for i, c in enumerate(cuts, 1))
             found = _first_subalphabet(split_word(w, splits), order, m)
             if found is not None:
                 cert = StructureCertificate(found, p, splits)

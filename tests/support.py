@@ -12,8 +12,8 @@ import random
 from itertools import combinations, permutations
 
 from gihflab.hashsim import derive_seed, mix64
-from gihflab.regularity import StructureCertificate, verify_structure
-from gihflab.words import split_word
+from gihflab.regularity import StructureCertificate, _span_conflicts, verify_structure
+from gihflab.words import first_occurrence_order, split_word
 
 
 def random_bounded_word(rng: random.Random, alphabet_size: int, q: int,
@@ -82,6 +82,41 @@ def brute_force_structure(w, m: int, q: int):
                 cert = StructureCertificate(subset, p, splits)
                 if verify_structure(w, cert, m):
                     return cert
+    return None
+
+
+def admissible_splits(length: int, m: int, q: int):
+    """Every split of a word of `length` letters into p <= q parts of at
+    least m letters each, by filtering all splits in search order."""
+    out = []
+    for p in range(1, q + 1):
+        for splits in combinations(range(1, length), p - 1):
+            cuts = (0, *splits, length)
+            if all(b - a >= m for a, b in zip(cuts, cuts[1:])):
+                out.append(splits)
+    return out
+
+
+def plain_structure(w, m: int, q: int):
+    """The certificate search with neither prune: every split in order, each
+    decided by a depth-first search over the span conflict masks for the
+    lexicographically first conflict-free m-subset of candidate indices."""
+    w = tuple(w)
+    order = first_occurrence_order(w)
+    for p in range(1, q + 1):
+        for splits in combinations(range(1, len(w)), p - 1):
+            cands, masks = _span_conflicts(split_word(w, splits), order, m)
+            if masks is None:
+                continue
+            stack = [((), 0)]  # (chosen indices, first index left to try)
+            while stack:
+                chosen, start = stack.pop()
+                if len(chosen) == m:
+                    subset = tuple(cands[i] for i in chosen)
+                    return StructureCertificate(subset, p, splits)
+                for j in reversed(range(start, len(cands))):
+                    if not any(masks[i] >> j & 1 for i in chosen):
+                        stack.append((chosen + (j,), j + 1))
     return None
 
 

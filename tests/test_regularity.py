@@ -2,7 +2,7 @@ import math
 import random
 import time
 import tracemalloc
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -30,11 +30,54 @@ from gihflab.words import (
 )
 
 from support import (
+    admissible_splits,
     brute_force_structure,
+    plain_structure,
     random_bounded_word,
     random_two_permutation_word,
     reference_conflicts,
 )
+
+
+def record_examined(monkeypatch):
+    """Patch a recorder around _first_subalphabet; the returned list gets
+    the splits of every factorization find_structure examines, in order."""
+    examined = []
+    real = regularity._first_subalphabet
+
+    def recorder(parts, order, m):
+        examined.append(tuple(accumulate(map(len, parts[:-1]))))
+        return real(parts, order, m)
+
+    monkeypatch.setattr(regularity, "_first_subalphabet", recorder)
+    return examined
+
+
+class ReadCountingMasks(list):
+    """Conflict masks that count the single-mask reads the growth makes."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def count_mask_reads(monkeypatch):
+    """Patch _span_conflicts to hand out ReadCountingMasks; the returned
+    list gets each one."""
+    handed = []
+    real = regularity._span_conflicts
+
+    def counting(parts, order, m):
+        cands, masks = real(parts, order, m)
+        if masks is not None:
+            masks = ReadCountingMasks(masks)
+            handed.append(masks)
+        return cands, masks
+
+    monkeypatch.setattr(regularity, "_span_conflicts", counting)
+    return handed
 
 
 class TestVerifyStructure:
@@ -141,22 +184,33 @@ class TestFindStructure:
         assert (cert.p, cert.splits) == (2, (1100,))
         assert verify_structure(w, cert, 1100)
 
-    def test_search_order_matches_brute_force(self):
-        # both loop p, then splits, then subsets, so (p, splits) pins the order
+    def test_search_order_matches_brute_force(self, monkeypatch):
+        # both loop p, then splits, then subsets, so (p, splits) pins the order;
+        # the search examines exactly the admissible splits up to its find
+        examined = record_examined(monkeypatch)
         rng = random.Random(12)
+        ones = 0
         for _ in range(300):
             q = rng.randint(1, 3)
             w = random_bounded_word(rng, rng.randint(1, 5), q,
                                     exact_alphabet=rng.random() < 0.5)
             m = rng.randint(1, 4)
+            ones += m == 1
+            examined.clear()
             ours = find_structure(w, m, q)
             brute = brute_force_structure(w, m, q)
             assert ours.exhaustive
             assert (ours.certificate is None) == (brute is None), (w, m, q)
+            expected = admissible_splits(len(w), m, q) if m <= len(set(w)) else []
             if brute is not None:
                 assert (ours.certificate.p, ours.certificate.splits) == (brute.p, brute.splits)
                 assert verify_structure(w, ours.certificate, m)
                 assert verify_structure(w, brute, m)
+                expected = expected[:expected.index(brute.splits) + 1]
+            assert examined == expected, (w, m, q)
+            for splits in examined:
+                assert all(len(part) >= m for part in split_word(w, splits)), (w, m, splits)
+        assert ones > 30
 
     def test_soundness_fuzz(self):
         rng = random.Random(7)
@@ -194,6 +248,34 @@ class TestFindStructure:
                 assert verify_structure(w, sub, smaller)
                 shrunk += 1
         assert shrunk > 50
+
+    def test_two_permutation_word_examines_two_factorizations(self, monkeypatch):
+        # p = 1 is refused by conflict degree, and (32,) is the first p = 2
+        # split whose parts both hold 32 letters
+        w = random_two_permutation_word(random.Random(3), 993)
+        examined = record_examined(monkeypatch)
+        cert = find_structure(w, 32, 2).certificate
+        assert examined == [(), (32,)]
+        assert (cert.p, cert.splits, cert.subalphabet) == (2, (32,), w[:32])
+
+    def test_admissible_split_count(self):
+        for length in range(12):
+            for m in range(1, 5):
+                for p in range(1, 5):
+                    count = sum(len(s) == p - 1 for s in admissible_splits(length, m, p))
+                    top = length - p * m + p - 1
+                    assert count == (math.comb(top, p - 1) if top >= 0 else 0), (length, m, p)
+
+    def test_plain_enumeration_gives_the_same_certificates(self):
+        for seed in (0, 1):
+            w = random_two_permutation_word(random.Random(seed), 993)
+            assert find_structure(w, 32, 2).certificate == plain_structure(w, 32, 2)
+        rng = random.Random(15)
+        for _ in range(200):
+            q = rng.randint(1, 3)
+            w = random_bounded_word(rng, rng.randint(1, 6), q)
+            m = rng.randint(1, 4)
+            assert find_structure(w, m, q).certificate == plain_structure(w, m, q), (w, m, q)
 
     def test_parts_condense_to_permutations(self):
         w = (1, 2, 3, 1, 2, 3)
@@ -254,6 +336,41 @@ class TestSpanConflicts:
             else:
                 cert = find_structure(w, 32, 2).certificate
             assert (cert.p, cert.splits, cert.subalphabet) == (2, (32,), w[:32])
+
+
+class TestConflictDegreeRefusal:
+    def test_refuses_a_complete_relation_before_any_growth(self, monkeypatch):
+        handed = count_mask_reads(monkeypatch)
+        w = tuple(range(1, 201)) * 2  # one part: every span holds the middle
+        assert regularity._first_subalphabet((w,), first_occurrence_order(w), 2) is None
+        (masks,) = handed
+        assert all(mask.bit_count() == 199 for mask in masks)
+        assert masks.reads == 0
+
+    def test_witness_is_still_refused_by_the_growth(self, monkeypatch):
+        # every letter of the six-letter witness conflicts with 5 of 30
+        handed = count_mask_reads(monkeypatch)
+        assert find_structure(extremal_witness(6), 6, 2) == SearchOutcome(None, True)
+        assert handed and all(mask.bit_count() == 5 for mask in handed[0])
+        assert handed[0].reads > 0
+
+    def test_refusal_never_hides_a_certificate(self):
+        # the growth alone (plain_structure) finds nothing the prune refused
+        rng = random.Random(16)
+        fired = 0
+        for _ in range(400):
+            w = random_bounded_word(rng, rng.randint(2, 8), 2)
+            m = rng.randint(2, 4)
+            cands, masks = regularity._span_conflicts((w,), first_occurrence_order(w), m)
+            if masks is None:
+                continue
+            found = regularity._first_subalphabet((w,), first_occurrence_order(w), m)
+            if sorted(map(int.bit_count, masks))[m - 1] > len(cands) - m:
+                fired += 1
+                assert found is None
+            plain = plain_structure(w, m, 1)
+            assert found == (None if plain is None else plain.subalphabet), (w, m)
+        assert fired > 20
 
 
 class TestWitnessFamily:
