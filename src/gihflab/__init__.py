@@ -60,7 +60,6 @@ from .words import (
     WordStats,
     condense,
     is_permutation,
-    is_q_bounded,
     project,
     word_stats,
 )

@@ -7,10 +7,14 @@ and one level walker hashes each part, running one table search
 of B-positions it is cut into.  Every level searches the same way; only its
 candidates differ.  Level 1 cuts into singletons and searches fresh sampler
 blocks for a pair per B-position, as Joux does per stage; each later level
-collapses the >= 2^n combinations of the groups a block inherits.
-Iteration order is fixed, so an oracle seed reproduces the attack byte for
-byte.  joux_attack, Joux's chained pair collisions, is the q=1
-case: the identity word 1..r in one part, with no filler blocks.
+collapses the >= 2^n combinations of the groups a block inherits.  Those
+candidates come in product order, so consecutive ones share every step of
+their span before the first slot where their blocks differ; each resumes
+the previous candidate's walk there, and a collapse level compresses about
+once per distinct query.  Iteration order is fixed, so an oracle seed
+reproduces the attack byte for byte.  joux_attack, Joux's chained pair
+collisions, is the q=1 case: the identity word 1..r in one part, with no
+filler blocks.
 
 An attack owns its oracle exclusively while it runs.  Verification checks
 the schedule word's coverage of 1..l and its bound, then hashes all 2^r
@@ -159,8 +163,11 @@ class AttackReport:
     """Outcome and exact cost accounting of one attack run.
 
     attack_queries counts distinct compression queries spent by the attack
-    itself; raw_calls additionally counts repeated evaluations of known
-    pairs.  stage_queries gives the per-stage split (per pair collision for
+    itself; raw_calls counts every compress call the attack made, repeated
+    evaluations of known pairs included.  A level candidate resumes the
+    previous candidate's walk instead of re-walking its span, so raw_calls
+    stays within about 1% of attack_queries on the q=2 attack.
+    stage_queries gives the per-stage split (per pair collision for
     the first level, per collapsed group afterwards), which also records the
     per-position reading of the first-level cost estimate next to the
     per-symbol one implied by walking the whole part.
@@ -346,10 +353,13 @@ def _walk_level(oracle, part, units, fillers, state):
 
     A unit is (positions, candidates): message positions whose occurrences
     form one span of the part, and block tuples aligned with them.  Filler
-    blocks before each span are hashed; table_collision then replays the
+    blocks before each span are hashed; table_collision then hashes the
     span per candidate, in draw order, until two candidates reach one
-    outgoing state.  Returns the new groups, the part's outgoing state and
-    the distinct queries of each search.
+    outgoing state.  A span of more than one symbol is walked by
+    _resumed_walk: each candidate resumes the previous candidate's walk at
+    the first slot where their blocks differ, not at the span's start.
+    Returns the new groups, the part's outgoing state and the distinct
+    queries of each search.
     """
     first = {}
     last = {}
@@ -366,21 +376,15 @@ def _walk_level(oracle, part, units, fillers, state):
         for sym in part[cursor:begin]:
             state = compress(state, fillers[sym])
         slot = {pos: at for at, pos in enumerate(positions)}
-        # a span opens with one of its own positions; the rest of it pairs
-        # each symbol with its candidate slot, or -1 and its filler block
-        head = slot[part[begin]]
-        rest = tuple((slot.get(sym, -1), fillers.get(sym))
-                     for sym in part[begin + 1:end + 1])
+        # each symbol of the span reads its candidate slot, or -1 and its
+        # filler block; a span opens with one of its own positions
+        steps = tuple((slot.get(sym, -1), fillers.get(sym)) for sym in part[begin:end + 1])
 
-        if rest:
-            def evaluate(choice, state=state, head=head, rest=rest):
-                value = compress(state, choice[head])
-                for at, filler in rest:
-                    value = compress(value, filler if at < 0 else choice[at])
-                return value
+        if len(steps) > 1:
+            evaluate = _resumed_walk(compress, state, steps)
         else:
             # a one-symbol span, as in every Joux stage: one compress call
-            def evaluate(choice, state=state, head=head):
+            def evaluate(choice, state=state, head=steps[0][0]):
                 return compress(state, choice[head])
 
         before = oracle.query_count
@@ -395,6 +399,42 @@ def _walk_level(oracle, part, units, fillers, state):
     for sym in part[cursor:]:
         state = compress(state, fillers[sym])
     return groups, state, stage_queries
+
+
+def _resumed_walk(compress, state, steps):
+    """evaluate(choice) for a span of more than one symbol: the state that
+    hashing `steps` from `state` reaches, where a step (at, filler) reads
+    the candidate's block choice[at], or its filler block when at is -1.
+
+    The states along the previous candidate's walk are kept.  A candidate
+    resumes at the first read of its first slot, in read order, whose block
+    differs from the previous candidate's: every step before it reads equal
+    blocks from equal states.  A slot read more than once in the span (a
+    one-part certificate on the mirror word, or a part of a 3-bounded word)
+    counts at its first read.
+    """
+    first_read = {}
+    for step, (at, _) in enumerate(steps):
+        if at >= 0:
+            first_read.setdefault(at, step)
+    reads = tuple(first_read.items())  # slots in read order, each with its first step
+    trail = [state]  # trail[i]: the state before step i of the previous walk
+    previous = (None,) * len(reads)  # no block is None: the first walk starts at step 0
+
+    def evaluate(choice):
+        nonlocal previous
+        for at, step in reads:
+            if choice[at] != previous[at]:
+                break
+        del trail[step + 1:]
+        value = trail[step]
+        for at, filler in steps[step:]:
+            value = compress(value, filler if at < 0 else choice[at])
+            trail.append(value)
+        previous = choice
+        return value
+
+    return evaluate
 
 
 def _inherited_units(groups, blocks):

@@ -55,11 +55,6 @@ def word_stats(w: Iterable[int]) -> WordStats:
     )
 
 
-def is_q_bounded(w: Iterable[int], q: int) -> bool:
-    """True iff every symbol occurs at most q times in w."""
-    return word_stats(w).max_count <= q
-
-
 def project(w: Iterable[int], subalphabet: Iterable[int]) -> Word:
     """Erase every symbol outside `subalphabet`, keeping the rest in order.
 

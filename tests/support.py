@@ -11,9 +11,15 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
+from gihflab.attacks import CollisionGroup
 from gihflab.hashsim import derive_seed, mix64
 from gihflab.regularity import StructureCertificate, _span_conflicts, verify_structure
-from gihflab.words import first_occurrence_order, split_word
+from gihflab.words import first_occurrence_order, split_word, word_stats
+
+
+def is_q_bounded(w, q: int) -> bool:
+    """True iff every symbol occurs at most q times in w."""
+    return word_stats(w).max_count <= q
 
 
 def random_bounded_word(rng: random.Random, alphabet_size: int, q: int,
@@ -237,3 +243,36 @@ def reference_joux_pairs(n: int, m: int, seed: int, h0: int, r: int):
         draws.append(drawn)
         state = value
     return pairs, draws
+
+
+def rewalk_level(oracle, part, units, fillers, state):
+    """attacks._walk_level without the shared trail: every candidate hashes
+    its unit's span from the span's start, and the collision is the first
+    repeated value found by reference_table_collision.  Same arguments and
+    result: the level's groups, the part's outgoing state and the distinct
+    queries of each search."""
+    groups, stage_queries, cursor = [], [], 0
+    for positions, candidates in units:
+        slots = set(positions)
+        reads = [i for i, sym in enumerate(part) if sym in slots]
+        begin, end = reads[0], reads[-1] + 1
+        for sym in part[cursor:begin]:
+            state = oracle.compress(state, fillers[sym])
+
+        def evaluate(choice, start=state, span=part[begin:end], positions=positions):
+            picked = dict(zip(positions, choice))
+            value = start
+            for sym in span:
+                value = oracle.compress(value, picked[sym] if sym in picked else fillers[sym])
+            return value
+
+        before = oracle.query_count
+        found = reference_table_collision(evaluate, candidates, 2)
+        assert found is not None, f"no collision among the candidates for {positions}"
+        pair, state = found
+        stage_queries.append(oracle.query_count - before)
+        groups.append(CollisionGroup(positions, pair))
+        cursor = end
+    for sym in part[cursor:]:
+        state = oracle.compress(state, fillers[sym])
+    return groups, state, stage_queries

@@ -5,12 +5,14 @@ import tracemalloc
 
 import pytest
 
+from gihflab import attacks
 from gihflab.attacks import (
     CollisionGroup,
     MulticollisionSet,
     _attack,
     _frontier_digests,
     _sampled_selections,
+    _walk_level,
     complexity_bound,
     generalized_attack,
     joux_attack,
@@ -31,16 +33,89 @@ from gihflab.nesting import (
     AttackCertificate,
     attack_threshold,
     factorization_subset,
+    find_attack_structure,
     level_blocks,
     verify_attack_structure,
 )
+from gihflab.words import split_word
 
 from support import (
     enumerated_digests,
     random_two_permutation_word,
     reference_joux_pairs,
     reference_table_collision,
+    rewalk_level,
 )
+
+
+def _certified_attack(alpha, cert, q, seed):
+    """_attack at m = 16 on a given certificate for the word alpha, with
+    fillers and candidates drawn as generalized_attack draws them; returns
+    the oracle, the schedule, the multicollision and the report."""
+    l = max(alpha)
+    sched = schedule_from_words([()] * (l - 1) + [alpha])
+    oracle = CompressionOracle(cert.n, 16, seed=seed)
+    sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "gihf"))
+    fillers = {pos: next(sampler) for pos in range(1, l + 1)}
+    return (oracle, sched,
+            *_attack(oracle, sched, q, alpha, cert, fillers, sampler, 0, 1 << 16))
+
+
+def _three_permutations(n, k):
+    """Three shuffled permutations of 1..n^4 k^5 and a p = 3 certificate
+    whose subalphabet B comes from factorization_subset."""
+    l = n ** 4 * k ** 5
+    rng = random.Random(f"three-permutations:{n}:{k}")
+    perms = [rng.sample(range(1, l + 1), l) for _ in range(3)]
+    alpha = tuple(perms[0] + perms[1] + perms[2])
+    subset = factorization_subset(perms, level_blocks(n, k, 3))
+    return alpha, AttackCertificate(subset, 3, (l, 2 * l), n, k)
+
+
+def _two_permutation_attack(n, seed):
+    """generalized_attack at q = 2, r = 2 on two shuffled permutations of
+    1..attack_threshold(n, 2, 2)."""
+    l = attack_threshold(n, 2, 2)
+    word = random_two_permutation_word(random.Random(f"two-permutations:{n}:{seed}"), l)
+    sched = schedule_from_words([()] * (l - 1) + [word])
+    return generalized_attack(CompressionOracle(n, n + 8, seed=seed), sched, 2, n, 2)
+
+
+def _mirror_one_part(l=16, x=12):
+    """The mirror word 1..l l..1 under the one-part certificate B = {x}:
+    x's span runs out to l and back, so it reads x's slot twice, with
+    filler blocks between."""
+    cert = AttackCertificate((x,), 1, (), 8, 1)
+    return mirror_schedule().generator(l), cert
+
+
+def _doubled_letter(n):
+    """A two-permutation word at r = 2 whose second part reads a letter x of
+    B once more, just after the letter outside B that follows x.  The part
+    still condenses to the same permutation of B, so the certificate holds,
+    and the level-2 span holding x reads x's slot twice (the word is
+    3-bounded)."""
+    l = attack_threshold(n, 2, 2)
+    word = random_two_permutation_word(random.Random(f"doubled-letter:{n}"), l)
+    cert = find_attack_structure(word, n, 2, 2)
+    subset = set(cert.subalphabet)
+    second = list(word[l:])
+    at = next(i for i, (x, y) in enumerate(zip(second, second[1:]))
+              if x in subset and y not in subset)
+    second.insert(at + 2, second[at])
+    return word[:l] + tuple(second), cert
+
+
+# attacks whose levels tests/support.py::rewalk_level replays: spans that
+# read a slot twice, q = 2 collapse levels, and three-level certificates
+LEVEL_WALK_CASES = {
+    "mirror-one-part-n8": lambda: _certified_attack(*_mirror_one_part(), 2, 70)[2:],
+    "doubled-letter-n8": lambda: _certified_attack(*_doubled_letter(8), 3, 71)[2:],
+    "two-permutations-n8": lambda: _two_permutation_attack(8, 72),
+    "two-permutations-n12": lambda: _two_permutation_attack(12, 73),
+    "three-levels-k1": lambda: _certified_attack(*_three_permutations(4, 1), 3, 61)[2:],
+    "three-levels-k2": lambda: _certified_attack(*_three_permutations(4, 2), 3, 62)[2:],
+}
 
 
 class TestFirstLevelPair:
@@ -508,6 +583,13 @@ class TestGeneralizedAttack:
             assert report.verify_ok
             assert report.attack_queries <= complexity_bound(8, 2, attack_threshold(8, r, 2))
 
+    def test_collapse_levels_compress_about_once_per_query(self):
+        # each candidate resumes the previous one's walk; hashing every
+        # candidate's span from its start made 4.47x the queries here
+        _, report = _two_permutation_attack(12, 73)
+        assert report.verify_ok
+        assert report.attack_queries <= report.raw_calls <= 1.05 * report.attack_queries
+
     def test_bound_holds_across_ten_seeded_runs(self):
         for n, seeds in ((8, range(8)), (16, range(2))):
             for seed in seeds:
@@ -523,26 +605,53 @@ class TestThreeLevelAttack:
 
     @pytest.mark.parametrize("n,k", [(4, 1), (4, 2)])
     def test_three_permutations(self, n, k):
-        l = n ** 4 * k ** 5
-        rng = random.Random(f"three-permutations:{n}:{k}")
-        perms = [rng.sample(range(1, l + 1), l) for _ in range(3)]
-        alpha = tuple(perms[0] + perms[1] + perms[2])
-        subset = factorization_subset(perms, level_blocks(n, k, 3))
-        cert = AttackCertificate(subset, 3, (l, 2 * l), n, k)
+        alpha, cert = _three_permutations(n, k)
         assert verify_attack_structure(alpha, n, k, cert)
-
-        sched = schedule_from_words([()] * (l - 1) + [alpha])
-        oracle = CompressionOracle(n, 16, seed=60 + k)
-        sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "gihf"))
-        fillers = {pos: next(sampler) for pos in range(1, l + 1)}
-        mc, report = _attack(oracle, sched, 3, alpha, cert, fillers, sampler, 0, 1 << 16)
+        oracle, sched, mc, report = _certified_attack(alpha, cert, 3, 60 + k)
         assert report.verify_ok and report.p == 3 and report.r == k
         # the bound covers the l letters attacked: 7,680 and 245,760
-        assert report.attack_queries <= report.bound == complexity_bound(n, 3, l)
+        assert report.attack_queries <= report.bound == complexity_bound(n, 3, report.l)
         assert len(report.level_queries) == 3
         assert sum(report.level_queries) == report.attack_queries
         outcome = verify_multicollision(oracle.clone(), sched, 0, mc)
         assert outcome.ok and outcome.complete and outcome.checked == 2 ** k
+
+
+class TestResumedLevelWalk:
+    """A level candidate resumes the previous candidate's walk at the first
+    slot, in read order, where their blocks differ.  Every level must equal
+    tests/support.py::rewalk_level, which hashes each candidate's span from
+    its start."""
+
+    @staticmethod
+    def _run(monkeypatch, walk, attack):
+        levels = []
+
+        def logged(*args):
+            levels.append(walk(*args))
+            return levels[-1]
+
+        monkeypatch.setattr(attacks, "_walk_level", logged)
+        return (levels, *attack())
+
+    @pytest.mark.parametrize("build", [_mirror_one_part, lambda: _doubled_letter(8)])
+    def test_hand_built_certificates_read_a_slot_twice(self, build):
+        alpha, cert = build()
+        assert verify_attack_structure(alpha, cert.n, cert.k, cert)
+        assert any(part.count(x) > 1 for part in split_word(alpha, cert.splits)
+                   for x in cert.subalphabet)
+
+    @pytest.mark.parametrize("case", LEVEL_WALK_CASES)
+    def test_levels_equal_the_rewalk_reference(self, monkeypatch, case):
+        attack = LEVEL_WALK_CASES[case]
+        levels, mc, report = self._run(monkeypatch, _walk_level, attack)
+        expected, ref_mc, ref_report = self._run(monkeypatch, rewalk_level, attack)
+        # per level: the groups, the outgoing state and the stage queries
+        assert levels == expected
+        assert mc == ref_mc and report.verify_ok
+        assert report.stage_queries == ref_report.stage_queries
+        assert report.level_queries == ref_report.level_queries
+        assert report.attack_queries <= report.raw_calls <= ref_report.raw_calls
 
 
 class TestComplexityBound:

@@ -44,7 +44,7 @@ def _library_runs():
 def test_library_outputs_pinned():
     runs = [[mc.to_dict(), report.to_dict()] for mc, report in _library_runs()]
     assert sha256(json.dumps(runs, sort_keys=True)) == (
-        "a9367081cbc30d484e613c53c0fff89f2aed56345cbe1c864a5ba290cdef84c4")
+        "977d5fbd0adb9a0a0d93587b276b3980bdbaa51b76990379c4afd3b2119c0f05")
 
 
 def test_cli_outputs_pinned(tmp_path):
@@ -56,6 +56,6 @@ def test_cli_outputs_pinned(tmp_path):
     assert sha256(body_without_timing(joux.stdout)) == (
         "4a29e29efad625c908e1c701b29b2a19a500f37db631f03616451b48c3592e49")
     assert sha256(body_without_timing(gihf.stdout)) == (
-        "d3821ded60c91de96a69066041c58340181202f144c701ae4bba739b9f98f26f")
+        "e3decf0b3df87620f04a48a1aa0b9f2648d53a0ece715c7e1c23171c6fc3e86f")
     assert sha256(mc.read_bytes()) == (
         "a6843b7cd3f6e5edd6c684e857d132a3de3725287d72aa3c9357d95bcba8d443")

@@ -10,13 +10,14 @@ from gihflab.words import (
     format_word,
     format_words,
     is_permutation,
-    is_q_bounded,
     parse_words,
     project,
     split_word,
     word,
     word_stats,
 )
+
+from support import is_q_bounded
 
 
 def random_word(rng, max_len=12, max_sym=5):
