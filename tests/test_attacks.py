@@ -583,13 +583,6 @@ class TestGeneralizedAttack:
             assert report.verify_ok
             assert report.attack_queries <= complexity_bound(8, 2, attack_threshold(8, r, 2))
 
-    def test_collapse_levels_compress_about_once_per_query(self):
-        # each candidate resumes the previous one's walk; hashing every
-        # candidate's span from its start made 4.47x the queries here
-        _, report = _two_permutation_attack(12, 73)
-        assert report.verify_ok
-        assert report.attack_queries <= report.raw_calls <= 1.05 * report.attack_queries
-
     def test_bound_holds_across_ten_seeded_runs(self):
         for n, seeds in ((8, range(8)), (16, range(2))):
             for seed in seeds:
@@ -610,7 +603,8 @@ class TestThreeLevelAttack:
         oracle, sched, mc, report = _certified_attack(alpha, cert, 3, 60 + k)
         assert report.verify_ok and report.p == 3 and report.r == k
         # the bound covers the l letters attacked: 7,680 and 245,760
-        assert report.attack_queries <= report.bound == complexity_bound(n, 3, report.l)
+        l = n ** 4 * k ** 5
+        assert report.attack_queries <= report.bound == complexity_bound(n, 3, l)
         assert len(report.level_queries) == 3
         assert sum(report.level_queries) == report.attack_queries
         outcome = verify_multicollision(oracle.clone(), sched, 0, mc)
@@ -652,6 +646,10 @@ class TestResumedLevelWalk:
         assert report.stage_queries == ref_report.stage_queries
         assert report.level_queries == ref_report.level_queries
         assert report.attack_queries <= report.raw_calls <= ref_report.raw_calls
+        if case.startswith("two-permutations"):
+            # each candidate resumes the previous one's walk; hashing every
+            # candidate's span from its start made 4.47x the queries at n = 12
+            assert report.raw_calls <= 1.05 * report.attack_queries
 
 
 class TestComplexityBound:
