@@ -22,11 +22,13 @@ expanded messages together in one pass along that word on a
 counter-isolated clone, so audit queries never pollute the attack cost.
 The pass keeps only the picks of the groups still being read, so a Joux
 2^r-collision costs 2r compressions, not r * 2^r, and it hashes runs of
-fixed blocks with hashsim.f_plus.  The expansion cap bounds that frontier;
-a set that outgrows it is sampled instead, with cap distinct messages drawn
-by a seeded walk over the 2^r selections.  Sampled messages, and sets of at
-most eight messages, where the pass saves next to nothing, are hashed one
-message at a time with hashsim.f_alpha, the iterated compression itself.
+fixed blocks with hashsim.f_plus.  A group read once, as every Joux group
+is, joins, is hashed and merges in one frontier step and never enters the
+key.  The expansion cap bounds that frontier; a set that outgrows it is
+sampled instead, with cap distinct messages drawn by a seeded walk over the
+2^r selections.  Sampled messages, and sets of at most eight messages, are
+hashed one message at a time with hashsim.f_alpha, the iterated compression
+itself, which stops at a hostile set's second digest.
 """
 
 from __future__ import annotations
@@ -63,11 +65,14 @@ DEFAULT_A_TILDE = 2.5
 DEFAULT_EXPANSION_CAP = 1 << 16
 # Sets of at most this many messages, the q=2 attack's 4-message sets among
 # them, are hashed one message at a time rather than by the one-pass
-# frontier.  At that size the frontier's dict rebuilds save little or
-# nothing (CPython 3.11: 1.0-1.4x the time of separate hashing at 2 and 4
-# messages, and 17 vs 25 us for a Joux 2^3-set).  Separate hashing also
-# keeps the 8 * 3 compress calls that bench/test_perfbench.py traces for
-# the verification of a Joux 2^3-set.
+# frontier.  Since a group read once takes one frontier step, the frontier
+# is as fast or faster at these sizes (CPython 3.11.7, medians on fresh
+# oracle clones, separate vs frontier: Joux 2^1-set 4.7 vs 4.9 us, 2^2-set
+# 11 vs 8 us, 2^3-set 23 vs 10 us, the genuine q=2 4-message set at n = 16,
+# l = 993 3.2 vs 3.0 ms), though only separate hashing stops at a hostile
+# set's second digest.  The constant stays only for the 8 * 3 compress
+# calls that bench/test_perfbench.py traces for the verification of a Joux
+# 2^3-set, until ROADMAP item 5 removes that figure with this branch.
 SEPARATE_HASHING_MAX = 8
 
 
@@ -149,13 +154,14 @@ class MulticollisionSet:
     def from_dict(cls, data: dict) -> "MulticollisionSet":
         """Inverse of to_dict; raises KeyError, TypeError or ValueError on
         malformed data, including any non-integer field."""
-        length, r = integers((data["length"], data["r"]))
-        groups = tuple(
-            CollisionGroup(integers(g["positions"]), tuple(integers(c) for c in g["choices"]))
-            for g in data["groups"]
-        )
-        base_blocks = dict(map(integers, data["base_blocks"]))
-        return cls(length=length, groups=groups, base_blocks=base_blocks, r=r)
+        length, r = data["length"], data["r"]
+        groups = tuple(CollisionGroup(tuple(g["positions"]), tuple(map(tuple, g["choices"])))
+                       for g in data["groups"])
+        base = tuple(map(tuple, data["base_blocks"]))
+        # every integer field in one check
+        integers(chain((length, r), *(g.positions for g in groups),
+                       *(c for g in groups for c in g.choices), *base))
+        return cls(length=length, groups=groups, base_blocks=dict(base), r=r)
 
 
 @dataclass(frozen=True)
@@ -296,8 +302,11 @@ def _frontier_digests(oracle: CompressionOracle, alpha, h0: int, mc: Multicollis
     both behind and ahead of the pass, to the set of states their messages
     reach.  A group's pick joins the key at its first occurrence and leaves
     it after its last, where the state sets of its picks merge: the rest of
-    the word never reads its blocks again.  Runs of base positions are
-    hashed with f_plus, state by state.
+    the word never reads its blocks again.  A group read only once does all
+    three in one step: each key's states are hashed with every choice and
+    merged in place, after the same cap check as a join, so the key never
+    holds its pick.  Runs of base positions are hashed with f_plus, state by
+    state.
     """
     compress = oracle.compress
     owner = {pos: (gi, at) for gi, group in enumerate(mc.groups)
@@ -317,6 +326,12 @@ def _frontier_digests(oracle: CompressionOracle, alpha, h0: int, mc: Multicollis
             if gi not in live:
                 if sum(map(len, frontier.values())) * len(choices) > cap:
                     return None
+                if remaining[gi] == 1:
+                    # read once: join, hash and merge in one step
+                    frontier = {key: {compress(state, choice[at])
+                                      for state in states for choice in choices}
+                                for key, states in frontier.items()}
+                    continue
                 live.append(gi)
                 frontier = {key + (pick,): states for key, states in frontier.items()
                             for pick in range(len(choices))}

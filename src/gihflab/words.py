@@ -22,8 +22,8 @@ Alphabet = frozenset[int]
 
 def word(symbols: Iterable[int]) -> Word:
     """Normalize an iterable of symbols to a Word, rejecting negatives."""
-    w = tuple(int(s) for s in symbols)
-    if any(s < 0 for s in w):
+    w = tuple(map(int, symbols))
+    if min(w, default=0) < 0:
         raise ValueError("symbols must be non-negative integers")
     return w
 
@@ -41,7 +41,7 @@ class WordStats:
 def integers(values: Iterable) -> tuple[int, ...]:
     """The values as a tuple, rejecting anything but integers (bools too)."""
     values = tuple(values)
-    if any(type(v) is not int for v in values):
+    if not set(map(type, values)) <= {int}:
         raise ValueError("fields must hold integers only")
     return values
 

@@ -9,10 +9,11 @@ independent routes.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from collections import Counter
+from itertools import combinations, groupby, permutations
 
 from gihflab.attacks import CollisionGroup
-from gihflab.hashsim import derive_seed, mix64
+from gihflab.hashsim import derive_seed, f_plus, mix64
 from gihflab.regularity import StructureCertificate, _span_conflicts, verify_structure
 from gihflab.words import first_occurrence_order, split_word, word_stats
 
@@ -20,6 +21,25 @@ from gihflab.words import first_occurrence_order, split_word, word_stats
 def is_q_bounded(w, q: int) -> bool:
     """True iff every symbol occurs at most q times in w."""
     return word_stats(w).max_count <= q
+
+
+def reference_integers(values):
+    """words.integers as a per-value loop: the values as a tuple, rejecting
+    anything whose type is not exactly int."""
+    values = tuple(values)
+    for value in values:
+        if type(value) is not int:
+            raise ValueError("fields must hold integers only")
+    return values
+
+
+def reference_word(symbols):
+    """words.word by per-symbol generators: int() of every symbol, then a
+    rejection if any is negative."""
+    w = tuple(int(s) for s in symbols)
+    if any(s < 0 for s in w):
+        raise ValueError("symbols must be non-negative integers")
+    return w
 
 
 def random_bounded_word(rng: random.Random, alphabet_size: int, q: int,
@@ -183,6 +203,46 @@ def enumerated_digests(oracle, alpha, h0: int, mc):
             state = oracle.compress(state, message[position - 1])
         out.append(state)
     return out
+
+
+def expanding_frontier_digests(oracle, alpha, h0: int, mc, cap: int):
+    """attacks._frontier_digests without the one-step merge: every group's
+    pick joins the key at its first occurrence, each occurrence rebuilds the
+    frontier, and the state sets of its picks merge after its last, even for
+    a group read once.  Same arguments and result: the digest set, or None
+    as soon as the frontier would exceed cap (key, state) pairs."""
+    compress = oracle.compress
+    owner = {pos: (gi, at) for gi, group in enumerate(mc.groups)
+             for at, pos in enumerate(group.positions)}
+    remaining = Counter(owner[pos][0] for pos in alpha if pos in owner)
+    live: list = []  # the groups whose picks make up the key, in key order
+    frontier = {(): {h0}}
+    for in_group, run in groupby(alpha, owner.__contains__):
+        if not in_group:
+            blocks = [mc.base_blocks[pos] for pos in run]
+            frontier = {key: {f_plus(oracle, state, blocks) for state in states}
+                        for key, states in frontier.items()}
+            continue
+        for pos in run:
+            gi, at = owner[pos]
+            choices = mc.groups[gi].choices
+            if gi not in live:
+                if sum(map(len, frontier.values())) * len(choices) > cap:
+                    return None
+                live.append(gi)
+                frontier = {key + (pick,): states for key, states in frontier.items()
+                            for pick in range(len(choices))}
+            k = live.index(gi)
+            frontier = {key: {compress(state, choices[key[k]][at]) for state in states}
+                        for key, states in frontier.items()}
+            remaining[gi] -= 1
+            if not remaining[gi]:
+                del live[k]
+                merged: dict = {}
+                for key, states in frontier.items():
+                    merged.setdefault(key[:k] + key[k + 1:], set()).update(states)
+                frontier = merged
+    return frontier[()]
 
 
 def reference_compress(seed: int, n: int, h: int, b: int) -> int:

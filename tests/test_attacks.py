@@ -2,6 +2,8 @@ import random
 import statistics
 import time
 import tracemalloc
+from collections import Counter
+from enum import IntEnum
 
 import pytest
 
@@ -41,6 +43,8 @@ from gihflab.words import split_word
 
 from support import (
     enumerated_digests,
+    expanding_frontier_digests,
+    random_bounded_word,
     random_two_permutation_word,
     reference_joux_pairs,
     reference_table_collision,
@@ -343,6 +347,44 @@ def _two_permutation_set(seed):
     return o, sched, generalized_attack(o, sched, 2, 6, 2)[0]
 
 
+def _mixed_set(rng):
+    """A hand-built set over a random 2-bounded word, with the alpha it is
+    hashed along: one- and two-position groups of 2 to 4 choices, read once
+    or more, between base positions.  At n = 4 states often merge."""
+    length = rng.randint(3, 9)
+    alpha = random_bounded_word(rng, length, 2)
+    free = list(range(1, length + 1))
+    rng.shuffle(free)
+    groups = []
+    for _ in range(rng.randint(1, 4)):
+        width = min(rng.choice((1, 1, 2)), len(free))
+        if not width:
+            break
+        positions = tuple(free.pop() for _ in range(width))
+        choices, count = set(), rng.randint(2, 4)
+        while len(choices) < count:
+            choices.add(tuple(rng.getrandbits(8) for _ in positions))
+        groups.append(CollisionGroup(positions, tuple(sorted(choices))))
+    base = {pos: rng.getrandbits(8) for pos in free}
+    o = CompressionOracle(4, 8, seed=rng.getrandbits(32))
+    return o, alpha, MulticollisionSet(length, tuple(groups), base, 1)
+
+
+def _boundary_cap(o, alpha, mc):
+    """The smallest cap at which the expanding reference pass completes."""
+    def fits(cap):
+        return expanding_frontier_digests(o.clone(), alpha, 0, mc, cap) is not None
+
+    high = 1
+    while not fits(high):
+        high *= 2
+    low = high // 2  # 0, or a cap that does not fit
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if fits(mid) else (mid, high)
+    return high
+
+
 class TestOnePassVerifier:
     """The one-pass verifier against hashing every message on its own."""
 
@@ -377,6 +419,50 @@ class TestOnePassVerifier:
                 verdicts.append(expected)
         assert verdicts[::4] == [True] * 8
         assert verdicts.count(False) >= 8
+
+    def _reference_cases(self, source, rng):
+        if source == "mixed":
+            for _ in range(40):
+                yield _mixed_set(rng)
+            return
+        if source == "joux":
+            sets = []
+            for r in range(1, 9):
+                o = CompressionOracle(8, 16, seed=450 + r)
+                sets.append((o, identity_schedule(), joux_attack(o, 0, r)[0]))
+        else:
+            sets = [self.SOURCES[source](seed) for seed in range(400, 404)]
+        for o, sched, genuine in sets:
+            alpha = sched.generator(genuine.length)
+            for mc in [genuine] + [_flipped(genuine, rng, o.m) for _ in range(3)]:
+                yield o, alpha, mc
+
+    @pytest.mark.parametrize("source", ["joux", "mirror", "two-permutation", "mixed"])
+    def test_matches_expanding_reference(self, source):
+        # a group read once joins, is hashed and merges in one step, where
+        # the reference rebuilds the frontier three times; both stop at the
+        # same cap and query the same (state, block) pairs
+        rng = random.Random(f"expanding:{source}")
+        kinds = Counter()  # sets by the read-more-than-once flags of their groups
+        for o, alpha, mc in self._reference_cases(source, rng):
+            reads = Counter(alpha)
+            flags = {sum(reads[pos] for pos in g.positions) > 1 for g in mc.groups}
+            kinds[tuple(sorted(flags))] += 1
+            boundary = _boundary_cap(o, alpha, mc)
+            for cap in (1 << 16, boundary, boundary - 1):
+                reference, passed = o.clone(), o.clone()
+                expected = expanding_frontier_digests(reference, alpha, 0, mc, cap)
+                assert _frontier_digests(passed, alpha, 0, mc, cap) == expected
+                assert (expected is None) == (cap < boundary)
+                assert passed.query_count == reference.query_count
+                assert passed.raw_calls == reference.raw_calls
+        # Joux reads every group once, the q=2 attacks every group twice
+        if source == "joux":
+            assert set(kinds) == {(False,)}
+        elif source == "mixed":
+            assert kinds[(False, True)] >= 8
+        else:
+            assert set(kinds) == {(True,)}
 
     def test_joux_two_to_the_64(self):
         o = CompressionOracle(16, 24, seed=41)
@@ -489,6 +575,25 @@ class TestVerifierRejectsHostileSets:
         else:
             data[field] = value
         with pytest.raises((TypeError, ValueError)):
+            MulticollisionSet.from_dict(data)
+
+    @pytest.mark.parametrize("value", [3.0, "3", True, None, IntEnum("E", "A").A],
+                             ids=["float", "str", "bool", "none", "int-enum"])
+    @pytest.mark.parametrize("path", [
+        ("length",), ("r",), ("groups", 0, "positions", 1), ("groups", 0, "choices", 1, 0),
+        ("base_blocks", 1, 0), ("base_blocks", 1, 1),
+    ], ids=["length", "r", "position", "choice-block", "base-position", "base-block"])
+    def test_from_dict_rejects_a_non_integer_in_each_field(self, path, value):
+        mc = MulticollisionSet(5, (CollisionGroup((2, 4), ((5, 6), (7, 8))),),
+                               {1: 9, 3: 10, 5: 11}, 1)
+        data = mc.to_dict()
+        assert MulticollisionSet.from_dict(data) == mc
+        *where, last = path
+        target = data
+        for key in where:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ValueError, match="integers only"):
             MulticollisionSet.from_dict(data)
 
 

@@ -293,6 +293,26 @@ class TestVerifyCollisionHostileFiles:
         data = dict(genuine, alpha=[genuine["multicollision"]["base_blocks"][0][0]])
         assert "error" not in self.verify(tmp_path, data)
 
+    @pytest.mark.parametrize("path", [
+        ("multicollision", "length"), ("multicollision", "r"),
+        ("multicollision", "groups", 0, "positions", 0),
+        ("multicollision", "groups", 1, "choices", 0, 0),
+        ("multicollision", "base_blocks", 2, 0), ("multicollision", "base_blocks", 2, 1),
+        ("h0",), ("alpha", 5),
+    ], ids=["length", "r", "position", "choice-block", "base-position", "base-block", "h0",
+            "alpha"])
+    def test_one_non_integer_field(self, tmp_path, genuine, path):
+        # whichever field holds it, one non-integer gets the same report
+        data = json.loads(json.dumps(genuine))
+        *where, last = path
+        target = data
+        for key in where:
+            target = target[key]
+        target[last] = 1.5
+        assert self.verify(tmp_path, data) == {
+            "ok": False,
+            "error": "malformed collision file: ValueError: fields must hold integers only"}
+
     @pytest.mark.parametrize("payload", [
         {"n": 8, "m": 16, "oracle_seed": 1, "h0": 0, "alpha": [1],
          "multicollision": {"length": 1}},

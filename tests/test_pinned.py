@@ -4,14 +4,17 @@ The determinism tests compare two runs of one checkout, so they cannot see
 a change that moves every seeded output the same way.  These digests were
 taken once the first attack level searched its pairs with the same table
 search as every later level; a change that alters seeded blocks, query
-counts or report fields on purpose must say so and update them.
+counts or report fields on purpose must say so and update them.  The
+`verify collision` report digests were taken before the verifier hashed a
+group read once in one frontier step, which changes no report.
 """
 
 import hashlib
 import json
 import random
 
-from gihflab.attacks import generalized_attack, joux_attack
+from gihflab import cli
+from gihflab.attacks import generalized_attack, joux_attack, verify_multicollision
 from gihflab.hashsim import CompressionOracle, identity_schedule, schedule_from_words
 from gihflab.nesting import attack_threshold
 
@@ -41,6 +44,15 @@ def _library_runs():
                              _two_permutation_schedule(4, 2, 43), 2, 4, 2, h0=5)
 
 
+def _verify_body(path) -> str:
+    """The `verify collision` report on the file at path, timing aside,
+    with the file named by its base name."""
+    proc = run_cli("verify", "collision", "--mc", str(path))
+    report = json.loads(body_without_timing(proc.stdout))
+    report["config"]["mc"] = path.name
+    return json.dumps(report, sort_keys=True)
+
+
 def test_library_outputs_pinned():
     runs = [[mc.to_dict(), report.to_dict()] for mc, report in _library_runs()]
     assert sha256(json.dumps(runs, sort_keys=True)) == (
@@ -59,3 +71,18 @@ def test_cli_outputs_pinned(tmp_path):
         "e3decf0b3df87620f04a48a1aa0b9f2648d53a0ece715c7e1c23171c6fc3e86f")
     assert sha256(mc.read_bytes()) == (
         "a6843b7cd3f6e5edd6c684e857d132a3de3725287d72aa3c9357d95bcba8d443")
+    assert sha256(_verify_body(mc)) == (
+        "8fba6f5c1e6f96d5162ef65a3bb049c9eb848a81434051c72a72eb265ee3ae12")
+
+
+def test_verify_joux_pinned(tmp_path):
+    mc = tmp_path / "joux.json"
+    run_cli("attack", "joux", "--n", "16", "--m", "24", "--r", "16", "--seed", "7",
+            "--mc-out", str(mc))
+    assert sha256(_verify_body(mc)) == (
+        "07e2a7f719bb555e29729ccf0014e829a50f1af6cf3af5987ffec2c7488a335d")
+    # the one-pass frontier hashes both choices of each of the 16 stages once
+    oracle, sched, h0, multicollision = cli._read_collision(str(mc))
+    outcome = verify_multicollision(oracle, sched, h0, multicollision)
+    assert outcome.ok and outcome.complete and outcome.checked == 2 ** 16
+    assert oracle.raw_calls == 2 * 16

@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 
 import pytest
 
@@ -9,6 +10,7 @@ from gihflab.words import (
     first_occurrence_order,
     format_word,
     format_words,
+    integers,
     is_permutation,
     parse_words,
     project,
@@ -17,7 +19,7 @@ from gihflab.words import (
     word_stats,
 )
 
-from support import is_q_bounded
+from support import is_q_bounded, reference_integers, reference_word
 
 
 def random_word(rng, max_len=12, max_sym=5):
@@ -145,3 +147,50 @@ class TestWordFiles:
     def test_empty_line_is_empty_word(self):
         assert parse_words("\n") == [()]
         assert format_word(()) == ""
+
+
+class Colour(IntEnum):
+    RED = 1
+
+
+def _outcome(decode, values):
+    """The decoded tuple with the type of each item, or the error raised."""
+    try:
+        decoded = decode(values)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return decoded, tuple(map(type, decoded))
+
+
+class TestDecoders:
+    """integers and word accept and reject exactly what their per-value
+    references do."""
+
+    INPUTS = {
+        "empty": (), "ints": (0, 7, 1 << 80), "bool": (True,), "int-and-bool": (1, False),
+        "float": (2.5,), "integral-float": (3.0,), "digit-str": ("3",), "padded-str": (" 7",),
+        "word-str": ("x",), "none": (None,), "int-enum": (Colour.RED,), "negative": (4, -1),
+        "negative-str": ("-4",), "negative-then-bad": ("-1", "x"), "nested": ((1,),),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_integers_matches_reference(self, name):
+        values = self.INPUTS[name]
+        assert _outcome(integers, values) == _outcome(reference_integers, values)
+        assert _outcome(integers, iter(values)) == _outcome(reference_integers, values)
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_word_matches_reference(self, name):
+        values = self.INPUTS[name]
+        assert _outcome(word, values) == _outcome(reference_word, values)
+        assert _outcome(word, iter(values)) == _outcome(reference_word, values)
+
+    def test_what_each_accepts(self):
+        def accepted(decode):
+            return {name for name, values in self.INPUTS.items()
+                    if not isinstance(_outcome(decode, values)[0], type)}
+
+        assert accepted(integers) == {"empty", "ints", "negative"}
+        assert accepted(word) == {"empty", "ints", "bool", "int-and-bool", "float",
+                                  "integral-float", "digit-str", "padded-str", "int-enum"}
+        assert word((Colour.RED, True)) == (1, 1)
