@@ -46,7 +46,6 @@ from .regularity import (
     SearchOutcome,
     StructureCertificate,
     canonical_bounded_words,
-    canonical_form,
     compute_n,
     factorization_count,
     find_structure,

@@ -16,10 +16,12 @@ reproduces the attack byte for byte.  joux_attack, Joux's chained pair
 collisions, is the q=1 case: the identity word 1..r in one part, with no
 filler blocks.
 
-An attack owns its oracle exclusively while it runs.  Verification checks
-the schedule word's coverage of 1..l and its bound, then hashes all 2^r
-expanded messages together in one pass along that word on a
-counter-isolated clone, so audit queries never pollute the attack cost.
+An attack owns its oracle exclusively while it runs.  A schedule is only
+its words, so the attack reads q-boundedness from the word it attacks:
+find_structure rejects a word that is not q-bounded.  Verification checks
+the schedule word's coverage of 1..l, then hashes all 2^r expanded
+messages together in one pass along that word on a counter-isolated clone,
+so audit queries never pollute the attack cost.
 The pass keeps only the picks of the groups still being read, so a Joux
 2^r-collision costs 2r compressions, not r * 2^r, and it hashes runs of
 fixed blocks with hashsim.f_plus.  A group read once, as every Joux group
@@ -153,7 +155,8 @@ class MulticollisionSet:
     @classmethod
     def from_dict(cls, data: dict) -> "MulticollisionSet":
         """Inverse of to_dict; raises KeyError, TypeError or ValueError on
-        malformed data, including any non-integer field."""
+        malformed data, including any non-integer field and any base
+        position given twice."""
         length, r = data["length"], data["r"]
         groups = tuple(CollisionGroup(tuple(g["positions"]), tuple(map(tuple, g["choices"])))
                        for g in data["groups"])
@@ -161,7 +164,10 @@ class MulticollisionSet:
         # every integer field in one check
         integers(chain((length, r), *(g.positions for g in groups),
                        *(c for g in groups for c in g.choices), *base))
-        return cls(length=length, groups=groups, base_blocks=dict(base), r=r)
+        base_blocks = dict(base)
+        if len(base_blocks) != len(base):
+            raise ValueError("a base position is given twice")
+        return cls(length=length, groups=groups, base_blocks=base_blocks, r=r)
 
 
 @dataclass(frozen=True)
@@ -239,18 +245,17 @@ def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
     pairwise distinct messages.
 
     The set is rejected without a query unless it is well formed, the word
-    covers 1..l within the schedule's declared bound, h0 and every block
-    lie in the oracle's ranges, and no group repeats a choice: the groups
-    cover disjoint nonempty positions, so that is exactly the distinctness
-    of the messages.  A set of at most SEPARATE_HASHING_MAX (and at most
-    `cap`) messages then has each message hashed on its own; a larger one
-    has all its messages hashed together in one pass over the word, whose
-    frontier of (live picks, state) pairs `cap` bounds.  A set whose
-    frontier would outgrow `cap` is sampled instead and flagged
-    complete=False: min(cap, 2^r) pairwise distinct messages, drawn by a
-    seeded walk over the selection indices, are each hashed on their own.
-    checked counts the messages verified, 0 on rejection.  Raises
-    ValueError if cap < 1.
+    covers 1..l, h0 and every block lie in the oracle's ranges, and no
+    group repeats a choice: the groups cover disjoint nonempty positions,
+    so that is exactly the distinctness of the messages.  A set of at most
+    SEPARATE_HASHING_MAX (and at most `cap`) messages then has each message
+    hashed on its own; a larger one has all its messages hashed together in
+    one pass over the word, whose frontier of (live picks, state) pairs
+    `cap` bounds.  A set whose frontier would outgrow `cap` is sampled
+    instead and flagged complete=False: min(cap, 2^r) pairwise distinct
+    messages, drawn by a seeded walk over the selection indices, are each
+    hashed on their own.  checked counts the messages verified, 0 on
+    rejection.  Raises ValueError if cap < 1.
     """
     if cap < 1:
         raise ValueError(f"verification cap {cap} must be >= 1")
@@ -544,9 +549,6 @@ def generalized_attack(oracle: CompressionOracle, sched: Schedule, q: int,
         raise ValueError("occurrence bound q must be >= 1")
     if n_param != oracle.n:
         raise ValueError(f"n_param {n_param} != oracle hash length {oracle.n}")
-    if sched.q_bound > q:
-        raise ValueError(
-            f"schedule declares bound {sched.q_bound}, exceeding q = {q}")
     # refuse, unbuilt, a word find_structure would refuse: its count grows
     # with the length, and at q >= 2 passes the cap by cap + 2 letters, so
     # the length needs building only past that check, where it is small

@@ -113,13 +113,13 @@ def _read_collision(path: str):
 
     def word(l: int):
         # the file's word serves its own length; the verifier checks its
-        # coverage and bound, and (asking only once the set's size checks
-        # pass) rejects it unless it is the labelled schedule's word
+        # coverage and (asking only once the set's size checks pass)
+        # rejects it unless it is the labelled schedule's word
         if named is not None and alpha != tuple(named.generator(l)):
             raise ValueError(f"alpha is not the {name} word for length {l}")
         return alpha
 
-    return oracle, Schedule(name, word_stats(alpha).max_count, word), h0, mc
+    return oracle, Schedule(name, word), h0, mc
 
 
 def _write_mc(path: str, mc: MulticollisionSet, report, sched: Schedule) -> None:

@@ -20,7 +20,7 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .words import Word, word_stats
+from .words import Word
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -145,50 +145,42 @@ def f_alpha(oracle: CompressionOracle, h: int, blocks: Sequence[int],
 class Schedule:
     """Family of schedule words, one per message block count.
 
-    generator(l) must return a word over {1..l} using every symbol, with no
-    symbol occurring more than q_bound times.
+    generator(l) must return a word over {1..l} using every symbol.  A
+    schedule holds nothing but its words: how often a word repeats a symbol
+    is read from the word itself, by whoever needs it.
     """
 
     name: str
-    q_bound: int
     generator: Callable[[int], Word] = field(repr=False)
 
 
 def identity_schedule() -> Schedule:
     """Traditional iterated hashing: block i is consumed once, in order."""
-    return Schedule("identity", 1, lambda l: tuple(range(1, l + 1)))
+    return Schedule("identity", lambda l: tuple(range(1, l + 1)))
 
 
 def mirror_schedule() -> Schedule:
     """2-bounded palindromic schedule 1 2 .. l l .. 2 1."""
-    return Schedule(
-        "mirror", 2,
-        lambda l: tuple(range(1, l + 1)) + tuple(range(l, 0, -1)),
-    )
+    return Schedule("mirror", lambda l: tuple(range(1, l + 1)) + tuple(range(l, 0, -1)))
 
 
 def schedule_from_words(words: Sequence[Word], name: str = "file") -> Schedule:
     """Schedule backed by an explicit word list; words[l-1] serves length l."""
     words = [tuple(w) for w in words]
-    bound = max((word_stats(w).max_count for w in words if w), default=1)
 
     def generator(l: int) -> Word:
         if not 1 <= l <= len(words) or not words[l - 1]:
             raise ValueError(f"schedule provides no word for message length {l}")
         return words[l - 1]
 
-    return Schedule(name, bound, generator)
+    return Schedule(name, generator)
 
 
 def validate_schedule_word(sched: Schedule, l: int) -> Word:
-    """Materialize and sanity-check one schedule word."""
+    """Materialize one schedule word and check that it covers 1..l."""
     w = tuple(sched.generator(l))
-    stats = word_stats(w)
-    if stats.alphabet != frozenset(range(1, l + 1)):
+    if set(w) != set(range(1, l + 1)):
         raise ValueError(f"schedule word for l={l} does not cover 1..{l}")
-    if stats.max_count > sched.q_bound:
-        raise ValueError(
-            f"schedule word for l={l} exceeds declared bound {sched.q_bound}")
     return w
 
 

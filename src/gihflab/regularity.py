@@ -265,23 +265,9 @@ def extremal_witness(m: int) -> Word:
     return tuple(out)
 
 
-def canonical_form(w: Word) -> Word:
-    """Rename symbols by first occurrence to 1, 2, 3, ...
-
-    Two words have equal canonical forms iff they differ by a symbol
-    bijection.
-    """
-    names: dict = {}
-    out = []
-    for s in w:
-        if s not in names:
-            names[s] = len(names) + 1
-        out.append(names[s])
-    return tuple(out)
-
-
 def canonical_bounded_words(size: int, q: int) -> Iterator[Word]:
-    """All canonical q-bounded words whose alphabet is exactly {1..size}.
+    """All canonical q-bounded words whose alphabet is exactly {1..size}:
+    those whose letters first occur in the order 1, 2, 3, ...
 
     Enumeration is depth-first, on the explicit `current` stack: extend by
     any already-used letter still below its occurrence cap, or by the next

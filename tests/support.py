@@ -23,6 +23,21 @@ def is_q_bounded(w, q: int) -> bool:
     return word_stats(w).max_count <= q
 
 
+def canonical_form(w):
+    """Rename symbols by first occurrence to 1, 2, 3, ...
+
+    Two words have equal canonical forms iff they differ by a symbol
+    bijection.
+    """
+    names: dict = {}
+    out = []
+    for s in w:
+        if s not in names:
+            names[s] = len(names) + 1
+        out.append(names[s])
+    return tuple(out)
+
+
 def reference_integers(values):
     """words.integers as a per-value loop: the values as a tuple, rejecting
     anything whose type is not exactly int."""

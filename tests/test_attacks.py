@@ -534,11 +534,6 @@ class TestVerifierRejectsHostileSets:
         forged = schedule_from_words([()] * (mc.length - 1) + [(min(mc.base_blocks),)])
         assert not verify_multicollision(o.clone(), forged, 0, mc)
 
-    def test_rejects_word_above_declared_bound(self):
-        o, mc = self._mirror()
-        understated = Schedule("mirror", 1, mirror_schedule().generator)
-        assert not verify_multicollision(o.clone(), understated, 0, mc)
-
     @pytest.mark.parametrize("where", ["base", "group", "negative"])
     def test_rejects_out_of_range_block(self, where):
         o, mc = self._mirror()
@@ -658,7 +653,7 @@ class TestGeneralizedAttack:
         with pytest.raises(ValueError):
             generalized_attack(o, mirror_schedule(), 2, 16, 2)  # n mismatch
         with pytest.raises(ValueError):
-            generalized_attack(o, mirror_schedule(), 1, 8, 2)  # schedule bound > q
+            generalized_attack(o, mirror_schedule(), 1, 8, 2)  # word not 1-bounded
         with pytest.raises(ValueError):
             generalized_attack(o, mirror_schedule(), 2, 8, 0)
 
@@ -677,7 +672,7 @@ class TestGeneralizedAttack:
 
         o = CompressionOracle(4, 8, seed=34)
         with pytest.raises(ValueError, match="factorizations"):
-            generalized_attack(o, Schedule("never", 3, generator), 3, 4, 1)
+            generalized_attack(o, Schedule("never", generator), 3, 4, 1)
 
     def test_mirror_multicollisions_stay_polynomial(self):
         # 2-bounded mirror schedules yield verified collisions with query

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,6 +11,9 @@ import pytest
 from gihflab import cli
 from gihflab.attacks import generalized_attack, joux_attack, verify_multicollision
 from gihflab.hashsim import CompressionOracle, identity_schedule, mirror_schedule
+from gihflab.words import format_words, word_stats
+
+from support import random_two_permutation_word
 
 CLI = [sys.executable, "-m", "gihflab.cli"]
 
@@ -174,6 +178,36 @@ class TestAttackCommands:
         assert proc.returncode == 1
         assert report_of(proc)["result"]["ok"] is False
 
+    def test_file_schedule_judged_by_the_attacked_word(self, tmp_path):
+        # the length-1 word is 3-bounded, but a q=2 attack reads only the
+        # 2-bounded word of the length it attacks, l = 241
+        words = [(1, 1, 1)] + [()] * 239 + [random_two_permutation_word(random.Random(18), 241)]
+        schedule = tmp_path / "schedule.txt"
+        schedule.write_text(format_words(words))
+        proc = run_cli("attack", "gihf", "--n", "8", "--m", "16", "--q", "2", "--r", "2",
+                       "--schedule", "file", "--schedule-file", str(schedule), "--seed", "5")
+        result = report_of(proc)["result"]
+        assert result["l"] == 241 and result["verify_ok"] is True
+
+    def test_verify_collision_counts_no_word(self, tmp_path, monkeypatch, capsys):
+        # the verifier checks coverage only; no layer counts the word's letters
+        mc = tmp_path / "mc.json"
+        assert cli.main(["attack", "gihf", "--n", "8", "--m", "16", "--q", "2", "--r", "2",
+                         "--schedule", "mirror", "--seed", "5", "--mc-out", str(mc)]) == 0
+        capsys.readouterr()
+        calls = []
+
+        def counted(w, count=word_stats):
+            calls.append(w)
+            return count(w)
+
+        for module in list(sys.modules.values()):
+            if vars(module).get("word_stats") is word_stats:
+                monkeypatch.setattr(module, "word_stats", counted)
+        assert cli.main(["verify", "collision", "--mc", str(mc)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["ok"] is True
+        assert calls == []
+
     def test_joux_above_two_to_the_16_checked_in_full(self, tmp_path):
         mc = tmp_path / "mc.json"
         run_cli("attack", "joux", "--n", "8", "--m", "16", "--r", "20", "--seed", "5",
@@ -247,6 +281,16 @@ class TestVerifyCollisionHostileFiles:
         else:
             mc["groups"][1]["choices"][0][0] = 1 << 16
         assert "error" not in self.verify(tmp_path, data)
+
+    def test_repeated_base_position(self, tmp_path, genuine):
+        # an earlier entry with another block would be dropped silently by
+        # a dict that keeps the last one, and the genuine set would verify
+        data = json.loads(json.dumps(genuine))
+        base = data["multicollision"]["base_blocks"]
+        pos, blk = base[3]
+        base.insert(3, [pos, blk ^ 1])
+        assert self.verify(tmp_path, data)["error"] == (
+            "malformed collision file: ValueError: a base position is given twice")
 
     @pytest.fixture(scope="class")
     def joux(self, tmp_path_factory):

@@ -12,7 +12,6 @@ from gihflab.regularity import (
     SearchOutcome,
     StructureCertificate,
     canonical_bounded_words,
-    canonical_form,
     capped_power,
     compute_n,
     factorization_count,
@@ -32,6 +31,7 @@ from gihflab.words import (
 from support import (
     admissible_splits,
     brute_force_structure,
+    canonical_form,
     plain_structure,
     random_bounded_word,
     random_two_permutation_word,
