@@ -5,8 +5,8 @@ schedule word into parts that condense to permutations of a subalphabet B,
 and one level walker hashes each part, running one table search
 (hashsim.table_collision) for each of the nesting.level_blocks equal blocks
 of B-positions it is cut into.  Every level searches the same way; only its
-candidates differ.  Level 1 cuts into singletons and searches fresh sampler
-blocks for a pair per B-position, as Joux does per stage; each later level
+candidates differ.  Level 1 cuts into singletons and searches the sampler's
+raw blocks for a pair per B-position, as Joux does per stage; each later level
 collapses the >= 2^n combinations of the groups a block inherits.  Those
 candidates come in product order, so consecutive ones share every step of
 their span before the first slot where their blocks differ; each resumes
@@ -39,6 +39,7 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain, groupby, islice, product
 from typing import Iterator, Optional, Sequence
 
@@ -175,10 +176,13 @@ class AttackReport:
     """Outcome and exact cost accounting of one attack run.
 
     attack_queries counts distinct compression queries spent by the attack
-    itself; raw_calls counts every compress call the attack made, repeated
-    evaluations of known pairs included.  A level candidate resumes the
-    previous candidate's walk instead of re-walking its span, so raw_calls
-    stays within about 1% of attack_queries on the q=2 attack.
+    itself; raw_calls counts every compress call the attack made, the
+    distinct queries plus the repeated evaluations of known pairs.  Level 1
+    draws raw sampler blocks, one compress call per draw on a one-symbol
+    span, so a Joux attack's raw_calls equals its attack_queries.  A later
+    level's candidate resumes the previous candidate's walk instead of
+    re-walking its span, so raw_calls stays within about 1% of
+    attack_queries on the q=2 attack.
     stage_queries gives the per-stage split (per pair collision for
     the first level, per collapsed group afterwards), which also records the
     per-position reading of the first-level cost estimate next to the
@@ -372,14 +376,17 @@ def _walk_level(oracle, part, units, fillers, state):
     """Hash one part of the schedule word and find one collision per unit.
 
     A unit is (positions, candidates): message positions whose occurrences
-    form one span of the part, and block tuples aligned with them.  Filler
-    blocks before each span are hashed; table_collision then hashes the
-    span per candidate, in draw order, until two candidates reach one
-    outgoing state.  A span of more than one symbol is walked by
-    _resumed_walk: each candidate resumes the previous candidate's walk at
-    the first slot where their blocks differ, not at the span's start.
-    Returns the new groups, the part's outgoing state and the distinct
-    queries of each search.
+    form one span of the part, and block tuples aligned with them, or, at
+    the first level, the BlockSampler itself, whose raw blocks fill the
+    unit's one position.  Filler blocks before each span are hashed;
+    table_collision then hashes the span per candidate, in draw order,
+    until two candidates reach one outgoing state.  A raw one-symbol span,
+    as in every Joux stage, costs one compress call per draw; every other
+    span is walked by _resumed_walk, where each candidate resumes the
+    previous candidate's walk at the first slot where their blocks differ,
+    not at the span's start.  Only a colliding pair of raw blocks is
+    wrapped into one-block choices.  Returns the new groups, the part's
+    outgoing state and the distinct queries of each search.
     """
     first = {}
     last = {}
@@ -400,12 +407,16 @@ def _walk_level(oracle, part, units, fillers, state):
         # filler block; a span opens with one of its own positions
         steps = tuple((slot.get(sym, -1), fillers.get(sym)) for sym in part[begin:end + 1])
 
-        if len(steps) > 1:
-            evaluate = _resumed_walk(compress, state, steps)
+        raw = isinstance(candidates, BlockSampler)
+        if raw and len(steps) == 1:
+            evaluate = partial(compress, state)  # every Joux stage
+        elif raw:
+            walk = _resumed_walk(compress, state, steps)
+
+            def evaluate(block):
+                return walk((block,))
         else:
-            # a one-symbol span, as in every Joux stage: one compress call
-            def evaluate(choice, state=state, head=steps[0][0]):
-                return compress(state, choice[head])
+            evaluate = _resumed_walk(compress, state, steps)
 
         before = oracle.query_count
         found = table_collision(evaluate, candidates)
@@ -413,6 +424,8 @@ def _walk_level(oracle, part, units, fillers, state):
             raise ConstructionError(
                 f"no collision among the candidates for positions {positions}")
         pair, state = found
+        if raw:
+            pair = tuple(zip(pair))  # (b,) choices for the one position
         stage_queries.append(oracle.query_count - before)
         groups.append(CollisionGroup(positions, pair))
         cursor = end + 1
@@ -422,9 +435,10 @@ def _walk_level(oracle, part, units, fillers, state):
 
 
 def _resumed_walk(compress, state, steps):
-    """evaluate(choice) for a span of more than one symbol: the state that
-    hashing `steps` from `state` reaches, where a step (at, filler) reads
-    the candidate's block choice[at], or its filler block when at is -1.
+    """evaluate(choice) for a span and candidates that are block tuples:
+    the state that hashing `steps` from `state` reaches, where a step
+    (at, filler) reads the candidate's block choice[at], or its filler
+    block when at is -1.
 
     The states along the previous candidate's walk are kept.  A candidate
     resumes at the first read of its first slot, in read order, whose block
@@ -486,8 +500,7 @@ def _attack(oracle, sched, q, alpha, cert, fillers, sampler, h0, expansion_cap):
     for level, (part, count) in enumerate(layout, 1):
         blocks = equal_blocks(condense(part, subset), count)
         if level == 1:
-            fresh = zip(sampler)  # one-block candidates (b,)
-            units = [(block, fresh) for block in blocks]
+            units = [(block, sampler) for block in blocks]  # raw blocks
         else:
             units = _inherited_units(groups, blocks)
         before = oracle.query_count

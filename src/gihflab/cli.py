@@ -215,9 +215,17 @@ def _cmd_nesting_attack_structure(args):
             cert.to_dict(), f"attack structure: p={cert.p}, |B|={len(cert.subalphabet)}", True)
 
 
+def _trial_range(args) -> range:
+    """The trial numbers of a --trials option; fewer than one trial has no
+    median or mean to report, so it is rejected input."""
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    return range(args.trials)
+
+
 def _cmd_hashsim_birthday(args):
     trials = []
-    for trial in range(args.trials):
+    for trial in _trial_range(args):
         oracle = CompressionOracle(args.n, args.m, derive_seed(args.seed, f"trial:{trial}"))
         blocks, queries = birthday_search(oracle, args.h0, args.k)
         trials.append({"trial": trial, "queries": queries, "blocks": list(blocks)})
@@ -232,7 +240,7 @@ def _cmd_hashsim_birthday(args):
 def _cmd_attack_joux(args):
     trials = []
     all_ok = True
-    for trial in range(args.trials):
+    for trial in _trial_range(args):
         oracle = CompressionOracle(args.n, args.m, derive_seed(args.seed, f"trial:{trial}"))
         mc, report = joux_attack(oracle, args.h0, args.r)
         all_ok &= report.verify_ok

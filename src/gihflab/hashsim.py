@@ -6,7 +6,7 @@ The oracle is a seeded keyed mixer over (state, block) pairs: deterministic,
 approximately uniform, and emphatically not a cryptographic hash.  Its
 query counter tracks *distinct* (state, block) pairs, matching the cost
 model in which repeated evaluations of known pairs are free; the raw call
-count is kept alongside for reporting.
+count, distinct queries plus memo repeats, is kept alongside for reporting.
 
 A single oracle instance is a mutable resource and must not be shared
 between concurrent attacks; independent trials use independent oracles with
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .words import Word
@@ -56,6 +57,10 @@ class CompressionOracle:
     search) costs one mixing round per block, not two; the function is
     unchanged.  The memo maps the one int b << n | h to the output, which
     is injective once h is known to lie below 2^n, and builds no 2^m.
+
+    raw_calls counts every call that passes the range checks: each one
+    either adds a memo entry or repeats one, so it is the distinct queries
+    plus the memo hits, and only the hits are counted as they happen.
     """
 
     def __init__(self, n: int, m: int, seed: int):
@@ -67,7 +72,7 @@ class CompressionOracle:
         self.m = m
         self.seed = int(seed)
         self._memo: dict = {}
-        self.raw_calls = 0
+        self._hits = 0
         self._key = mix64(self.seed ^ _GOLDEN)
         self._bound = 1 << n
         self._out_mask = self._bound - 1
@@ -79,6 +84,10 @@ class CompressionOracle:
     def query_count(self) -> int:
         return len(self._memo)
 
+    @property
+    def raw_calls(self) -> int:
+        return len(self._memo) + self._hits
+
     def clone(self) -> "CompressionOracle":
         """Fresh oracle computing the same function with its own counter."""
         return CompressionOracle(self.n, self.m, self.seed)
@@ -88,10 +97,10 @@ class CompressionOracle:
             raise ValueError(f"hash value {h} outside {self.n}-bit range")
         if not (b >= 0 and b.bit_length() <= self.m):  # builds no 2^m
             raise ValueError(f"block {b} outside {self.m}-bit range")
-        self.raw_calls += 1
         key = b << self.n | h  # one int per pair: h < 2^n after the check
         cached = self._memo.get(key)
         if cached is not None:
+            self._hits += 1
             return cached
         # mix64, inlined: its input mask is a no-op, as key ^ h and
         # acc ^ chunk are below 2^64
@@ -122,9 +131,10 @@ def f_plus(oracle: CompressionOracle, h: int, blocks: Sequence[int]) -> int:
     """Left fold of the compression function over a nonempty block sequence."""
     if not blocks:
         raise ValueError("block sequence must be nonempty")
+    compress = oracle.compress
     state = h
     for b in blocks:
-        state = oracle.compress(state, b)
+        state = compress(state, b)
     return state
 
 
@@ -135,10 +145,12 @@ def f_alpha(oracle: CompressionOracle, h: int, blocks: Sequence[int],
     if not schedule_word:
         raise ValueError("schedule word must be nonempty")
     count = len(blocks)
-    for sym in schedule_word:
-        if not 1 <= sym <= count:
-            raise ValueError(f"schedule symbol {sym} out of range 1..{count}")
-    return f_plus(oracle, h, [blocks[sym - 1] for sym in schedule_word])
+    if not (1 <= min(schedule_word) and max(schedule_word) <= count):
+        sym = next(sym for sym in schedule_word if not 1 <= sym <= count)
+        raise ValueError(f"schedule symbol {sym} out of range 1..{count}")
+    # a leading placeholder makes symbol i index block i; itemgetter of two
+    # or more indices returns a tuple, whose placeholder is then dropped
+    return f_plus(oracle, h, itemgetter(0, *schedule_word)((None, *blocks))[1:])
 
 
 @dataclass(frozen=True)
@@ -208,8 +220,8 @@ class BlockSampler:
     the same stream; every further draw raises ValueError.  The sampler is
     one shared stream: iter(sampler) returns it and next(sampler) reads from
     it, so next() draws followed by a loop over the sampler continue where
-    the draws stopped.  The walk steps by addition and builds 2^m only on a
-    wrap past it, so a huge m costs no more than its blocks.
+    the draws stopped.  The walk steps by addition and builds 2^m once, at
+    its first wrap past it, so a huge m costs no more than its blocks.
     """
 
     def __init__(self, m: int, seed: int):
@@ -235,15 +247,19 @@ class BlockSampler:
 
 def _affine_walk(m: int, mult: int, offset: int) -> Iterator[int]:
     """(mult * i + offset) mod 2^m for i = 0, 1, ..., 2^m - 1: mult is odd,
-    so the walk is back at offset after exactly 2^m steps."""
+    so the walk is back at offset after exactly 2^m steps.  Until the first
+    wrap the walk only rises, so it cannot be back at offset."""
     value = offset
-    while True:
+    while not value >> m:  # both terms of each sum are below 2^m
         yield value
         value += mult
-        if value >> m:  # both terms are below 2^m
-            value -= 1 << m
-        if value == offset:
-            return
+    size = 1 << m  # built once, at the first wrap, which a huge m never reaches
+    value -= size
+    while value != offset:
+        yield value
+        value += mult
+        if value >= size:
+            value -= size
 
 
 def _exhausted(m: int):
@@ -281,5 +297,5 @@ def birthday_search(oracle: CompressionOracle, h: int, k: int) -> tuple[tuple[in
     """
     sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "birthday"))
     start = oracle.query_count
-    blocks, _ = table_collision(lambda block: oracle.compress(h, block), sampler, k)
+    blocks, _ = table_collision(partial(oracle.compress, h), sampler, k)
     return blocks, oracle.query_count - start

@@ -13,7 +13,7 @@ from collections import Counter
 from itertools import combinations, groupby, permutations
 
 from gihflab.attacks import CollisionGroup
-from gihflab.hashsim import derive_seed, f_plus, mix64
+from gihflab.hashsim import BlockSampler, derive_seed, f_plus, mix64
 from gihflab.regularity import StructureCertificate, _span_conflicts, verify_structure
 from gihflab.words import first_occurrence_order, split_word, word_stats
 
@@ -325,9 +325,11 @@ def rewalk_level(oracle, part, units, fillers, state):
     its unit's span from the span's start, and the collision is the first
     repeated value found by reference_table_collision.  Same arguments and
     result: the level's groups, the part's outgoing state and the distinct
-    queries of each search."""
+    queries of each search.  A first-level unit's raw sampler blocks become
+    one-block choices (b,)."""
     groups, stage_queries, cursor = [], [], 0
     for positions, candidates in units:
+        candidates = zip(candidates) if isinstance(candidates, BlockSampler) else candidates
         slots = set(positions)
         reads = [i for i, sym in enumerate(part) if sym in slots]
         begin, end = reads[0], reads[-1] + 1

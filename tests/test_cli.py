@@ -488,6 +488,14 @@ class TestRejectedInput:
             "alphabet size 3 is too small for the subalphabet that (n=3, k=1, q=3000) needs")
         assert elapsed < 1
 
+    @pytest.mark.parametrize("command", [["hashsim", "birthday"], ["attack", "joux", "--r", "2"]])
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_below_one_names_the_option(self, capsys, command, trials):
+        code = cli.main([*command, "--n", "8", "--m", "16", "--trials", trials, "--seed", "1"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["result"]["error"] == (
+            f"--trials must be >= 1, got {trials}")
+
     def test_seed_variable_read_at_parse_time(self, monkeypatch, capsys):
         # the parser is built once per process; each call reads the variable
         argv = ["hashsim", "birthday", "--n", "8", "--m", "16"]

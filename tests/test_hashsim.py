@@ -57,6 +57,30 @@ class TestCompressionOracle:
         with pytest.raises(ValueError):
             o.compress(-1, 0)
 
+    def test_rejected_calls_count_nothing(self):
+        # raw_calls is derived from the memo and its hits, so a call the
+        # range checks reject must touch neither
+        o = CompressionOracle(8, 16, seed=1)
+        rejected = [(-1, 5), (256, 5), (3, -1), (3, 1 << 16)]
+
+        def reject_all(raw, distinct):
+            for h, b in rejected:
+                with pytest.raises(ValueError):
+                    o.compress(h, b)
+                assert (o.raw_calls, o.query_count) == (raw, distinct)
+
+        reject_all(0, 0)
+        o.compress(3, 5)
+        o.compress(3, 6)
+        o.compress(3, 5)  # a repeated pair: a memo hit
+        reject_all(3, 2)
+        assert o.compress(3, 5) == o.compress(3, 5)
+        reject_all(5, 2)
+        twin = o.clone()
+        assert (twin.raw_calls, twin.query_count) == (0, 0)
+        with pytest.raises(AttributeError):
+            o.raw_calls = 0
+
     def test_requires_block_longer_than_hash(self):
         with pytest.raises(ValueError):
             CompressionOracle(16, 16, seed=1)
@@ -187,10 +211,14 @@ class TestIteratedEvaluators:
 
     def test_schedule_word_validation(self):
         o = CompressionOracle(8, 16, seed=8)
-        with pytest.raises(ValueError):
-            f_alpha(o, 0, [10, 20], (1, 3))
+        # the first symbol out of range is named, and nothing is hashed
+        for word, sym in [((1, 3), 3), ((2, 0, 3), 0), ((1, -1), -1), ((-2,), -2)]:
+            with pytest.raises(ValueError, match=f"^schedule symbol {sym} out of range 1..2$"):
+                f_alpha(o, 0, [10, 20], word)
         with pytest.raises(ValueError):
             f_alpha(o, 0, [10, 20], ())
+        assert o.raw_calls == 0
+        assert f_alpha(o, 0, [10], (1,)) == o.compress(0, 10)
 
     def test_gihf_identity_equals_plain_iteration(self):
         o = CompressionOracle(8, 16, seed=9)
