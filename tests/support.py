@@ -15,7 +15,14 @@ from itertools import combinations, groupby, permutations
 from gihflab.attacks import CollisionGroup
 from gihflab.hashsim import BlockSampler, derive_seed, f_plus, mix64
 from gihflab.regularity import StructureCertificate, _span_conflicts, verify_structure
-from gihflab.words import first_occurrence_order, split_word, word_stats
+from gihflab.words import (
+    condense,
+    first_occurrence_order,
+    is_permutation,
+    project,
+    split_word,
+    word_stats,
+)
 
 
 def is_q_bounded(w, q: int) -> bool:
@@ -124,6 +131,37 @@ def brute_force_structure(w, m: int, q: int):
                 if verify_structure(w, cert, m):
                     return cert
     return None
+
+
+def reference_verify_structure(w, cert, m) -> bool:
+    """verify_structure by its definition, field by field: m, p and every
+    split are integers; the subalphabet holds m >= 1 distinct letters, each
+    equal to a letter of w; p >= 1 with p - 1 splits strictly inside w in
+    increasing order; and every part, projected onto the subalphabet and
+    condensed, is a permutation of it."""
+    w = tuple(w)
+    chosen = tuple(cert.subalphabet)
+    splits = tuple(cert.splits)
+    if not all(isinstance(x, int) for x in (m, cert.p, *splits)):
+        return False
+    if m < 1 or len(chosen) != m:
+        return False
+    if any(chosen[i] == chosen[j] for i in range(m) for j in range(i + 1, m)):
+        return False
+    if not all(any(a == s for s in w) for a in chosen):
+        return False
+    if cert.p < 1 or len(splits) != cert.p - 1:
+        return False
+    if any(not 0 < s < len(w) for s in splits):
+        return False
+    if any(splits[i] >= splits[i + 1] for i in range(len(splits) - 1)):
+        return False
+    cuts = [0, *splits, len(w)]
+    for i in range(cert.p):
+        projected = project(w[cuts[i]:cuts[i + 1]], chosen)
+        if not is_permutation(condense(projected, chosen), chosen):
+            return False
+    return True
 
 
 def admissible_splits(length: int, m: int, q: int):

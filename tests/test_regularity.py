@@ -36,7 +36,15 @@ from support import (
     random_bounded_word,
     random_two_permutation_word,
     reference_conflicts,
+    reference_verify_structure,
 )
+
+MALFORMED_CERTIFICATES = {
+    "unhashable-letter": StructureCertificate(([1], 2), 1, ()),
+    "string-split": StructureCertificate((1, 2), 2, ("2",)),
+    "float-split": StructureCertificate((1, 2), 2, (2.0,)),
+    "float-part-count": StructureCertificate((1, 2), 2.9, (2,)),
+}
 
 
 def record_examined(monkeypatch):
@@ -80,6 +88,44 @@ def count_mask_reads(monkeypatch):
     return handed
 
 
+def certificate_mutants(rng, w, cert, m):
+    """(certificate, m) pairs near a genuine certificate of w: a letter
+    dropped, duplicated, reordered, swapped for another letter of w or for a
+    letter outside it; a split shifted (also to its offset from the end,
+    which slicing would accept), duplicated, added out of order or reversed;
+    p or m off by one; and the malformed fields."""
+    chosen, p, splits = list(cert.subalphabet), cert.p, list(cert.splits)
+    i, j = rng.randrange(m), rng.randrange(m)
+    others = sorted(set(w) - set(chosen))
+
+    def make(letters=chosen, parts=p, cuts=splits, size=m):
+        return StructureCertificate(tuple(letters), parts, tuple(cuts)), size
+
+    yield make(chosen[:i] + chosen[i + 1:])
+    yield make(chosen[:i] + chosen[i + 1:], size=m - 1)
+    yield make(chosen + [chosen[i]])
+    yield make([chosen[i] if k == j else a for k, a in enumerate(chosen)])
+    swapped = chosen[:]
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    yield make(swapped)
+    if others:
+        yield make([rng.choice(others) if k == i else a for k, a in enumerate(chosen)])
+    yield make([max(w) + 1 if k == i else a for k, a in enumerate(chosen)])
+    if splits:
+        k = rng.randrange(len(splits))
+        for delta in (-1, 1, -len(w)):
+            yield make(cuts=[s + delta if n == k else s for n, s in enumerate(splits)])
+        yield make(parts=p + 1, cuts=splits[:k + 1] + splits[k:])
+        yield make(parts=p, cuts=splits[::-1])
+    yield make(parts=p + 1, cuts=splits + [rng.randrange(1, len(w) + 1)])
+    for parts in (p - 1, p + 1):
+        yield make(parts=parts)
+    for size in (m - 1, m + 1):
+        yield make(size=size)
+    for malformed in MALFORMED_CERTIFICATES.values():
+        yield malformed, m
+
+
 class TestVerifyStructure:
     def test_whole_word_permutation(self):
         assert verify_structure((1, 2, 3), StructureCertificate((1, 2, 3), 1, ()), 3)
@@ -100,18 +146,43 @@ class TestVerifyStructure:
         assert not verify_structure(w, StructureCertificate((1, 2), 2, ()), 2)
         assert not verify_structure(w, StructureCertificate((1, 2), 2, (0,)), 2)
         assert not verify_structure(w, StructureCertificate((1, 2), 2, (4,)), 2)
+        assert not verify_structure(w, StructureCertificate((1, 2), 2, (-2,)), 2)
         assert not verify_structure(w, StructureCertificate((1, 1), 2, (2,)), 2)
         assert not verify_structure(w, StructureCertificate((1, 9), 2, (2,)), 2)
         assert not verify_structure(w, StructureCertificate((1, 2), 2, (2,)), 3)
 
-    @pytest.mark.parametrize("cert", [
-        StructureCertificate(([1], 2), 1, ()),
-        StructureCertificate((1, 2), 2, ("2",)),
-        StructureCertificate((1, 2), 2, (2.0,)),
-        StructureCertificate((1, 2), 2.9, (2,)),
-    ], ids=["unhashable-letter", "string-split", "float-split", "float-part-count"])
+    @pytest.mark.parametrize("cert", list(MALFORMED_CERTIFICATES.values()),
+                             ids=list(MALFORMED_CERTIFICATES))
     def test_malformed_fields_are_rejected_not_raised(self, cert):
         assert not verify_structure((1, 2, 1, 2), cert, 2)
+
+    def test_non_integer_size_is_rejected_not_raised(self):
+        cert = StructureCertificate((1, 2), 2, (2,))
+        assert verify_structure((1, 2, 1, 2), cert, 2)
+        for m in (2.0, 2.5, "2", None):
+            assert not verify_structure((1, 2, 1, 2), cert, m), m
+
+    def test_agrees_with_the_reference_on_certificates_and_mutants(self):
+        rng = random.Random(19)
+        triples = accepted_mutants = 0
+        verdicts = set()
+        for _ in range(700):
+            q = rng.randint(1, 3)
+            w = random_bounded_word(rng, rng.randint(1, 7), q,
+                                    exact_alphabet=rng.random() < 0.5)
+            m = rng.randint(1, 4)
+            cert = find_structure(w, m, q).certificate
+            if cert is None:
+                continue
+            assert reference_verify_structure(w, cert, m), (w, cert, m)
+            for mutant, mm in certificate_mutants(rng, w, cert, m):
+                ours = verify_structure(w, mutant, mm)
+                assert ours == reference_verify_structure(w, mutant, mm), (w, mutant, mm)
+                triples += 1
+                accepted_mutants += ours
+                verdicts.add(ours)
+        assert triples >= 5000 and verdicts == {True, False}
+        assert 0 < accepted_mutants < triples // 2
 
 
 class TestFindStructure:
@@ -144,6 +215,54 @@ class TestFindStructure:
             find_structure((1, 2), 1, 0)
         with pytest.raises(TypeError):
             find_structure((1, 2), 1, 1, "greedy")  # no search modes
+
+    def test_rejects_non_integer_sizes_before_any_split(self, monkeypatch):
+        def examine(*args):
+            raise AssertionError("split examined")
+
+        monkeypatch.setattr(regularity, "_first_subalphabet", examine)
+        for w in ((1, 2, 1, 2), (1, 2, 3, 1, 2, 3, 4, 5)):
+            for m in (2.5, 2.0):
+                with pytest.raises(TypeError, match="subalphabet size m must be an integer"):
+                    find_structure(w, m, 2)
+            for q in (2.5, 2.0):
+                with pytest.raises(TypeError, match="occurrence bound q must be an integer"):
+                    find_structure(w, 2, q)
+        with pytest.raises(TypeError, match="subalphabet size m"):
+            compute_n(2.5, 2, 3)
+        with pytest.raises(TypeError, match="occurrence bound q"):
+            compute_n(2, 2.5, 3)
+
+    def test_prologue_error_texts(self):
+        with pytest.raises(ValueError) as excinfo:
+            find_structure((1, 2, 1, 1), 1, 2)
+        assert str(excinfo.value) == "word is not 2-bounded (max occurrence count 3)"
+        with pytest.raises(ValueError) as excinfo:
+            find_structure(tuple(range(1, 1501)) * 3, 2, 3)
+        assert str(excinfo.value) == "exhaustive search over more than 2000000 factorizations"
+
+    def test_seven_letter_words_match_plain_enumeration(self):
+        # the shape of the boundary_scan bench: canonical 2-bounded words
+        # over exactly 7 letters at m = 3, all certified since N(3, 2) = 7
+        rng = random.Random(20)
+        two_parts = 0
+        for _ in range(2000):
+            w = canonical_form(random_bounded_word(rng, 7, 2))
+            cert = find_structure(w, 3, 2).certificate
+            assert cert is not None and cert == plain_structure(w, 3, 2), w
+            two_parts += cert.p == 2
+        assert two_parts > 0
+
+    def test_relabelled_witnesses_refused_exhaustively(self):
+        rng = random.Random(21)
+        for m in (4, 5):
+            w = extremal_witness(m)
+            letters = sorted(set(w))
+            for _ in range(3):
+                names = dict(zip(letters, rng.sample(range(1, 4 * len(letters) + 1),
+                                                     len(letters))))
+                relabelled = tuple(names[a] for a in w)
+                assert find_structure(relabelled, m, 2) == SearchOutcome(None, True)
 
     def test_factorization_count(self):
         assert factorization_count(5, 3) == 1 + 4 + 6
