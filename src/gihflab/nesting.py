@@ -14,7 +14,10 @@ Three layers build on each other:
 * find_attack_structure combines the structure-certificate search with the
   subset extraction to produce the (B, p, splits) certificates that drive
   the multicollision attack: each part condenses to a permutation of B and
-  the block alphabets nest level to level.
+  the block alphabets nest level to level.  When the search decides p = 2,
+  the certificate is re-cut so that B is the word's rightmost run of
+  second occurrences of twice-occurring letters: the level-2 spans then
+  hold no filler block, which a collapse-level candidate would walk.
 
 Every certificate is re-verified by pure recomputation before it is
 returned; a failure of the guaranteed construction raises ConstructionError
@@ -291,6 +294,27 @@ def attack_threshold(n: int, k: int, q: int, *, at_most: Optional[int] = None) -
     return structure_threshold(request, q, at_most=at_most)
 
 
+def _filler_free_run(w: Word, size: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(B, splits) of a p = 2 certificate whose level-2 spans hold no
+    filler, or None when w has no such run: B is the rightmost run of
+    `size` consecutive positions that each hold the second of exactly two
+    occurrences of their letter, in first-occurrence order, and w is cut
+    just after the latest first occurrence of a letter of B.  Every first
+    occurrence of a letter of B lies before the run, so each letter of B
+    occurs once in each part."""
+    counts = Counter(w)
+    first: dict = {}
+    for i, a in enumerate(w):
+        first.setdefault(a, i)
+    run = 0
+    for i in range(len(w) - 1, -1, -1):
+        run = run + 1 if counts[w[i]] == 2 and first[w[i]] < i else 0
+        if run == size:
+            letters = sorted(w[i:i + size], key=first.__getitem__)
+            return tuple(letters), (first[letters[-1]] + 1,)
+    return None
+
+
 def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
     """Produce a verified attack certificate for a q-bounded word.
 
@@ -301,9 +325,17 @@ def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
     ordinary refusal.  find_structure rejects a word that is not q-bounded.
 
     Pipeline: exhaustive structure search for a large subalphabet A, then
-    either a direct prefix of A (p <= 2, where the nesting condition is
-    automatic) or factorization_subset on the condensed permutations
-    (p >= 3).  Symbols are always taken in first-occurrence order.
+    B by the part count p of that decision, in first-occurrence order:
+
+    * p = 1: the first |B| letters of A, under A's splits;
+    * p = 2: the word's rightmost run of |B| second occurrences, re-cut
+      (_filler_free_run).  No two letters of B conflict, and at p = 2 the
+      nesting condition is automatic.  Each level-2 span is a run of B's
+      letters, so none holds a filler block: the least "positions inside
+      later-level spans holding a letter outside B" of any certificate.
+      A word without such a run is treated as at p = 1;
+    * p >= 3: factorization_subset on the condensed permutations, under
+      A's splits.
     """
     if n < 1 or k < 1 or q < 1:
         raise ValueError("n, k and q must be >= 1")
@@ -325,19 +357,22 @@ def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
             f"no attack structure found; alphabet size {size} is below "
             f"the guaranteed threshold for (n={n}, k={k}, q={q})")
     base = outcome.certificate
-    parts = split_word(w, base.splits)
-    p = base.p
+    p, splits = base.p, base.splits
+    size = level_blocks(n, k, p)[0]
+    compact = _filler_free_run(w, size) if p == 2 else None
 
-    if p <= 2:
-        chosen = base.subalphabet[: level_blocks(n, k, p)[0]]
+    if compact is not None:
+        chosen, splits = compact
+    elif p <= 2:
+        chosen = base.subalphabet[:size]
     else:
         tset = set(base.subalphabet[: _subset_request(n, k, p)])
-        level_words = [condense(part, tset) for part in parts]
+        level_words = [condense(part, tset) for part in split_word(w, splits)]
         nested = factorization_subset(level_words, level_blocks(n, k, p))
         members = set(nested)
         chosen = tuple(a for a in first_occurrence_order(w) if a in members)
 
-    cert = AttackCertificate(tuple(chosen), p, base.splits, n, k)
+    cert = AttackCertificate(tuple(chosen), p, splits, n, k)
     if not verify_attack_structure(w, n, k, cert):
         raise ConstructionError("attack certificate failed verification")
     return cert

@@ -286,8 +286,13 @@ def canonical_bounded_words(size: int, q: int) -> Iterator[Word]:
     Enumeration is depth-first, on the explicit `current` stack: extend by
     any already-used letter still below its occurrence cap, or by the next
     fresh letter, trying letters in increasing order, so words come out in
-    tuple order.
+    tuple order.  Rejects a non-integer size or q (TypeError), as
+    find_structure does: no count would ever reach a fractional q.
     """
+    if not isinstance(size, int):
+        raise TypeError(f"alphabet size must be an integer, not {type(size).__name__}")
+    if not isinstance(q, int):
+        raise TypeError(f"occurrence bound q must be an integer, not {type(q).__name__}")
     if size < 1 or q < 1:
         raise ValueError("alphabet size and bound must be >= 1")
     counts = [0] * (size + 1)

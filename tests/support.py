@@ -14,9 +14,16 @@ from itertools import combinations, groupby, permutations
 
 from gihflab.attacks import CollisionGroup
 from gihflab.hashsim import BlockSampler, derive_seed, f_plus, mix64
-from gihflab.regularity import StructureCertificate, _span_conflicts, verify_structure
+from gihflab.nesting import AttackCertificate, _subset_request, level_blocks
+from gihflab.regularity import (
+    StructureCertificate,
+    _span_conflicts,
+    find_structure,
+    verify_structure,
+)
 from gihflab.words import (
     condense,
+    equal_blocks,
     first_occurrence_order,
     is_permutation,
     project,
@@ -213,6 +220,52 @@ def reference_conflicts(parts, cands):
                     conflicts[i].add(j)
                     conflicts[j].add(i)
     return conflicts
+
+
+def lexicographic_attack_certificate(w, n: int, k: int, q: int) -> AttackCertificate:
+    """The attack certificate of a p <= 2 structure decision as
+    find_structure gives it: the first n^(p-1) k letters of its
+    lexicographically first subalphabet, under its splits."""
+    base = find_structure(tuple(w), _subset_request(n, k, q), q).certificate
+    assert base is not None and base.p <= 2, "no p <= 2 structure decision"
+    size = level_blocks(n, k, base.p)[0]
+    return AttackCertificate(base.subalphabet[:size], base.p, base.splits, n, k)
+
+
+def reference_compact_certificate(w, size: int):
+    """The filler-free p = 2 certificate by brute force over every cut and
+    every window of `size` consecutive positions after it, as (B, splits),
+    or None.  A window qualifies when each of its letters occurs exactly
+    once before the cut and once after it; the rightmost window wins, then
+    the smallest cut.  B lists the window's letters in first-occurrence
+    order."""
+    w = tuple(w)
+    best = None  # ((window start, -cut), B, splits)
+    for cut in range(1, len(w)):
+        head, tail = Counter(w[:cut]), Counter(w[cut:])
+        once = [head[a] == 1 and tail[a] == 1 for a in w[cut:]]
+        for start in range(len(once) - size + 1):
+            key = (cut + start, -cut)
+            if all(once[start:start + size]) and (best is None or key > best[0]):
+                window = set(w[cut + start:cut + start + size])
+                subset = tuple(a for a in dict.fromkeys(w) if a in window)
+                best = (key, subset, (cut,))
+    return None if best is None else best[1:]
+
+
+def filler_estimate(w, cert: AttackCertificate) -> int:
+    """Positions inside the spans of levels 2..p that hold a letter outside
+    B, the filler blocks a collapse-level candidate walks.  A span runs
+    from the first to the last occurrence, in its part, of the letters of
+    one of the level's equal blocks of the part condensed onto B."""
+    bset = set(cert.subalphabet)
+    parts = split_word(tuple(w), cert.splits)
+    total = 0
+    for part, count in list(zip(parts, level_blocks(cert.n, cert.k, cert.p)))[1:]:
+        for block in equal_blocks(condense(part, bset), count):
+            reads = [i for i, a in enumerate(part) if a in block]
+            total += sum(a not in bset for a in part[reads[0]:reads[-1] + 1])
+    return total
 
 
 def random_equal_partition(rng: random.Random, ground, k: int):

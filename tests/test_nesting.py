@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -22,10 +23,13 @@ from gihflab.regularity import structure_threshold
 from gihflab.words import equal_blocks, project
 
 from support import (
+    filler_estimate,
+    lexicographic_attack_certificate,
     random_divisor_chain,
     random_equal_partition,
     random_permutations_of,
     random_two_permutation_word,
+    reference_compact_certificate,
 )
 
 
@@ -289,6 +293,86 @@ class TestAttackStructure:
         assert cert.p == 1
         assert len(cert.subalphabet) == 3
         assert verify_attack_structure(alpha, 4, 3, cert)
+
+
+def _doubled_alphabet(rng, letters):
+    """Each of 1..letters twice, shuffled: a 2-bounded word."""
+    pool = list(range(1, letters + 1)) * 2
+    rng.shuffle(pool)
+    return tuple(pool)
+
+
+def _third_occurrences(rng, letters, extra):
+    """Two shuffled permutations of 1..letters with `extra` of the letters
+    inserted a third time at random positions: a 3-bounded word."""
+    w = list(random_two_permutation_word(rng, letters))
+    for a in rng.sample(range(1, letters + 1), extra):
+        w.insert(rng.randrange(len(w) + 1), a)
+    return tuple(w)
+
+
+class TestFillerFreeCertificate:
+    """find_attack_structure at p = 2 against the brute force
+    tests/support.py::reference_compact_certificate, falling back to the
+    lexicographic prefix where no window qualifies."""
+
+    @staticmethod
+    def _check(w, n, k, q, kinds):
+        try:
+            cert = find_attack_structure(w, n, k, q)
+        except ValueError:
+            kinds["refused"] += 1
+            return None
+        assert verify_attack_structure(w, n, k, cert)
+        if cert.p > 2:
+            kinds["p >= 3"] += 1
+            return cert
+        lexicographic = lexicographic_attack_certificate(w, n, k, q)
+        compact = reference_compact_certificate(w, n * k) if cert.p == 2 else None
+        estimate = filler_estimate(w, cert)
+        if compact is None:
+            assert cert == lexicographic
+            kinds[f"p = {cert.p}, prefix"] += 1
+        else:
+            assert (cert.subalphabet, cert.p, cert.splits) == (compact[0], 2, compact[1])
+            assert estimate == 0
+            kinds[f"p = 2, window, q = {q}"] += 1
+        assert estimate <= filler_estimate(w, lexicographic)
+        kinds["fewer fillers"] += estimate < filler_estimate(w, lexicographic)
+        return cert
+
+    def test_agrees_with_the_reference_on_random_words(self):
+        rng = random.Random(21)
+        kinds = Counter()
+        words = []
+        for _ in range(360):
+            n, k = rng.choice(((1, 3), (3, 1), (2, 2), (1, 4), (2, 3), (5, 1)))
+            words.append((_doubled_alphabet(rng, n * k + rng.randint(0, 4)), n, k, 2))
+        for _ in range(240):
+            words.append((_third_occurrences(rng, rng.randint(16, 22), rng.randint(1, 4)),
+                          2, 1, 3))
+        for w, n, k, q in words:
+            self._check(w, n, k, q, kinds)
+            for size in (1, 2, 3):
+                assert nesting._filler_free_run(w, size) == \
+                    reference_compact_certificate(w, size)
+        assert kinds["p = 2, window, q = 2"] >= 120 and kinds["p = 2, window, q = 3"] >= 120
+        assert kinds["p = 2, prefix"] >= 40 and kinds["p = 1, prefix"] >= 20
+        assert kinds["fewer fillers"] >= 50
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_two_permutation_and_mirror_words(self, n):
+        l = attack_threshold(n, 2, 2)
+        kinds = Counter()
+        for seed in range(3):
+            w = random_two_permutation_word(random.Random(f"compact:{n}:{seed}"), l)
+            self._check(w, n, 2, 2, kinds)
+        assert kinds == {"p = 2, window, q = 2": 3, "fewer fillers": 3}
+        # the rightmost window of the mirror word is its lexicographic prefix
+        mirror = tuple(range(1, l + 1)) + tuple(range(l, 0, -1))
+        cert = self._check(mirror, n, 2, 2, kinds)
+        assert cert == AttackCertificate(tuple(range(1, 2 * n + 1)), 2, (2 * n,), n, 2)
+        assert cert == lexicographic_attack_certificate(mirror, n, 2, 2)
 
 
 class TestVerifyAttackStructure:

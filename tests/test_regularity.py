@@ -548,6 +548,17 @@ class TestCanonicalEnumeration:
     def test_exact_count_single_letter(self):
         assert list(canonical_bounded_words(1, 2)) == [(1,), (1, 1)]
 
+    @pytest.mark.parametrize("size,q,name", [(1, 2.5, "occurrence bound q"),
+                                             (1, 2.0, "occurrence bound q"),
+                                             (2.5, 2, "alphabet size"),
+                                             (2.0, 2, "alphabet size")])
+    def test_non_integer_size_or_bound_is_rejected(self, size, q, name):
+        # a fractional q would never mark a letter full: (1,), (1, 1), ...
+        # without end
+        words = canonical_bounded_words(size, q)
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            next(words)
+
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_matches_brute_force_filter_in_tuple_order(self, size, q):
