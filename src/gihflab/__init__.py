@@ -33,7 +33,6 @@ from .hashsim import (
 from .nesting import (
     AttackCertificate,
     ConstructionError,
-    PartitionPair,
     attack_threshold,
     factorization_subset,
     find_attack_structure,
@@ -53,12 +52,4 @@ from .regularity import (
     structure_threshold,
     verify_structure,
 )
-from .words import (
-    Alphabet,
-    Word,
-    WordStats,
-    condense,
-    is_permutation,
-    project,
-    word_stats,
-)
+from .words import Word, condense, is_permutation, project

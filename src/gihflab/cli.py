@@ -21,6 +21,7 @@ import os
 import statistics
 import sys
 import time
+from collections import Counter
 from typing import Optional
 
 from . import __version__
@@ -49,7 +50,7 @@ from .regularity import (
     extremal_witness,
     verify_structure,
 )
-from .words import format_words, integers, parse_words, word_stats
+from .words import format_words, integers, parse_words
 
 SEED_ENV_VAR = "GIHFLAB_SEED"
 
@@ -190,14 +191,14 @@ def _cmd_regularity_find(args):
 
 def _cmd_regularity_witness(args):
     w = extremal_witness(args.m)
-    stats = word_stats(w)
+    counts = Counter(w)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(format_words([w]))
     return ({"m": args.m, "out": args.out},
-            {"word": list(w), "length": len(w), "alphabet_size": len(stats.alphabet),
-             "max_count": stats.max_count},
-            f"witness m={args.m}: length {len(w)} over {len(stats.alphabet)} letters", True)
+            {"word": list(w), "length": len(w), "alphabet_size": len(counts),
+             "max_count": max(counts.values())},
+            f"witness m={args.m}: length {len(w)} over {len(counts)} letters", True)
 
 
 def _cmd_regularity_compute_n(args):
@@ -273,7 +274,7 @@ def _cmd_verify_cert(args):
     cert = _read_cert(args.cert)
     w = _read_word(args.word)
     if isinstance(cert, AttackCertificate):
-        ok = verify_attack_structure(w, cert.n, cert.k, cert)
+        ok = verify_attack_structure(w, cert)
         kind = "attack"
     else:
         m = args.m if args.m is not None else len(cert.subalphabet)

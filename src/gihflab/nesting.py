@@ -2,10 +2,11 @@
 
 Three layers build on each other:
 
-* partition_bijection aligns two equal-sized partitions of a ground set so
-  every matched pair of blocks intersects in at least x elements (a direct
-  application of maximum bipartite matching; the guarantee kicks in once the
-  ground set has k^3 * x elements).
+* partition_bijection(blocks_b, blocks_c, x) aligns two partitions of one
+  ground set into k equal-sized blocks so every matched pair of blocks
+  intersects in at least x elements (a direct application of maximum
+  bipartite matching; the guarantee kicks in once the ground set has
+  k^3 * x elements).
 * factorization_subset extracts, from r+1 permutations of an alphabet of
   size d0*d1^2*...*dr^2, a subset B of size d0 whose equal-length projection
   blocks line up alphabet-for-alphabet between consecutive permutations.
@@ -44,10 +45,10 @@ from .words import (
     Word,
     condense,
     equal_blocks,
-    first_occurrence_order,
     integers,
     is_permutation,
     project,
+    require_int,
     split_word,
 )
 
@@ -57,50 +58,33 @@ class ConstructionError(RuntimeError):
     the inputs or the implementation, never a legitimate result."""
 
 
-@dataclass(frozen=True)
-class PartitionPair:
-    """Two partitions of the same ground set into k equal-sized blocks, plus
-    the intersection target x."""
-
-    ground: frozenset
-    blocks_b: tuple[frozenset, ...]
-    blocks_c: tuple[frozenset, ...]
-    x: int
-
-    def validate(self) -> None:
-        k = len(self.blocks_b)
-        if k == 0 or len(self.blocks_c) != k:
-            raise ValueError("both partitions must have the same nonzero block count")
-        if self.x < 1:
-            raise ValueError("intersection target x must be >= 1")
-        sizes = {len(b) for b in self.blocks_b} | {len(c) for c in self.blocks_c}
-        if len(sizes) != 1:
-            raise ValueError("all blocks must have equal size")
-        for family in (self.blocks_b, self.blocks_c):
-            union = set()
-            total = 0
-            for block in family:
-                union |= block
-                total += len(block)
-            if union != set(self.ground) or total != len(self.ground):
-                raise ValueError("blocks must partition the ground set")
-
-
-def partition_bijection(pair: PartitionPair) -> Optional[tuple[int, ...]]:
+def partition_bijection(blocks_b: Sequence[frozenset], blocks_c: Sequence[frozenset],
+                        x: int) -> Optional[tuple[int, ...]]:
     """Bijection sigma (as a tuple, sigma[i] = j) with
     |blocks_b[i] & blocks_c[sigma(i)]| >= x for every i, or None when no
     perfect matching exists.
 
-    Found by augmenting-path matching on the graph with an edge (i, j) iff
-    the intersection is large enough; blocks are tried in index order and
-    free partners are preferred, which fixes the returned bijection.
+    blocks_b and blocks_c must partition one ground set, the union of
+    blocks_b, into equally many blocks of one size, and x must be >= 1;
+    anything else raises ValueError.  Found by augmenting-path matching on
+    the graph with an edge (i, j) iff the intersection is large enough;
+    blocks are tried in index order and free partners are preferred, which
+    fixes the returned bijection.
     """
-    pair.validate()
-    k = len(pair.blocks_b)
-    column = {e: j for j, block in enumerate(pair.blocks_c) for e in block}
+    k = len(blocks_b)
+    if k == 0 or len(blocks_c) != k:
+        raise ValueError("both partitions must have the same nonzero block count")
+    if x < 1:
+        raise ValueError("intersection target x must be >= 1")
+    if len({len(block) for block in (*blocks_b, *blocks_c)}) != 1:
+        raise ValueError("all blocks must have equal size")
+    ground = frozenset().union(*blocks_b)
+    if len(ground) != k * len(blocks_b[0]) or frozenset().union(*blocks_c) != ground:
+        raise ValueError("blocks must partition the ground set")
+    column = {e: j for j, block in enumerate(blocks_c) for e in block}
     adjacency = [
-        sorted(j for j, size in Counter(column[e] for e in block).items() if size >= pair.x)
-        for block in pair.blocks_b
+        sorted(j for j, size in Counter(column[e] for e in block).items() if size >= x)
+        for block in blocks_b
     ]
     matched_to: dict[int, int] = {}
 
@@ -141,7 +125,7 @@ def partition_bijection(pair: PartitionPair) -> Optional[tuple[int, ...]]:
         sigma[i] = j
     result = tuple(sigma)
     for i in range(k):
-        if len(pair.blocks_b[i] & pair.blocks_c[result[i]]) < pair.x:
+        if len(blocks_b[i] & blocks_c[result[i]]) < x:
             raise ConstructionError("matching returned a pair below the intersection target")
     return result
 
@@ -185,20 +169,15 @@ def factorization_subset(perms: Sequence[Word], d: Sequence[int]) -> tuple[int, 
     for i in range(len(d) - 1, 0, -1):
         take = d[0] * math.prod(d[1:i]) ** 2 // d[i]  # letters kept per block
         left_blocks = equal_blocks(project(perms[i - 1], kept), d[i])
-        right_blocks = equal_blocks(project(perms[i], kept), d[i])
-        pair = PartitionPair(
-            ground=kept,
-            blocks_b=tuple(frozenset(b) for b in left_blocks),
-            blocks_c=tuple(frozenset(b) for b in right_blocks),
-            x=take,
-        )
-        sigma = partition_bijection(pair)
+        blocks_b = tuple(frozenset(b) for b in left_blocks)
+        blocks_c = tuple(frozenset(b) for b in equal_blocks(project(perms[i], kept), d[i]))
+        sigma = partition_bijection(blocks_b, blocks_c, take)
         if sigma is None:
             raise ConstructionError(
                 f"no block matching at level {i} despite satisfied preconditions")
         survivors = set()
         for j in range(d[i]):
-            allowed = pair.blocks_b[j] & pair.blocks_c[sigma[j]]
+            allowed = blocks_b[j] & blocks_c[sigma[j]]
             picked = [a for a in left_blocks[j] if a in allowed][:take]
             survivors.update(picked)
         kept = frozenset(survivors)
@@ -287,7 +266,11 @@ def attack_threshold(n: int, k: int, q: int, *, at_most: Optional[int] = None) -
     construction is guaranteed to succeed (exact for q <= 2).  With
     `at_most`, the smaller of the two, built no larger than `at_most`
     (the threshold is at least the request, so capping the request first
-    leaves the capped threshold unchanged)."""
+    leaves the capped threshold unchanged).  Rejects a non-integer n, k or
+    q (TypeError)."""
+    require_int(n, "hash length n")
+    require_int(k, "collision exponent k")
+    require_int(q, "occurrence bound q")
     if n < 1 or k < 1 or q < 1:
         raise ValueError("n, k and q must be >= 1")
     request = _subset_request(n, k, q, at_most=at_most)
@@ -350,7 +333,7 @@ def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
             raise ValueError(
                 f"alphabet size {size} is too small for the subalphabet that "
                 f"(n={n}, k={k}, q={q}) needs")
-        if size >= structure_threshold(request, q, at_most=size + 1):
+        if size >= attack_threshold(n, k, q, at_most=size + 1):
             raise ConstructionError(
                 "structure search failed above the guaranteed threshold")
         raise ValueError(
@@ -370,18 +353,19 @@ def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
         level_words = [condense(part, tset) for part in split_word(w, splits)]
         nested = factorization_subset(level_words, level_blocks(n, k, p))
         members = set(nested)
-        chosen = tuple(a for a in first_occurrence_order(w) if a in members)
+        chosen = tuple(a for a in dict.fromkeys(w) if a in members)
 
     cert = AttackCertificate(tuple(chosen), p, splits, n, k)
-    if not verify_attack_structure(w, n, k, cert):
+    if not verify_attack_structure(w, cert):
         raise ConstructionError("attack certificate failed verification")
     return cert
 
 
-def verify_attack_structure(w: Word, n: int, k: int, cert: AttackCertificate) -> bool:
+def verify_attack_structure(w: Word, cert: AttackCertificate) -> bool:
     """Recompute every condition of an attack certificate.
 
-    Checks that (B, p, splits) is a structure certificate with
+    Reads n and k from the certificate and checks that they are positive
+    integers, that (B, p, splits) is a structure certificate with
     |B| = n^(p-1) * k, so each part condenses to a permutation of B, and
     that for each pair of consecutive levels, cut into level_blocks(n, k, p)
     equal blocks, every block alphabet of the finer level lies inside some
@@ -390,10 +374,8 @@ def verify_attack_structure(w: Word, n: int, k: int, cert: AttackCertificate) ->
     try:
         w = tuple(w)
         subset = tuple(cert.subalphabet)
-        p = operator.index(cert.p)
+        p, n, k = map(operator.index, (cert.p, cert.n, cert.k))
         splits = tuple(cert.splits)
-        if operator.index(cert.n) != n or operator.index(cert.k) != k:
-            return False
     except (TypeError, AttributeError, ValueError):
         return False
     if n < 1 or k < 1:

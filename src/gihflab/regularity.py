@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations, groupby
 from typing import Iterator, Optional
 
-from .words import Word, integers
+from .words import Word, integers, require_int
 
 DEFAULT_MAX_FACTORIZATIONS = 2_000_000
 
@@ -222,10 +222,8 @@ def find_structure(w: Word, m: int, q: int) -> SearchOutcome:
     factorization count exceeds DEFAULT_MAX_FACTORIZATIONS; refuses m larger
     than the word's alphabet without examining any split.
     """
-    if not isinstance(m, int):
-        raise TypeError(f"subalphabet size m must be an integer, not {type(m).__name__}")
-    if not isinstance(q, int):
-        raise TypeError(f"occurrence bound q must be an integer, not {type(q).__name__}")
+    require_int(m, "subalphabet size m")
+    require_int(q, "occurrence bound q")
     if m < 1:
         raise ValueError("subalphabet size m must be >= 1")
     if q < 1:
@@ -266,10 +264,17 @@ def extremal_witness(m: int) -> Word:
     certificate with p <= 2.
 
     Built from m-1 segments; segment i uses its own m fresh letters, rising
-    then falling so every letter except the peak occurs twice.
+    then falling so every letter except the peak occurs twice.  Refuses,
+    unbuilt, a witness of more than DEFAULT_MAX_FACTORIZATIONS letters:
+    a word of l letters has l factorizations into at most 2 parts, so
+    find_structure would refuse it at any q >= 2.
     """
     if m < 2:
         raise ValueError("witness family is defined for m >= 2")
+    length = (m - 1) * (2 * m - 1)
+    if length > DEFAULT_MAX_FACTORIZATIONS:
+        raise ValueError(f"the witness for m={m} would have {length} letters, more than "
+                         f"the {DEFAULT_MAX_FACTORIZATIONS} a structure search accepts")
     out: list[int] = []
     for i in range(m - 1):
         base = i * m
@@ -289,10 +294,8 @@ def canonical_bounded_words(size: int, q: int) -> Iterator[Word]:
     tuple order.  Rejects a non-integer size or q (TypeError), as
     find_structure does: no count would ever reach a fractional q.
     """
-    if not isinstance(size, int):
-        raise TypeError(f"alphabet size must be an integer, not {type(size).__name__}")
-    if not isinstance(q, int):
-        raise TypeError(f"occurrence bound q must be an integer, not {type(q).__name__}")
+    require_int(size, "alphabet size")
+    require_int(q, "occurrence bound q")
     if size < 1 or q < 1:
         raise ValueError("alphabet size and bound must be >= 1")
     counts = [0] * (size + 1)
@@ -411,7 +414,10 @@ def structure_threshold(m: int, q: int, *, at_most: Optional[int] = None) -> int
     """Least alphabet size guaranteeing a size-m certificate in any q-bounded
     word: m^(2^(q-1)), but m * m - m + 1 at q = 2; exact for m = 1, q = 1
     and q = 2, a proven upper bound otherwise.  With `at_most`, the smaller
-    of the two, built no larger than about at_most^2 (capped_power)."""
+    of the two, built no larger than about at_most^2 (capped_power).
+    Rejects a non-integer m or q (TypeError)."""
+    require_int(m, "subalphabet size m")
+    require_int(q, "occurrence bound q")
     if m < 1 or q < 1:
         raise ValueError("m and q must be >= 1")
     if q == 2:

@@ -11,13 +11,10 @@ space-separated decimal integers; the empty word is an empty line.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable
 
 Word = tuple[int, ...]
-Alphabet = frozenset[int]
 
 
 def word(symbols: Iterable[int]) -> Word:
@@ -28,14 +25,10 @@ def word(symbols: Iterable[int]) -> Word:
     return w
 
 
-@dataclass(frozen=True)
-class WordStats:
-    """Occurrence summary of a word: its alphabet, per-symbol counts and the
-    largest count (a word is q-bounded iff max_count <= q)."""
-
-    alphabet: Alphabet
-    counts: dict
-    max_count: int
+def require_int(value, name: str) -> None:
+    """Reject a non-integer value of the parameter `name` with a TypeError."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
 
 
 def integers(values: Iterable) -> tuple[int, ...]:
@@ -44,15 +37,6 @@ def integers(values: Iterable) -> tuple[int, ...]:
     if not set(map(type, values)) <= {int}:
         raise ValueError("fields must hold integers only")
     return values
-
-
-def word_stats(w: Iterable[int]) -> WordStats:
-    counts = Counter(w)
-    return WordStats(
-        alphabet=frozenset(counts),
-        counts=dict(counts),
-        max_count=max(counts.values(), default=0),
-    )
 
 
 def project(w: Iterable[int], subalphabet: Iterable[int]) -> Word:
@@ -79,11 +63,6 @@ def is_permutation(w: Iterable[int], alphabet: Iterable[int]) -> bool:
     w = tuple(w)
     alphabet = frozenset(alphabet)
     return len(w) == len(alphabet) and frozenset(w) == alphabet
-
-
-def first_occurrence_order(w: Iterable[int]) -> tuple[int, ...]:
-    """Distinct symbols of w, ordered by first appearance."""
-    return tuple(dict.fromkeys(w))
 
 
 def split_word(w: Word, splits: Iterable[int]) -> tuple[Word, ...]:

@@ -24,17 +24,15 @@ from gihflab.regularity import (
 from gihflab.words import (
     condense,
     equal_blocks,
-    first_occurrence_order,
     is_permutation,
     project,
     split_word,
-    word_stats,
 )
 
 
 def is_q_bounded(w, q: int) -> bool:
     """True iff every symbol occurs at most q times in w."""
-    return word_stats(w).max_count <= q
+    return max(Counter(w).values(), default=0) <= q
 
 
 def canonical_form(w):
@@ -188,7 +186,7 @@ def plain_structure(w, m: int, q: int):
     decided by a depth-first search over the span conflict masks for the
     lexicographically first conflict-free m-subset of candidate indices."""
     w = tuple(w)
-    order = first_occurrence_order(w)
+    order = tuple(dict.fromkeys(w))
     for p in range(1, q + 1):
         for splits in combinations(range(1, len(w)), p - 1):
             cands, masks = _span_conflicts(split_word(w, splits), order, m)

@@ -22,7 +22,6 @@ from gihflab.attacks import (
 from gihflab.hashsim import CompressionOracle, birthday_search, identity_schedule, mirror_schedule
 from gihflab.nesting import (
     AttackCertificate,
-    PartitionPair,
     attack_threshold,
     factorization_subset,
     find_attack_structure,
@@ -95,13 +94,11 @@ def test_criterion_03_block_matching_suite():
         k = rng.randint(1, 4)
         x = rng.randint(1, 3)
         ground = frozenset(range(k ** 3 * x))
-        pair = PartitionPair(ground,
-                             random_equal_partition(rng, ground, k),
-                             random_equal_partition(rng, ground, k), x)
-        sigma = partition_bijection(pair)
+        blocks_b = random_equal_partition(rng, ground, k)
+        blocks_c = random_equal_partition(rng, ground, k)
+        sigma = partition_bijection(blocks_b, blocks_c, x)
         assert sigma is not None
-        assert all(len(pair.blocks_b[i] & pair.blocks_c[sigma[i]]) >= x
-                   for i in range(k))
+        assert all(len(blocks_b[i] & blocks_c[sigma[i]]) >= x for i in range(k))
         successes += 1
     elapsed = time.time() - started
     assert successes == 500
@@ -139,7 +136,7 @@ def test_criterion_05_attack_structure_pipeline():
         for _ in range(25):
             alpha = random_two_permutation_word(rng, size)
             cert = find_attack_structure(alpha, n, 2, 2)
-            assert verify_attack_structure(alpha, n, 2, cert)
+            assert verify_attack_structure(alpha, cert)
             successes += 1
     elapsed = time.time() - started
     assert successes == 50
@@ -287,7 +284,7 @@ def test_criterion_09_mutation_robustness():
         cert = find_attack_structure(alpha, n, 2, 2)
         for mutant in _attack_mutations(alpha, cert):
             attempted += 1
-            rejected += not verify_attack_structure(alpha, n, 2, mutant)
+            rejected += not verify_attack_structure(alpha, mutant)
 
     # nesting certificates
     while attempted < 85:

@@ -674,6 +674,9 @@ class TestGeneralizedAttack:
             generalized_attack(o, mirror_schedule(), 1, 8, 2)  # word not 1-bounded
         with pytest.raises(ValueError):
             generalized_attack(o, mirror_schedule(), 2, 8, 0)
+        # 8.0 == oracle.n passes the equality check; the threshold refuses it
+        with pytest.raises(TypeError, match="hash length n must be an integer"):
+            generalized_attack(o, mirror_schedule(), 2, 8.0, 2)
 
     def test_file_schedule_must_cover_required_length(self):
         from gihflab.hashsim import schedule_from_words
@@ -717,7 +720,7 @@ class TestThreeLevelAttack:
     @pytest.mark.parametrize("n,k", [(4, 1), (4, 2)])
     def test_three_permutations(self, n, k):
         alpha, cert = _three_permutations(n, k)
-        assert verify_attack_structure(alpha, n, k, cert)
+        assert verify_attack_structure(alpha, cert)
         oracle, sched, mc, report = _certified_attack(alpha, cert, 3, 60 + k)
         assert report.verify_ok and report.p == 3 and report.r == k
         # the bound covers the l letters attacked: 7,680 and 245,760
@@ -749,7 +752,7 @@ class TestResumedLevelWalk:
     @pytest.mark.parametrize("build", [_mirror_one_part, lambda: _doubled_letter(8)])
     def test_hand_built_certificates_read_a_slot_twice(self, build):
         alpha, cert = build()
-        assert verify_attack_structure(alpha, cert.n, cert.k, cert)
+        assert verify_attack_structure(alpha, cert)
         assert any(part.count(x) > 1 for part in split_word(alpha, cert.splits)
                    for x in cert.subalphabet)
 

@@ -11,7 +11,8 @@ import pytest
 from gihflab import cli
 from gihflab.attacks import generalized_attack, joux_attack, verify_multicollision
 from gihflab.hashsim import CompressionOracle, identity_schedule, mirror_schedule
-from gihflab.words import format_words, word_stats
+from gihflab.regularity import find_structure
+from gihflab.words import format_words
 
 from support import random_two_permutation_word
 
@@ -130,6 +131,21 @@ class TestNestingCommand:
                          "--cert", str(cert_file))
         assert report_of(verify)["result"] == {"kind": "attack", "ok": True}
 
+    @pytest.mark.parametrize("word,cert", [
+        ("1 2\n", {"B": [1, 2], "p": 1, "splits": [], "n": 0, "k": 2}),
+        ("1 2 1 2\n", {"B": [1, 2], "p": 2, "splits": [2], "n": -2, "k": -1}),
+    ], ids=["n-0", "k-minus-1"])
+    def test_verify_rejects_nonpositive_n_or_k(self, tmp_path, word, cert):
+        # |B| = n^(p-1) * k holds for both; the verifier reads n and k from
+        # the file, so only their sign check refuses them
+        (tmp_path / "w.txt").write_text(word)
+        (tmp_path / "c.json").write_text(json.dumps(cert))
+        proc = run_cli("verify", "cert", "--word", str(tmp_path / "w.txt"),
+                       "--cert", str(tmp_path / "c.json"), check=False)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1
+        assert report_of(proc)["result"] == {"kind": "attack", "ok": False}
+
 
 class TestHashsimCommand:
     def test_birthday_report(self):
@@ -190,20 +206,23 @@ class TestAttackCommands:
         assert result["l"] == 241 and result["verify_ok"] is True
 
     def test_verify_collision_counts_no_word(self, tmp_path, monkeypatch, capsys):
-        # the verifier checks coverage only; no layer counts the word's letters
+        # the verifier checks coverage only; find_structure, the one reader
+        # of q-boundedness, is never called
         mc = tmp_path / "mc.json"
         assert cli.main(["attack", "gihf", "--n", "8", "--m", "16", "--q", "2", "--r", "2",
                          "--schedule", "mirror", "--seed", "5", "--mc-out", str(mc)]) == 0
         capsys.readouterr()
         calls = []
 
-        def counted(w, count=word_stats):
+        def counted(w, *args, search=find_structure):
             calls.append(w)
-            return count(w)
+            return search(w, *args)
 
-        for module in list(sys.modules.values()):
-            if vars(module).get("word_stats") is word_stats:
-                monkeypatch.setattr(module, "word_stats", counted)
+        readers = [module for module in list(sys.modules.values())
+                   if vars(module).get("find_structure") is find_structure]
+        assert cli in readers
+        for module in readers:
+            monkeypatch.setattr(module, "find_structure", counted)
         assert cli.main(["verify", "collision", "--mc", str(mc)]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["ok"] is True
         assert calls == []
@@ -394,6 +413,9 @@ class TestRejectedInput:
         ("ndiv-n-1", ["classics", "ndiv", "--n", "1"], "1 2\n", {}),
         ("find-m-0", ["regularity", "find", "--m", "0", "--q", "2"], "1 2 1 2\n", {}),
         ("witness-m-1", ["regularity", "witness", "--m", "1"], None, {}),
+        # 1000 * 2001 letters: the first witness past the structure
+        # search's cap, refused before it is built
+        ("witness-past-search-cap", ["regularity", "witness", "--m", "1001"], None, {}),
         ("compute-n-m-0", ["regularity", "compute-n", "--m", "0", "--q", "2"], None, {}),
         ("attack-structure-below-threshold",
          ["nesting", "attack-structure", "--n", "2", "--k", "2", "--q", "2"], "1 2 1 2\n", {}),

@@ -1,5 +1,6 @@
-"""Every name gihflab/__init__.py re-exports has a caller in a library module
-or a bench script, so the package exports no name only the tests use."""
+"""Every name gihflab/__init__.py re-exports, and every public top-level
+function and class of a gihflab module, has a caller in a library module or
+a bench script, so the package defines no public name only the tests use."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,14 @@ def reexports(source: str):
     return [alias.asname or alias.name for node in ast.parse(source).body
             if isinstance(node, ast.ImportFrom) and node.level == 1
             for alias in node.names]
+
+
+def public_definitions(source: str):
+    """Top-level functions and classes of a module source whose names do not
+    start with an underscore, in definition order."""
+    return [stmt.name for stmt in ast.parse(source).body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_")]
 
 
 def referenced_names(source: str) -> set:
@@ -41,14 +50,29 @@ def test_scans_see_reexports_and_callers():
     names = referenced_names(source)
     assert {"g", "gihflab", "h", "C"} <= names
     assert "f" not in names  # f only calls itself
+    assert public_definitions(source + "def _h():\n    pass\nX = 1\n") == ["f", "C", "g"]
 
 
-def test_every_export_has_a_caller_outside_the_tests():
+def library_reads() -> set:
+    """Names read by the library modules other than __init__ and by the
+    bench scripts."""
     callers = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     callers += sorted(BENCH.glob("*.py"))
     assert callers
-    used = set().union(*(referenced_names(path.read_text(encoding="utf-8"))
+    return set().union(*(referenced_names(path.read_text(encoding="utf-8"))
                          for path in callers))
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    used = library_reads()
     exports = reexports((SRC / "__init__.py").read_text(encoding="utf-8"))
     assert exports
     assert [name for name in exports if name not in used] == []
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    used = library_reads()
+    public = [(path.stem, name) for path in sorted(SRC.glob("*.py"))
+              for name in public_definitions(path.read_text(encoding="utf-8"))]
+    assert public
+    assert [f"{module}.{name}" for module, name in public if name not in used] == []

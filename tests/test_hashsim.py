@@ -2,6 +2,7 @@ import random
 import statistics
 import time
 import tracemalloc
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -20,7 +21,6 @@ from gihflab.hashsim import (
     table_collision,
     validate_schedule_word,
 )
-from gihflab.words import word_stats
 
 from support import reference_compress, reference_sampler_stream
 
@@ -247,7 +247,7 @@ class TestSchedules:
     def test_families_valid_up_to_2000(self, factory, bound):
         sched = factory()
         for l in (1, 2, 3, 17, 256, 993, 1999, 2000):
-            assert word_stats(validate_schedule_word(sched, l)).max_count == bound
+            assert max(Counter(validate_schedule_word(sched, l)).values()) == bound
 
     def test_file_schedule_lookup_and_bound(self):
         sched = schedule_from_words([(1,), (1, 2, 2, 1)])

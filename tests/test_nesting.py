@@ -10,7 +10,6 @@ from gihflab import nesting
 from gihflab.nesting import (
     AttackCertificate,
     ConstructionError,
-    PartitionPair,
     attack_threshold,
     factorization_subset,
     find_attack_structure,
@@ -35,57 +34,52 @@ from support import (
 
 class TestPartitionBijection:
     def test_single_block(self):
-        pair = PartitionPair(frozenset({1, 2}), (frozenset({1, 2}),),
-                             (frozenset({1, 2}),), 1)
-        assert partition_bijection(pair) == (0,)
+        assert partition_bijection((frozenset({1, 2}),), (frozenset({1, 2}),), 1) == (0,)
 
     def test_deterministic_identity_pick(self):
         # both bijections are valid here; the free-partner-first rule takes
         # the identity
-        pair = PartitionPair(
-            frozenset({1, 2, 3, 4}),
-            (frozenset({1, 2}), frozenset({3, 4})),
-            (frozenset({1, 3}), frozenset({2, 4})), 1)
-        assert partition_bijection(pair) == (0, 1)
+        assert partition_bijection((frozenset({1, 2}), frozenset({3, 4})),
+                                   (frozenset({1, 3}), frozenset({2, 4})), 1) == (0, 1)
 
     def test_absent_when_intersections_small(self):
-        pair = PartitionPair(
-            frozenset({1, 2, 3, 4}),
-            (frozenset({1, 2}), frozenset({3, 4})),
-            (frozenset({1, 3}), frozenset({2, 4})), 2)
-        assert partition_bijection(pair) is None
+        assert partition_bijection((frozenset({1, 2}), frozenset({3, 4})),
+                                   (frozenset({1, 3}), frozenset({2, 4})), 2) is None
 
     def test_needs_augmenting_path(self):
         # first blocks compete for the same partner, forcing a reassignment
-        pair = PartitionPair(
-            frozenset(range(8)),
-            (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}), frozenset({6, 7})),
-            (frozenset({0, 2}), frozenset({1, 3}), frozenset({4, 6}), frozenset({5, 7})), 1)
-        sigma = partition_bijection(pair)
+        blocks_b = (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}), frozenset({6, 7}))
+        blocks_c = (frozenset({0, 2}), frozenset({1, 3}), frozenset({4, 6}), frozenset({5, 7}))
+        sigma = partition_bijection(blocks_b, blocks_c, 1)
         assert sigma is not None
         assert sorted(sigma) == [0, 1, 2, 3]
         for i in range(4):
-            assert len(pair.blocks_b[i] & pair.blocks_c[sigma[i]]) >= 1
+            assert len(blocks_b[i] & blocks_c[sigma[i]]) >= 1
 
-    def test_malformed_pairs_rejected(self):
+    @pytest.mark.parametrize("blocks_b,blocks_c,x", [
+        (({1},), ({1}, {2}), 1),  # unequal block counts
+        ((), (), 1),  # no blocks
+        (({1}, {2}), ({1}, {2}), 0),  # no intersection target
+        (({1}, {2, 3}), ({1, 2}, {3}), 1),  # unequal block sizes
+        (({1, 2}, {2, 3}), ({1, 2}, {2, 3}), 1),  # overlapping blocks
+        (({1}, {2}), ({1}, {3}), 1),  # different ground sets
+    ], ids=["counts", "empty", "x-0", "sizes", "overlap", "grounds"])
+    def test_malformed_pairs_rejected(self, blocks_b, blocks_c, x):
         with pytest.raises(ValueError):
-            partition_bijection(PartitionPair(frozenset({1, 2}), (frozenset({1}),),
-                                              (frozenset({1}), frozenset({2})), 1))
-        with pytest.raises(ValueError):
-            partition_bijection(PartitionPair(frozenset({1, 2, 3}),
-                                              (frozenset({1}), frozenset({2, 3})),
-                                              (frozenset({1, 2}), frozenset({3})), 1))
+            partition_bijection(tuple(map(frozenset, blocks_b)),
+                                tuple(map(frozenset, blocks_c)), x)
 
     def test_matches_brute_force_existence(self):
         rng = random.Random(12)
         for _ in range(300):
             k, size = rng.randint(1, 5), rng.randint(1, 4)
             ground = frozenset(range(k * size))
-            pair = PartitionPair(ground, random_equal_partition(rng, ground, k),
-                                 random_equal_partition(rng, ground, k), rng.randint(1, size))
-            exists = any(all(len(pair.blocks_b[i] & pair.blocks_c[sigma[i]]) >= pair.x
-                             for i in range(k)) for sigma in permutations(range(k)))
-            sigma = partition_bijection(pair)
+            blocks_b = random_equal_partition(rng, ground, k)
+            blocks_c = random_equal_partition(rng, ground, k)
+            x = rng.randint(1, size)
+            exists = any(all(len(blocks_b[i] & blocks_c[sigma[i]]) >= x for i in range(k))
+                         for sigma in permutations(range(k)))
+            sigma = partition_bijection(blocks_b, blocks_c, x)
             assert (sigma is not None) == exists
             if exists:
                 assert sorted(sigma) == list(range(k))
@@ -96,13 +90,11 @@ class TestPartitionBijection:
             k = rng.randint(1, 4)
             x = rng.randint(1, 3)
             ground = frozenset(range(k ** 3 * x))
-            pair = PartitionPair(ground,
-                                 random_equal_partition(rng, ground, k),
-                                 random_equal_partition(rng, ground, k), x)
-            sigma = partition_bijection(pair)
+            blocks_b = random_equal_partition(rng, ground, k)
+            blocks_c = random_equal_partition(rng, ground, k)
+            sigma = partition_bijection(blocks_b, blocks_c, x)
             assert sigma is not None
-            assert all(len(pair.blocks_b[i] & pair.blocks_c[sigma[i]]) >= x
-                       for i in range(k))
+            assert all(len(blocks_b[i] & blocks_c[sigma[i]]) >= x for i in range(k))
 
 
 class TestFactorizationSubset:
@@ -197,14 +189,14 @@ class TestAttackStructure:
         cert = find_attack_structure(alpha, 2, 2, 2)
         assert cert.p == 2
         assert len(cert.subalphabet) == 4
-        assert verify_attack_structure(alpha, 2, 2, cert)
+        assert verify_attack_structure(alpha, cert)
 
     def test_mirror_word_over_57_letters(self):
         l = 57  # boundary alphabet for an 8-letter subalphabet at q=2
         alpha = tuple(range(1, l + 1)) + tuple(range(l, 0, -1))
         cert = find_attack_structure(alpha, 4, 2, 2)
         assert len(cert.subalphabet) in (2, 8)
-        assert verify_attack_structure(alpha, 4, 2, cert)
+        assert verify_attack_structure(alpha, cert)
 
     def test_threshold_values(self):
         assert attack_threshold(2, 2, 1) == 2
@@ -213,6 +205,16 @@ class TestAttackStructure:
         assert attack_threshold(8, 2, 2) == 241
         with pytest.raises(ValueError):
             attack_threshold(0, 1, 1)
+
+    @pytest.mark.parametrize("n,k,q,name", [(2.5, 1, 2, "hash length n"),
+                                            (8.0, 2, 2, "hash length n"),
+                                            (2, 1.0, 2, "collision exponent k"),
+                                            (2, 1, 2.0, "occurrence bound q")])
+    def test_threshold_rejects_non_integer_sizes(self, n, k, q, name):
+        # attack_threshold(2.5, 1, 2) was 4.75
+        for cap in (None, 100):
+            with pytest.raises(TypeError, match=f"{name} must be an integer"):
+                attack_threshold(n, k, q, at_most=cap)
 
     def test_request_closed_form_is_the_level_product(self):
         # d0 * d1^2 * ... over level_blocks, the nesting lemma's alphabet,
@@ -285,14 +287,14 @@ class TestAttackStructure:
             for _ in range(4):
                 alpha = random_two_permutation_word(rng, size)
                 cert = find_attack_structure(alpha, n, k, 2)
-                assert verify_attack_structure(alpha, n, k, cert)
+                assert verify_attack_structure(alpha, cert)
 
     def test_q_one_reduces_to_single_part(self):
         alpha = tuple(range(1, 9))
         cert = find_attack_structure(alpha, 4, 3, 1)
         assert cert.p == 1
         assert len(cert.subalphabet) == 3
-        assert verify_attack_structure(alpha, 4, 3, cert)
+        assert verify_attack_structure(alpha, cert)
 
 
 def _doubled_alphabet(rng, letters):
@@ -323,7 +325,7 @@ class TestFillerFreeCertificate:
         except ValueError:
             kinds["refused"] += 1
             return None
-        assert verify_attack_structure(w, n, k, cert)
+        assert verify_attack_structure(w, cert)
         if cert.p > 2:
             kinds["p >= 3"] += 1
             return cert
@@ -378,17 +380,20 @@ class TestFillerFreeCertificate:
 class TestVerifyAttackStructure:
     def test_single_part_certificate(self):
         cert = AttackCertificate((1, 2, 3), 1, (), 5, 3)
-        assert verify_attack_structure((1, 2, 3), 5, 3, cert)
+        assert verify_attack_structure((1, 2, 3), cert)
 
     def test_two_part_single_group(self):
         cert = AttackCertificate((1, 2), 2, (2,), 2, 1)
-        assert verify_attack_structure((1, 2, 1, 2), 2, 1, cert)
+        assert verify_attack_structure((1, 2, 1, 2), cert)
 
-    @pytest.mark.parametrize("p,n,k", [(2.9, 2, 1), (2, 2.7, 1), (2, 2, 1.5)])
-    def test_rejects_non_integer_fields(self, p, n, k):
-        # each field would truncate to the genuine certificate above
-        cert = AttackCertificate((1, 2), p, (2,), n, k)
-        assert not verify_attack_structure((1, 2, 1, 2), 2, 1, cert)
+    @pytest.mark.parametrize("p,n,k", [(2.9, 2, 1), (2, 2.7, 1), (2, 2, 1.5),
+                                       (1, 0, 2), (2, -2, -1)])
+    def test_rejects_non_integer_or_nonpositive_fields(self, p, n, k):
+        # each float field would truncate to the genuine certificate above;
+        # n = 0 at p = 1 gives |B| = 0^0 * k = 2 letters and n * k = 2 at
+        # p = 2, so only the sign check refuses the last two
+        w, splits = ((1, 2), ()) if p == 1 else ((1, 2, 1, 2), (2,))
+        assert not verify_attack_structure(w, AttackCertificate((1, 2), p, splits, n, k))
 
     def test_rejects_mutations(self):
         l = 57
@@ -396,16 +401,16 @@ class TestVerifyAttackStructure:
         cert = find_attack_structure(alpha, 4, 2, 2)
         swapped = AttackCertificate((999,) + cert.subalphabet[1:], cert.p,
                                     cert.splits, cert.n, cert.k)
-        assert not verify_attack_structure(alpha, 4, 2, swapped)
+        assert not verify_attack_structure(alpha, swapped)
         shrunk = AttackCertificate(cert.subalphabet[:-1], cert.p, cert.splits,
                                    cert.n, cert.k)
-        assert not verify_attack_structure(alpha, 4, 2, shrunk)
+        assert not verify_attack_structure(alpha, shrunk)
         repart = AttackCertificate(cert.subalphabet, cert.p + 1, cert.splits,
                                    cert.n, cert.k)
-        assert not verify_attack_structure(alpha, 4, 2, repart)
+        assert not verify_attack_structure(alpha, repart)
         mislabeled = AttackCertificate(cert.subalphabet, cert.p, cert.splits,
                                        cert.n + 1, cert.k)
-        assert not verify_attack_structure(alpha, 4, 2, mislabeled)
+        assert not verify_attack_structure(alpha, mislabeled)
 
     def test_rejects_broken_containment(self):
         # containment can only fail for p >= 3 (singleton fine blocks always
@@ -415,10 +420,10 @@ class TestVerifyAttackStructure:
         crossed = (1, 2, 3, 5, 4, 6, 7, 8)
         alpha = straight + straight + crossed
         cert = AttackCertificate(straight, 3, (8, 16), 2, 2)
-        assert not verify_attack_structure(alpha, 2, 2, cert)
+        assert not verify_attack_structure(alpha, cert)
         # control: with an aligned third part the same certificate passes
         aligned = straight + straight + straight
-        assert verify_attack_structure(aligned, 2, 2, cert)
+        assert verify_attack_structure(aligned, cert)
 
 
 class TestDeepInputs:
@@ -431,7 +436,7 @@ class TestDeepInputs:
                  + [(k - 1, 0), (k - 1, 1)])
         rows = tuple(frozenset(c for c in cells if c[0] == i) for i in range(k))
         cols = tuple(frozenset(c for c in cells if c[1] == j) for j in range(k))
-        sigma = partition_bijection(PartitionPair(frozenset(cells), rows, cols, 1))
+        sigma = partition_bijection(rows, cols, 1)
         assert sigma == tuple(0 if i == k - 1 else min(i + 2, k - 1) if i % 2 == 0 else i
                               for i in range(k))
 
@@ -439,7 +444,7 @@ class TestDeepInputs:
         # 3^(10^8 - 1) would take tens of seconds to build
         cert = AttackCertificate((1, 2), 10 ** 8, (), 3, 2)
         started = time.perf_counter()
-        assert not verify_attack_structure((1, 2, 1, 2), 3, 2, cert)
+        assert not verify_attack_structure((1, 2, 1, 2), cert)
         assert time.perf_counter() - started < 1
 
     def test_long_part_count_rejected_before_any_power_of_n(self, monkeypatch):
@@ -451,7 +456,7 @@ class TestDeepInputs:
         monkeypatch.setattr(nesting, "level_blocks", refuse)
         word = (1,) * 3000
         cert = AttackCertificate((1,), 3000, tuple(range(1, 3000)), 3, 1)
-        assert not verify_attack_structure(word, 3, 1, cert)
+        assert not verify_attack_structure(word, cert)
 
 
 class TestLevelBlocks:

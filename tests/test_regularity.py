@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
 from itertools import accumulate, combinations
 
 import pytest
@@ -20,13 +21,7 @@ from gihflab.regularity import (
     structure_threshold,
     verify_structure,
 )
-from gihflab.words import (
-    condense,
-    first_occurrence_order,
-    is_permutation,
-    split_word,
-    word_stats,
-)
+from gihflab.words import condense, is_permutation, split_word
 
 from support import (
     admissible_splits,
@@ -420,8 +415,8 @@ class TestSpanConflicts:
             p = rng.randint(1, min(3, len(w)))
             splits = tuple(sorted(rng.sample(range(1, len(w)), p - 1)))
             parts = split_word(w, splits)
-            cands, masks = regularity._span_conflicts(parts, first_occurrence_order(w), 0)
-            assert cands == [a for a in first_occurrence_order(w)
+            cands, masks = regularity._span_conflicts(parts, tuple(dict.fromkeys(w)), 0)
+            assert cands == [a for a in dict.fromkeys(w)
                              if all(a in part for part in parts)]
             relation = [{j for j in range(len(cands)) if mask >> j & 1} for mask in masks]
             assert relation == reference_conflicts(parts, cands), (w, splits)
@@ -461,7 +456,7 @@ class TestConflictDegreeRefusal:
     def test_refuses_a_complete_relation_before_any_growth(self, monkeypatch):
         handed = count_mask_reads(monkeypatch)
         w = tuple(range(1, 201)) * 2  # one part: every span holds the middle
-        assert regularity._first_subalphabet((w,), first_occurrence_order(w), 2) is None
+        assert regularity._first_subalphabet((w,), tuple(dict.fromkeys(w)), 2) is None
         (masks,) = handed
         assert all(mask.bit_count() == 199 for mask in masks)
         assert masks.reads == 0
@@ -480,10 +475,10 @@ class TestConflictDegreeRefusal:
         for _ in range(400):
             w = random_bounded_word(rng, rng.randint(2, 8), 2)
             m = rng.randint(2, 4)
-            cands, masks = regularity._span_conflicts((w,), first_occurrence_order(w), m)
+            cands, masks = regularity._span_conflicts((w,), tuple(dict.fromkeys(w)), m)
             if masks is None:
                 continue
-            found = regularity._first_subalphabet((w,), first_occurrence_order(w), m)
+            found = regularity._first_subalphabet((w,), tuple(dict.fromkeys(w)), m)
             if sorted(map(int.bit_count, masks))[m - 1] > len(cands) - m:
                 fired += 1
                 assert found is None
@@ -499,10 +494,10 @@ class TestWitnessFamily:
     def test_shape(self):
         for m in range(2, 7):
             w = extremal_witness(m)
-            stats = word_stats(w)
+            counts = Counter(w)
             assert len(w) == (m - 1) * (2 * m - 1)
-            assert len(stats.alphabet) == m * (m - 1)
-            assert stats.max_count == 2
+            assert len(counts) == m * (m - 1)
+            assert max(counts.values()) == 2
 
     def test_no_certificate_up_to_five(self):
         for m in range(2, 6):
@@ -513,6 +508,13 @@ class TestWitnessFamily:
     def test_rejects_tiny_m(self):
         with pytest.raises(ValueError):
             extremal_witness(1)
+
+    def test_refuses_a_witness_past_the_search_cap(self):
+        # (m - 1)(2m - 1) letters: 1,997,001 at m = 1000, 2,001,000 at 1001,
+        # and a word of l letters has l factorizations into at most 2 parts
+        assert factorization_count(999 * 1999, 2) <= DEFAULT_MAX_FACTORIZATIONS
+        with pytest.raises(ValueError, match="2001000 letters"):
+            extremal_witness(1001)
 
 
 class TestCanonicalForm:
@@ -536,9 +538,9 @@ class TestCanonicalEnumeration:
         seen = set()
         for w in canonical_bounded_words(3, 2):
             assert canonical_form(w) == w
-            stats = word_stats(w)
-            assert stats.alphabet == frozenset({1, 2, 3})
-            assert stats.max_count <= 2
+            counts = Counter(w)
+            assert set(counts) == {1, 2, 3}
+            assert max(counts.values()) <= 2
             assert w not in seen
             seen.add(w)
         # 222 labeled words with per-letter counts in {1,2} over 3 letters,
@@ -616,6 +618,16 @@ class TestStructureThreshold:
 
     def test_upper_bound_regime(self):
         assert structure_threshold(3, 3) == 3 ** 4
+
+    @pytest.mark.parametrize("m,q,name", [(3, 3.5, "occurrence bound q"),
+                                          (3, 2.0, "occurrence bound q"),
+                                          (3.5, 3, "subalphabet size m"),
+                                          (2.0, 2, "subalphabet size m")])
+    def test_non_integer_size_is_rejected(self, m, q, name):
+        # structure_threshold(3, 3.5) was 3^(2^2.5), about 500.04
+        for cap in (None, 100):
+            with pytest.raises(TypeError, match=f"{name} must be an integer"):
+                structure_threshold(m, q, at_most=cap)
 
     def test_capped_value_is_the_minimum(self):
         for m in range(1, 6):

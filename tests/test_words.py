@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from enum import IntEnum
 
 import pytest
@@ -7,7 +8,6 @@ from gihflab.regularity import extremal_witness
 from gihflab.words import (
     condense,
     equal_blocks,
-    first_occurrence_order,
     format_word,
     format_words,
     integers,
@@ -16,7 +16,6 @@ from gihflab.words import (
     project,
     split_word,
     word,
-    word_stats,
 )
 
 from support import is_q_bounded, reference_integers, reference_word
@@ -26,23 +25,11 @@ def random_word(rng, max_len=12, max_sym=5):
     return tuple(rng.randint(1, max_sym) for _ in range(rng.randint(0, max_len)))
 
 
-class TestWordStats:
-    def test_counts(self):
-        stats = word_stats((1, 1, 2))
-        assert stats.alphabet == frozenset({1, 2})
-        assert stats.counts == {1: 2, 2: 1}
-        assert stats.max_count == 2
-
-    def test_empty(self):
-        stats = word_stats(())
-        assert stats.alphabet == frozenset()
-        assert stats.counts == {}
-        assert stats.max_count == 0
-
+class TestWord:
     def test_witness_is_two_bounded(self):
-        stats = word_stats(extremal_witness(3))
-        assert len(stats.alphabet) == 6
-        assert stats.max_count == 2
+        counts = Counter(extremal_witness(3))
+        assert len(counts) == 6
+        assert max(counts.values()) == 2
         assert is_q_bounded(extremal_witness(3), 2)
 
     def test_negative_symbols_rejected(self):
@@ -73,7 +60,7 @@ class TestProject:
         for _ in range(300):
             w = random_word(rng)
             b = {s for s in range(1, 6) if rng.random() < 0.5}
-            counts = word_stats(w).counts
+            counts = Counter(w)
             assert len(project(w, b)) == sum(counts.get(a, 0) for a in b)
 
 
@@ -121,9 +108,6 @@ class TestIsPermutation:
 
 
 class TestHelpers:
-    def test_first_occurrence_order(self):
-        assert first_occurrence_order((3, 1, 3, 2, 1)) == (3, 1, 2)
-
     def test_split_word(self):
         assert split_word((1, 2, 3, 4), (1, 3)) == ((1,), (2, 3), (4,))
         with pytest.raises(ValueError):
