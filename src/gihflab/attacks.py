@@ -62,7 +62,7 @@ from .nesting import (
     level_blocks,
 )
 from .regularity import DEFAULT_MAX_FACTORIZATIONS, factorization_count
-from .words import condense, equal_blocks, integers, split_word
+from .words import condense, equal_blocks, integers, require_int, split_word
 
 DEFAULT_A_TILDE = 2.5
 DEFAULT_EXPANSION_CAP = 1 << 16
@@ -113,6 +113,8 @@ class MulticollisionSet:
                 raise ValueError("each group needs at least two choices")
             if any(len(c) != len(group.positions) for c in group.choices):
                 raise ValueError("choice width must match the group positions")
+            if len(set(group.choices)) != len(group.choices):
+                raise ValueError("a group repeats a choice")
         # cheap size checks come first, so a hostile length or r never
         # builds a huge set or integer
         covered = seen | set(self.base_blocks)
@@ -233,8 +235,9 @@ def complexity_bound(n: int, q: int, l: int):
     and the proven upper bound for q >= 3.  Returns an int whenever the
     value is integral.
     """
-    if n < 1 or q < 1 or l < 1:
-        raise ValueError("n, q and l must be >= 1")
+    require_int(n, "hash length n")
+    require_int(q, "occurrence bound q")
+    require_int(l, "message length l")
     value = Fraction(DEFAULT_A_TILDE) * q * l * (2 ** (n // 2))
     if n % 2:
         return float(value) * math.sqrt(2)
@@ -248,21 +251,21 @@ def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
     the given (counter-isolated) oracle, confirming one common digest and
     pairwise distinct messages.
 
-    The set is rejected without a query unless it is well formed, the word
-    covers 1..l, h0 and every block lie in the oracle's ranges, and no
-    group repeats a choice: the groups cover disjoint nonempty positions,
-    so that is exactly the distinctness of the messages.  A set of at most
-    SEPARATE_HASHING_MAX (and at most `cap`) messages then has each message
-    hashed on its own; a larger one has all its messages hashed together in
-    one pass over the word, whose frontier of (live picks, state) pairs
-    `cap` bounds.  A set whose frontier would outgrow `cap` is sampled
-    instead and flagged complete=False: min(cap, 2^r) pairwise distinct
-    messages, drawn by a seeded walk over the selection indices, are each
-    hashed on their own.  checked counts the messages verified, 0 on
-    rejection.  Raises ValueError if cap < 1.
+    The set is rejected without a query unless it is well formed (which
+    includes that no group repeats a choice: the groups cover disjoint
+    nonempty positions, so that is exactly the distinctness of the
+    messages), the word covers 1..l, and h0 and every block lie in the
+    oracle's ranges.  A set of at most SEPARATE_HASHING_MAX (and at most
+    `cap`) messages then has each message hashed on its own; a larger one
+    has all its messages hashed together in one pass over the word, whose
+    frontier of (live picks, state) pairs `cap` bounds.  A set whose
+    frontier would outgrow `cap` is sampled instead and flagged
+    complete=False: min(cap, 2^r) pairwise distinct messages, drawn by a
+    seeded walk over the selection indices, are each hashed on their own.
+    checked counts the messages verified, 0 on rejection.  Rejects a cap
+    below 1 or not an integer (require_int).
     """
-    if cap < 1:
-        raise ValueError(f"verification cap {cap} must be >= 1")
+    require_int(cap, "verification cap")
     try:
         mc.validate()
         alpha = validate_schedule_word(sched, mc.length)
@@ -270,8 +273,6 @@ def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
         if not (0 <= h0 < 1 << oracle.n
                 and all(b >= 0 and b.bit_length() <= oracle.m for b in blocks)):
             raise ValueError("h0 or a block lies outside the oracle's range")
-        if any(len(set(g.choices)) != len(g.choices) for g in mc.groups):
-            raise ValueError("a group repeats a choice")
     except (ValueError, TypeError, AttributeError):
         return VerificationResult(False, True, 0)
 
@@ -539,8 +540,7 @@ def joux_attack(oracle: CompressionOracle, h0: int, r: int, *,
     (MulticollisionSet, AttackReport); the report's stage_queries reconcile
     exactly with attack_queries.
     """
-    if r < 1:
-        raise ValueError("collision exponent r must be >= 1")
+    require_int(r, "collision exponent r")
     sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "joux"))
     alpha = tuple(range(1, r + 1))
     cert = AttackCertificate(alpha, 1, (), oracle.n, r)
@@ -556,10 +556,8 @@ def generalized_attack(oracle: CompressionOracle, sched: Schedule, q: int,
 
     Returns (MulticollisionSet, AttackReport).
     """
-    if r < 1:
-        raise ValueError("collision exponent r must be >= 1")
-    if q < 1:
-        raise ValueError("occurrence bound q must be >= 1")
+    require_int(r, "collision exponent r")
+    require_int(q, "occurrence bound q")
     if n_param != oracle.n:
         raise ValueError(f"n_param {n_param} != oracle hash length {oracle.n}")
     # refuse, unbuilt, a word find_structure would refuse: its count grows

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional
 
-from .words import Word
+from .words import Word, require_int
 
 # Exhaustive caps for find_n_division (factorizations x permutations blow up
 # combinatorially past this point).
@@ -29,29 +29,10 @@ class Cadence:
     positions: tuple[int, ...]
 
     @property
-    def order(self) -> int:
-        return len(self.positions)
-
-    @property
     def difference(self) -> Optional[int]:
         if len(self.positions) < 2:
             return None
         return self.positions[1] - self.positions[0]
-
-    def is_arithmetic(self) -> bool:
-        ps = self.positions
-        if len(ps) < 2:
-            return True
-        d = ps[1] - ps[0]
-        return d >= 1 and all(ps[i + 1] - ps[i] == d for i in range(len(ps) - 1))
-
-    def valid_on(self, w: Word) -> bool:
-        ps = self.positions
-        if not ps or any(not 1 <= p <= len(w) for p in ps):
-            return False
-        if any(ps[i] >= ps[i + 1] for i in range(len(ps) - 1)):
-            return False
-        return len({w[p - 1] for p in ps}) == 1
 
 
 @dataclass(frozen=True)
@@ -73,8 +54,7 @@ class NDivision:
 def find_arithmetic_cadence(w: Word, s: int) -> Optional[Cadence]:
     """First arithmetic cadence of order s, smallest difference then smallest
     start, or None after exhausting every (start, difference) pair."""
-    if s < 1:
-        raise ValueError("cadence order must be >= 1")
+    require_int(s, "cadence order s")
     w = tuple(w)
     if s == 1:
         return Cadence((1,)) if w else None
@@ -111,11 +91,13 @@ def check_n_division(w: Word, division: NDivision) -> bool:
 def find_n_division(w: Word, n: int) -> Optional[NDivision]:
     """Exhaustively search for an n-division of w, or None if none exists.
 
-    Raises ValueError for n < 2 or instances above the documented caps
-    (MAX_NDIV_LENGTH symbols, MAX_NDIV_N factors).
+    Raises TypeError for a non-integer n, and ValueError for n < 2 or
+    instances above the documented caps (MAX_NDIV_LENGTH symbols,
+    MAX_NDIV_N factors).
     """
+    require_int(n, "factor count n")
     if n < 2:
-        raise ValueError("n-division needs n >= 2")
+        raise ValueError("factor count n must be >= 2")
     w = tuple(w)
     if n > MAX_NDIV_N or len(w) > MAX_NDIV_LENGTH:
         raise ValueError(

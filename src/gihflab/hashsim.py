@@ -21,7 +21,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .words import Word
+from .words import Word, require_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -64,7 +64,9 @@ class CompressionOracle:
     """
 
     def __init__(self, n: int, m: int, seed: int):
-        if not 1 <= n <= 64:
+        require_int(n, "hash length n")
+        require_int(m, "block length m")
+        if n > 64:
             raise ValueError("hash length n must lie in 1..64")
         if m <= n:
             raise ValueError("block length m must exceed hash length n")
@@ -225,8 +227,7 @@ class BlockSampler:
     """
 
     def __init__(self, m: int, seed: int):
-        if m < 1:
-            raise ValueError("block length m must be >= 1")
+        require_int(m, "block length m")
         self.m = m
         self.seed = int(seed)
         mult = _low_bits(2 * mix64(self.seed) + 1, m)
@@ -272,6 +273,7 @@ def table_collision(evaluate: Callable, candidates: Iterable, k: int = 2):
     Memory-unrestricted: the first candidate of every seen value is kept,
     and a value that repeats gets a bucket of its candidates until one
     bucket holds k.  Only the values are hashed, never the candidates."""
+    require_int(k, "collision size k")
     if k < 2:
         raise ValueError("collision size k must be >= 2")
     first: dict = {}

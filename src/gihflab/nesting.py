@@ -65,17 +65,16 @@ def partition_bijection(blocks_b: Sequence[frozenset], blocks_c: Sequence[frozen
     perfect matching exists.
 
     blocks_b and blocks_c must partition one ground set, the union of
-    blocks_b, into equally many blocks of one size, and x must be >= 1;
-    anything else raises ValueError.  Found by augmenting-path matching on
-    the graph with an edge (i, j) iff the intersection is large enough;
-    blocks are tried in index order and free partners are preferred, which
-    fixes the returned bijection.
+    blocks_b, into equally many blocks of one size, and x must be a positive
+    integer; anything else raises ValueError (TypeError for a non-integer
+    x).  Found by augmenting-path matching on the graph with an edge (i, j)
+    iff the intersection is large enough; blocks are tried in index order
+    and free partners are preferred, which fixes the returned bijection.
     """
     k = len(blocks_b)
     if k == 0 or len(blocks_c) != k:
         raise ValueError("both partitions must have the same nonzero block count")
-    if x < 1:
-        raise ValueError("intersection target x must be >= 1")
+    require_int(x, "intersection target x")
     if len({len(block) for block in (*blocks_b, *blocks_c)}) != 1:
         raise ValueError("all blocks must have equal size")
     ground = frozenset().union(*blocks_b)
@@ -131,11 +130,11 @@ def partition_bijection(blocks_b: Sequence[frozenset], blocks_c: Sequence[frozen
 
 
 def _validate_factorization_inputs(perms: Sequence[Word], d: Sequence[int]):
-    d = tuple(int(x) for x in d)
+    d = tuple(d)
     if len(d) < 2:
         raise ValueError("need at least two divisors d0, d1")
-    if any(x < 1 for x in d):
-        raise ValueError("divisors must be positive")
+    for i, x in enumerate(d):
+        require_int(x, f"divisor d[{i}]")
     for i in range(1, len(d)):
         if d[i - 1] % d[i]:
             raise ValueError(f"d[{i}] = {d[i]} does not divide d[{i - 1}] = {d[i - 1]}")
@@ -266,13 +265,11 @@ def attack_threshold(n: int, k: int, q: int, *, at_most: Optional[int] = None) -
     construction is guaranteed to succeed (exact for q <= 2).  With
     `at_most`, the smaller of the two, built no larger than `at_most`
     (the threshold is at least the request, so capping the request first
-    leaves the capped threshold unchanged).  Rejects a non-integer n, k or
-    q (TypeError)."""
+    leaves the capped threshold unchanged).  Rejects n, k or q below 1 or
+    not an integer (require_int)."""
     require_int(n, "hash length n")
     require_int(k, "collision exponent k")
     require_int(q, "occurrence bound q")
-    if n < 1 or k < 1 or q < 1:
-        raise ValueError("n, k and q must be >= 1")
     request = _subset_request(n, k, q, at_most=at_most)
     return structure_threshold(request, q, at_most=at_most)
 
@@ -320,8 +317,9 @@ def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
     * p >= 3: factorization_subset on the condensed permutations, under
       A's splits.
     """
-    if n < 1 or k < 1 or q < 1:
-        raise ValueError("n, k and q must be >= 1")
+    require_int(n, "hash length n")
+    require_int(k, "collision exponent k")
+    require_int(q, "occurrence bound q")
     w = tuple(w)
     size = len(set(w))
     # a request past the alphabet is refused by find_structure without a

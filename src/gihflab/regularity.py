@@ -217,17 +217,13 @@ def find_structure(w: Word, m: int, q: int) -> SearchOutcome:
     them at each p, in the same order, taken from the splits of the word
     shrunk by m - 1 letters per part with cut i moved back by i * (m - 1).
     A split whose conflict degrees already rule out m letters is refused
-    before any growth (_first_subalphabet).  Rejects a non-integer m or q
-    (TypeError), words that are not q-bounded and requests whose
+    before any growth (_first_subalphabet).  Rejects m or q below 1 or not
+    an integer (require_int), words that are not q-bounded and requests whose
     factorization count exceeds DEFAULT_MAX_FACTORIZATIONS; refuses m larger
     than the word's alphabet without examining any split.
     """
     require_int(m, "subalphabet size m")
     require_int(q, "occurrence bound q")
-    if m < 1:
-        raise ValueError("subalphabet size m must be >= 1")
-    if q < 1:
-        raise ValueError("occurrence bound q must be >= 1")
     w = tuple(w)
     counts = Counter(w)  # keys in first-occurrence order
     top = max(counts.values(), default=0)
@@ -269,8 +265,9 @@ def extremal_witness(m: int) -> Word:
     a word of l letters has l factorizations into at most 2 parts, so
     find_structure would refuse it at any q >= 2.
     """
+    require_int(m, "subalphabet size m")
     if m < 2:
-        raise ValueError("witness family is defined for m >= 2")
+        raise ValueError("subalphabet size m must be >= 2 for the witness family")
     length = (m - 1) * (2 * m - 1)
     if length > DEFAULT_MAX_FACTORIZATIONS:
         raise ValueError(f"the witness for m={m} would have {length} letters, more than "
@@ -291,13 +288,12 @@ def canonical_bounded_words(size: int, q: int) -> Iterator[Word]:
     Enumeration is depth-first, on the explicit `current` stack: extend by
     any already-used letter still below its occurrence cap, or by the next
     fresh letter, trying letters in increasing order, so words come out in
-    tuple order.  Rejects a non-integer size or q (TypeError), as
-    find_structure does: no count would ever reach a fractional q.
+    tuple order.  Rejects a size or q below 1 or not an integer
+    (require_int), as find_structure does: no count would ever reach a
+    fractional q.
     """
     require_int(size, "alphabet size")
     require_int(q, "occurrence bound q")
-    if size < 1 or q < 1:
-        raise ValueError("alphabet size and bound must be >= 1")
     counts = [0] * (size + 1)
     full = bytearray(size + 1)  # full[a] = 1 once letter a occurs q times
     current: list[int] = []
@@ -380,10 +376,9 @@ def compute_n(m: int, q: int, alphabet_cap: int) -> ComputeNResult:
     Stops at the first size with no violating word; if every size up to the
     cap has a violator, returns a partial report flagged exhaustive=False.
     """
-    if m < 1 or q < 1:
-        raise ValueError("m and q must be >= 1")
-    if alphabet_cap < 1:
-        raise ValueError("alphabet_cap must be >= 1")
+    require_int(m, "subalphabet size m")
+    require_int(q, "occurrence bound q")
+    require_int(alphabet_cap, "alphabet cap")
     reports: list[SizeReport] = []
     for size in range(1, alphabet_cap + 1):
         violator: Optional[Word] = None
@@ -415,11 +410,9 @@ def structure_threshold(m: int, q: int, *, at_most: Optional[int] = None) -> int
     word: m^(2^(q-1)), but m * m - m + 1 at q = 2; exact for m = 1, q = 1
     and q = 2, a proven upper bound otherwise.  With `at_most`, the smaller
     of the two, built no larger than about at_most^2 (capped_power).
-    Rejects a non-integer m or q (TypeError)."""
+    Rejects m or q below 1 or not an integer (require_int)."""
     require_int(m, "subalphabet size m")
     require_int(q, "occurrence bound q")
-    if m < 1 or q < 1:
-        raise ValueError("m and q must be >= 1")
     if q == 2:
         return capped_power(m * m - m + 1, 1, at_most)
     # an exponent past the cap's bit length puts any m >= 2 past the cap

@@ -105,6 +105,15 @@ def brute_force_cadence_exists(w, s: int) -> bool:
     return False
 
 
+def is_cadence_on(w, positions) -> bool:
+    """True iff positions are strictly increasing, equally spaced 1-based
+    positions of w that all carry one symbol (a lone position is one)."""
+    gaps = {b - a for a, b in zip(positions, positions[1:])}
+    return (bool(positions) and all(1 <= p <= len(w) for p in positions)
+            and len(gaps) <= 1 and min(gaps, default=1) >= 1
+            and len({w[p - 1] for p in positions}) == 1)
+
+
 def brute_force_n_division_exists(w, n: int) -> bool:
     """n-division existence via nested cut loops and Python tuple order."""
     w = tuple(w)

@@ -298,6 +298,8 @@ class TestVerifyMulticollision:
             (CollisionGroup(g0.positions, (g0.choices[0], g0.choices[0])),) + mc.groups[1:],
             mc.base_blocks, mc.r)
         assert not verify_multicollision(o.clone(), identity_schedule(), 0, dup)
+        with pytest.raises(ValueError, match="^a group repeats a choice$"):
+            dup.validate()
 
     def test_rejects_malformed_structure(self):
         o, mc = self._sample()

@@ -6,12 +6,11 @@ import pytest
 from gihflab.classics import (
     MAX_NDIV_LENGTH,
     MAX_NDIV_N,
-    Cadence,
     check_n_division,
     find_arithmetic_cadence,
     find_n_division,
 )
-from support import brute_force_cadence_exists, brute_force_n_division_exists
+from support import brute_force_cadence_exists, brute_force_n_division_exists, is_cadence_on
 
 
 class TestArithmeticCadence:
@@ -19,7 +18,7 @@ class TestArithmeticCadence:
         cadence = find_arithmetic_cadence((1, 2, 3, 1, 2, 3, 1, 2, 3), 3)
         assert cadence.positions == (1, 4, 7)
         assert cadence.difference == 3
-        assert cadence.is_arithmetic()
+        assert is_cadence_on((1, 2, 3, 1, 2, 3, 1, 2, 3), cadence.positions)
 
     def test_all_distinct(self):
         assert find_arithmetic_cadence((1, 2, 3, 4), 2) is None
@@ -51,14 +50,17 @@ class TestArithmeticCadence:
                 found = find_arithmetic_cadence(w, s)
                 assert (found is not None) == brute_force_cadence_exists(w, s)
                 if found is not None:
-                    assert found.order == s
-                    assert found.is_arithmetic()
-                    assert found.valid_on(w)
+                    assert len(found.positions) == s
+                    assert is_cadence_on(w, found.positions)
 
     def test_cadence_validity_helpers(self):
-        assert not Cadence((1, 3)).valid_on((1, 2, 1, 2)[:2])
-        assert Cadence((2, 4)).valid_on((9, 1, 9, 1))
-        assert not Cadence((1, 2)).valid_on((1, 2))
+        assert not is_cadence_on((1, 2), (1, 3))
+        assert is_cadence_on((9, 1, 9, 1), (2, 4))
+        assert not is_cadence_on((1, 2), (1, 2))
+        assert is_cadence_on((5, 1, 5, 1, 5), (1, 3, 5))
+        assert not is_cadence_on((5, 1, 5, 5, 5), (1, 3, 4))  # unequal gaps
+        assert not is_cadence_on((5, 5), (2, 1))  # decreasing
+        assert not is_cadence_on((5,), ())
 
 
 class TestNDivision:

@@ -1,6 +1,8 @@
-"""Every name gihflab/__init__.py re-exports, and every public top-level
-function and class of a gihflab module, has a caller in a library module or
-a bench script, so the package defines no public name only the tests use."""
+"""Every name gihflab/__init__.py re-exports, every public top-level
+function and class of a gihflab module, and every public method or property
+of such a class, has a caller in a library module or a bench script, so the
+package defines no public name only the tests use.  Dataclass fields are not
+scanned: asdict and to_dict read them without naming them."""
 
 import ast
 from pathlib import Path
@@ -23,6 +25,17 @@ def public_definitions(source: str):
     start with an underscore, in definition order."""
     return [stmt.name for stmt in ast.parse(source).body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_")]
+
+
+def public_methods(source: str):
+    """(class, method) for the methods and properties, not starting with an
+    underscore, of the top-level classes of a module source whose names do
+    not start with one, in definition order."""
+    return [(cls.name, stmt.name) for cls in ast.parse(source).body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for stmt in cls.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not stmt.name.startswith("_")]
 
 
@@ -51,6 +64,13 @@ def test_scans_see_reexports_and_callers():
     assert {"g", "gihflab", "h", "C"} <= names
     assert "f" not in names  # f only calls itself
     assert public_definitions(source + "def _h():\n    pass\nX = 1\n") == ["f", "C", "g"]
+    members = (
+        "class D:\n    size: int\n    @property\n    def area(self):\n        return 1\n"
+        "    def grow(self):\n        pass\n    def _hidden(self):\n        pass\n"
+        "    def __len__(self):\n        return 0\n"
+        "class _E:\n    def shown(self):\n        pass\n"
+    )
+    assert public_methods(members) == [("D", "area"), ("D", "grow")]
 
 
 def library_reads() -> set:
@@ -76,3 +96,11 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
               for name in public_definitions(path.read_text(encoding="utf-8"))]
     assert public
     assert [f"{module}.{name}" for module, name in public if name not in used] == []
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    used = library_reads()
+    methods = [(path.stem, cls, name) for path in sorted(SRC.glob("*.py"))
+               for cls, name in public_methods(path.read_text(encoding="utf-8"))]
+    assert methods
+    assert [f"{module}.{cls}.{name}" for module, cls, name in methods if name not in used] == []

@@ -181,6 +181,10 @@ class TestVerifyNesting:
     def test_rejects_wrong_divisors(self):
         perms, subset = self._instance()
         assert not verify_nesting(perms, [4, 1], subset)
+        # truncated to (4, 2), the chain was checked and passed
+        assert not verify_nesting(perms, (4.9, 2.5), subset)
+        with pytest.raises(TypeError, match="divisor d\\[0\\] must be an integer"):
+            factorization_subset(perms, (4.9, 2.2))
 
 
 class TestAttackStructure:
@@ -215,6 +219,9 @@ class TestAttackStructure:
         for cap in (None, 100):
             with pytest.raises(TypeError, match=f"{name} must be an integer"):
                 attack_threshold(n, k, q, at_most=cap)
+        # find_attack_structure raised an AttributeError from capped_power
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            find_attack_structure((1, 2, 3, 4, 2, 1, 4, 3), n, k, q)
 
     def test_request_closed_form_is_the_level_product(self):
         # d0 * d1^2 * ... over level_blocks, the nesting lemma's alphabet,
