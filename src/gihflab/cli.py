@@ -2,14 +2,16 @@
 JSON reports.
 
 Every subcommand is a thin adapter over the library modules; no algorithmic
-logic lives here.  A handler only computes and returns its config, result,
-one-line summary and verdict; main alone times the run and prints the report
-as JSON on stdout (sorted keys, so identical config and seed produce
-byte-identical bodies apart from the timing block) and the summary on
-stderr.  Input that a file reader or the library rejects (a missing file,
-malformed content, an out-of-range option) gets a report whose result is
-{"ok": false, "error": ...}.  Exit codes: 0 success, 1 verification failure
-or rejected input, 2 usage error.
+logic lives here.  A handler only computes and returns its result, one-line
+summary and verdict.  main alone builds the report's config, by one rule for
+every run, accepted or rejected: the parsed options after the seed is
+resolved, less the subcommand's name, --mc-out and --schedule-file.  It
+times the run and prints the report as JSON on stdout (sorted keys, so
+identical config and seed produce byte-identical bodies apart from the
+timing block) and the summary on stderr.  Input that a file reader or the
+library rejects (a missing file, malformed content, an out-of-range option)
+gets a report whose result is {"ok": false, "error": ...}.  Exit codes: 0
+success, 1 verification failure or rejected input, 2 usage error.
 """
 
 from __future__ import annotations
@@ -53,21 +55,23 @@ from .regularity import (
 from .words import format_words, integers, parse_words
 
 SEED_ENV_VAR = "GIHFLAB_SEED"
+# parsed options that are not part of a report's config
+_NOT_CONFIG = ("group", "command", "func", "mc_out", "schedule_file")
 
 
 # -- input readers: a bad path raises OSError, malformed content ValueError ----
 
-def _read_words(path: Optional[str]):
-    if path is None or path == "-":
+def _read_words(path: str):
+    if path == "-":
         return parse_words(sys.stdin.read())
     with open(path, "r", encoding="utf-8") as handle:
         return parse_words(handle.read())
 
 
-def _read_word(path: Optional[str]):
+def _read_word(path: str):
     words = _read_words(path)
     if not words:
-        raise ValueError(f"{path or 'stdin'} contains no word")
+        raise ValueError(f"{'stdin' if path == '-' else path} contains no word")
     return words[0]
 
 
@@ -138,7 +142,7 @@ def _write_mc(path: str, mc: MulticollisionSet, report, sched: Schedule) -> None
         handle.write("\n")
 
 
-# -- subcommand handlers: each returns (config, result, summary, ok) -----------
+# -- subcommand handlers: each returns (result, summary, ok) -------------------
 
 def _cmd_classics_cadence(args):
     results = []
@@ -153,8 +157,7 @@ def _cmd_classics_cadence(args):
                 "difference": cadence.difference,
             })
     hits = sum(r["found"] for r in results)
-    return ({"s": args.s, "input": args.input or "-"}, {"results": results},
-            f"cadence order {args.s}: {hits}/{len(results)} words hit", True)
+    return {"results": results}, f"cadence order {args.s}: {hits}/{len(results)} words hit", True
 
 
 def _cmd_classics_ndiv(args):
@@ -171,8 +174,7 @@ def _cmd_classics_ndiv(args):
                 "suffix": list(division.suffix),
             })
     hits = sum(r["found"] for r in results)
-    return ({"n": args.n, "input": args.input or "-"}, {"results": results},
-            f"{args.n}-division: {hits}/{len(results)} words divided", True)
+    return {"results": results}, f"{args.n}-division: {hits}/{len(results)} words divided", True
 
 
 def _cmd_regularity_find(args):
@@ -184,8 +186,7 @@ def _cmd_regularity_find(args):
         else:
             results.append({"found": True, **outcome.certificate.to_dict()})
     hits = sum(r["found"] for r in results)
-    return ({"m": args.m, "q": args.q, "input": args.input or "-"},
-            {"results": results},
+    return ({"results": results},
             f"structure m={args.m} q={args.q}: {hits}/{len(results)} words certified", True)
 
 
@@ -195,8 +196,7 @@ def _cmd_regularity_witness(args):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(format_words([w]))
-    return ({"m": args.m, "out": args.out},
-            {"word": list(w), "length": len(w), "alphabet_size": len(counts),
+    return ({"word": list(w), "length": len(w), "alphabet_size": len(counts),
              "max_count": max(counts.values())},
             f"witness m={args.m}: length {len(w)} over {len(counts)} letters", True)
 
@@ -207,33 +207,31 @@ def _cmd_regularity_compute_n(args):
         summary = f"N({args.m},{args.q}) = {result.value} (exhaustive)"
     else:
         summary = f"N({args.m},{args.q}) > {args.cap} (cap hit, partial report)"
-    return {"m": args.m, "q": args.q, "cap": args.cap}, result.to_dict(), summary, True
+    return result.to_dict(), summary, True
 
 
 def _cmd_nesting_attack_structure(args):
     cert = find_attack_structure(_read_word(args.input), args.n, args.k, args.q)
-    return ({"n": args.n, "k": args.k, "q": args.q, "input": args.input or "-"},
-            cert.to_dict(), f"attack structure: p={cert.p}, |B|={len(cert.subalphabet)}", True)
+    return cert.to_dict(), f"attack structure: p={cert.p}, |B|={len(cert.subalphabet)}", True
 
 
-def _trial_range(args) -> range:
-    """The trial numbers of a --trials option; fewer than one trial has no
-    median or mean to report, so it is rejected input."""
+def _trial_oracles(args):
+    """(trial, oracle) for each trial of a --trials option, each oracle
+    seeded from the run seed and the trial number; fewer than one trial has
+    no median or mean to report, so it is rejected input."""
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    return range(args.trials)
+    for trial in range(args.trials):
+        yield trial, CompressionOracle(args.n, args.m, derive_seed(args.seed, f"trial:{trial}"))
 
 
 def _cmd_hashsim_birthday(args):
     trials = []
-    for trial in _trial_range(args):
-        oracle = CompressionOracle(args.n, args.m, derive_seed(args.seed, f"trial:{trial}"))
+    for trial, oracle in _trial_oracles(args):
         blocks, queries = birthday_search(oracle, args.h0, args.k)
         trials.append({"trial": trial, "queries": queries, "blocks": list(blocks)})
     median = statistics.median(t["queries"] for t in trials)
-    return ({"n": args.n, "m": args.m, "k": args.k, "trials": args.trials,
-             "seed": args.seed, "h0": args.h0},
-            {"median_queries": median, "trials": trials},
+    return ({"median_queries": median, "trials": trials},
             f"birthday k={args.k} n={args.n}: median {median} queries over {args.trials} trials",
             True)
 
@@ -241,17 +239,14 @@ def _cmd_hashsim_birthday(args):
 def _cmd_attack_joux(args):
     trials = []
     all_ok = True
-    for trial in _trial_range(args):
-        oracle = CompressionOracle(args.n, args.m, derive_seed(args.seed, f"trial:{trial}"))
+    for trial, oracle in _trial_oracles(args):
         mc, report = joux_attack(oracle, args.h0, args.r)
         all_ok &= report.verify_ok
         trials.append(report.to_dict())
         if args.mc_out and trial == 0:
             _write_mc(args.mc_out, mc, report, identity_schedule())
     mean = statistics.mean(t["attack_queries"] for t in trials)
-    return ({"n": args.n, "m": args.m, "r": args.r, "trials": args.trials,
-             "seed": args.seed, "h0": args.h0},
-            {"mean_attack_queries": mean, "all_verified": all_ok, "trials": trials},
+    return ({"mean_attack_queries": mean, "all_verified": all_ok, "trials": trials},
             f"joux r={args.r} n={args.n}: mean {mean:.1f} queries, verified={all_ok}", all_ok)
 
 
@@ -261,9 +256,7 @@ def _cmd_attack_gihf(args):
     mc, report = generalized_attack(oracle, sched, args.q, args.n, args.r, h0=args.h0)
     if args.mc_out:
         _write_mc(args.mc_out, mc, report, sched)
-    return ({"n": args.n, "m": args.m, "q": args.q, "r": args.r,
-             "schedule": args.schedule, "seed": args.seed, "h0": args.h0},
-            report.to_dict(),
+    return (report.to_dict(),
             f"gihf attack q={args.q} r={args.r} n={args.n}: l={report.l}, "
             f"{report.attack_queries} queries (bound {report.bound}), "
             f"verified={report.verify_ok}",
@@ -280,15 +273,13 @@ def _cmd_verify_cert(args):
         m = args.m if args.m is not None else len(cert.subalphabet)
         ok = verify_structure(w, cert, m)
         kind = "structure"
-    return ({"word": args.word or "-", "cert": args.cert, "m": args.m},
-            {"kind": kind, "ok": ok}, f"{kind} certificate: {'OK' if ok else 'REJECTED'}", ok)
+    return ({"kind": kind, "ok": ok}, f"{kind} certificate: {'OK' if ok else 'REJECTED'}", ok)
 
 
 def _cmd_verify_collision(args):
     oracle, sched, h0, mc = _read_collision(args.mc)
     outcome = verify_multicollision(oracle, sched, h0, mc, cap=args.cap)
-    return ({"mc": args.mc, "cap": args.cap},
-            {"ok": outcome.ok, "complete": outcome.complete, "checked": outcome.checked,
+    return ({"ok": outcome.ok, "complete": outcome.complete, "checked": outcome.checked,
              "digest": outcome.digest},
             f"multicollision: {'OK' if outcome.ok else 'REJECTED'} "
             f"({outcome.checked} messages{'' if outcome.complete else ', sampled'})",
@@ -327,11 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     classics_sub = classics.add_subparsers(dest="command", required=True)
     cadence = classics_sub.add_parser("cadence", help="arithmetic cadence finder")
     cadence.add_argument("--s", type=int, required=True, help="cadence order")
-    cadence.add_argument("--input", help="word file (default stdin)")
+    cadence.add_argument("--input", default="-", help="word file (default stdin)")
     cadence.set_defaults(func=_cmd_classics_cadence)
     ndiv = classics_sub.add_parser("ndiv", help="n-division finder")
     ndiv.add_argument("--n", type=int, required=True, help="factor count")
-    ndiv.add_argument("--input", help="word file (default stdin)")
+    ndiv.add_argument("--input", default="-", help="word file (default stdin)")
     ndiv.set_defaults(func=_cmd_classics_ndiv)
 
     regularity = sub.add_parser("regularity", help="structure certificates")
@@ -339,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     find = regularity_sub.add_parser("find", help="search for a certificate")
     find.add_argument("--m", type=int, required=True)
     find.add_argument("--q", type=int, required=True)
-    find.add_argument("--input", help="word file (default stdin)")
+    find.add_argument("--input", default="-", help="word file (default stdin)")
     find.set_defaults(func=_cmd_regularity_find)
     witness = regularity_sub.add_parser("witness", help="extremal 2-bounded witness")
     witness.add_argument("--m", type=int, required=True)
@@ -357,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack_structure.add_argument("--n", type=int, required=True)
     attack_structure.add_argument("--k", type=int, required=True)
     attack_structure.add_argument("--q", type=int, required=True)
-    attack_structure.add_argument("--input", help="word file (default stdin)")
+    attack_structure.add_argument("--input", default="-", help="word file (default stdin)")
     attack_structure.set_defaults(func=_cmd_nesting_attack_structure)
 
     hashsim = sub.add_parser("hashsim", help="oracle simulation baselines")
@@ -398,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="re-check certificates and collisions")
     verify_sub = verify.add_subparsers(dest="command", required=True)
     cert = verify_sub.add_parser("cert", help="structure or attack certificate")
-    cert.add_argument("--word", help="word file (default stdin)")
+    cert.add_argument("--word", default="-", help="word file (default stdin)")
     cert.add_argument("--cert", required=True, help="certificate JSON file")
     cert.add_argument("--m", type=int, help="subalphabet size (structure certificates)")
     cert.set_defaults(func=_cmd_verify_cert)
@@ -418,11 +409,11 @@ def main(argv: Optional[list] = None) -> int:
     if "seed" in vars(args) and args.seed is None:
         args.seed = _seed_from_environment(parser)
     command = f"{args.group} {args.command}"
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     started = time.time()
     try:
-        config, result, summary, ok = args.func(args)
+        result, summary, ok = args.func(args)
     except (OSError, ValueError) as exc:
-        config = {k: v for k, v in vars(args).items() if k not in ("group", "command", "func")}
         result = {"ok": False, "error": str(exc)}
         summary, ok = f"{command}: rejected input: {exc}", False
     report = {

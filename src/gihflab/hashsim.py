@@ -35,6 +35,15 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _checked_seed(seed) -> int:
+    """The seed as a plain int.  Every integer, 0 and below included, is a
+    seed; anything else is refused with a TypeError naming it, never
+    truncated."""
+    if not isinstance(seed, int):
+        raise TypeError(f"seed must be an integer, not {type(seed).__name__}")
+    return int(seed)  # a bool seed is kept, and written to files, as 0 or 1
+
+
 def derive_seed(seed: int, tag: str) -> int:
     """Stable sub-seed derivation for independent random streams."""
     acc = mix64(seed ^ _GOLDEN)
@@ -72,7 +81,7 @@ class CompressionOracle:
             raise ValueError("block length m must exceed hash length n")
         self.n = n
         self.m = m
-        self.seed = int(seed)
+        self.seed = _checked_seed(seed)
         self._memo: dict = {}
         self._hits = 0
         self._key = mix64(self.seed ^ _GOLDEN)
@@ -229,7 +238,7 @@ class BlockSampler:
     def __init__(self, m: int, seed: int):
         require_int(m, "block length m")
         self.m = m
-        self.seed = int(seed)
+        self.seed = _checked_seed(seed)
         mult = _low_bits(2 * mix64(self.seed) + 1, m)
         if mult == 1 and m > 1:
             mult = 3

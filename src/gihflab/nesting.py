@@ -244,6 +244,9 @@ class AttackCertificate:
 def level_blocks(n: int, k: int, p: int) -> tuple[int, ...]:
     """Block counts n^(p-i) * k of levels i = 1..p of an attack certificate:
     level 1 cuts its condensed part into |B| = n^(p-1) * k singletons."""
+    require_int(n, "hash length n")
+    require_int(k, "collision exponent k")
+    require_int(p, "part count p")
     return tuple(n ** (p - i) * k for i in range(1, p + 1))
 
 

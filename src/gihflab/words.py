@@ -86,8 +86,9 @@ def split_word(w: Word, splits: Iterable[int]) -> tuple[Word, ...]:
 
 def equal_blocks(w: Word, count: int) -> tuple[Word, ...]:
     """Factor w into `count` blocks of equal length."""
+    require_int(count, "block count")
     w = tuple(w)
-    if count < 1 or len(w) % count:
+    if len(w) % count:
         raise ValueError(f"cannot cut length {len(w)} into {count} equal blocks")
     size = len(w) // count
     return tuple(w[i * size:(i + 1) * size] for i in range(count))

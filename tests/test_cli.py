@@ -18,6 +18,22 @@ from support import random_two_permutation_word
 
 CLI = [sys.executable, "-m", "gihflab.cli"]
 
+# the config keys of each subcommand's successful report; main builds a
+# rejected run's config by the same rule, so it has the same keys
+CONFIG_KEYS = {
+    "classics cadence": {"s", "input"},
+    "classics ndiv": {"n", "input"},
+    "regularity find": {"m", "q", "input"},
+    "regularity witness": {"m", "out"},
+    "regularity compute-n": {"m", "q", "cap"},
+    "nesting attack-structure": {"n", "k", "q", "input"},
+    "hashsim birthday": {"n", "m", "k", "trials", "seed", "h0"},
+    "attack joux": {"n", "m", "r", "trials", "seed", "h0"},
+    "attack gihf": {"n", "m", "q", "r", "schedule", "seed", "h0"},
+    "verify cert": {"word", "cert", "m"},
+    "verify collision": {"mc", "cap"},
+}
+
 
 def run_cli(*args, stdin_text=None, env_extra=None, check=True):
     env = dict(os.environ)
@@ -33,7 +49,11 @@ def run_cli(*args, stdin_text=None, env_extra=None, check=True):
 
 
 def report_of(proc) -> dict:
-    return json.loads(proc.stdout)
+    """The report on stdout, whose config must hold exactly its
+    subcommand's keys, whether the run was accepted or rejected."""
+    report = json.loads(proc.stdout)
+    assert set(report["config"]) == CONFIG_KEYS[report["command"]]
+    return report
 
 
 def body_without_timing(stdout: str) -> str:
@@ -245,27 +265,30 @@ class TestAttackCommands:
 
 class TestDeterminism:
     CASES = [
-        ("classics cadence", ["classics", "cadence", "--s", "2"], "1 2 1\n"),
-        ("regularity find", ["regularity", "find", "--m", "2", "--q", "2"], "1 2 1 2\n"),
-        ("regularity witness", ["regularity", "witness", "--m", "4"], None),
+        ("classics cadence", ["classics", "cadence", "--s", "2"], "1 2 1\n", 0),
+        ("regularity find", ["regularity", "find", "--m", "2", "--q", "2"], "1 2 1 2\n", 0),
+        ("regularity find rejected",
+         ["regularity", "find", "--m", "0", "--q", "2"], "1 2 1 2\n", 1),
+        ("regularity witness", ["regularity", "witness", "--m", "4"], None, 0),
         ("regularity compute-n",
-         ["regularity", "compute-n", "--m", "2", "--q", "2", "--cap", "3"], None),
+         ["regularity", "compute-n", "--m", "2", "--q", "2", "--cap", "3"], None, 0),
         ("hashsim birthday",
          ["hashsim", "birthday", "--n", "8", "--m", "16", "--trials", "3",
-          "--seed", "7"], None),
+          "--seed", "7"], None, 0),
         ("attack joux",
          ["attack", "joux", "--n", "16", "--m", "24", "--r", "4", "--trials", "3",
-          "--seed", "7"], None),
+          "--seed", "7"], None, 0),
         ("attack gihf",
          ["attack", "gihf", "--n", "8", "--m", "16", "--q", "2", "--r", "2",
-          "--schedule", "mirror", "--seed", "9"], None),
+          "--schedule", "mirror", "--seed", "9"], None, 0),
     ]
 
-    @pytest.mark.parametrize("name,args,stdin_text", CASES,
+    @pytest.mark.parametrize("name,args,stdin_text,code", CASES,
                              ids=[c[0] for c in CASES])
-    def test_reports_are_byte_identical(self, name, args, stdin_text):
-        first = run_cli(*args, stdin_text=stdin_text)
-        second = run_cli(*args, stdin_text=stdin_text)
+    def test_reports_are_byte_identical(self, name, args, stdin_text, code):
+        first = run_cli(*args, stdin_text=stdin_text, check=False)
+        second = run_cli(*args, stdin_text=stdin_text, check=False)
+        assert first.returncode == second.returncode == code
         assert body_without_timing(first.stdout) == body_without_timing(second.stdout)
 
 
@@ -438,6 +461,8 @@ class TestRejectedInput:
          ["attack", "gihf", "--n", "4", "--m", "8", "--q", "3", "--r", "1",
           "--schedule", "mirror", "--seed", "1"], None, {}),
         ("gihf-schedule-file-not-given", GIHF + ["--schedule", "file"], None, {}),
+        ("gihf-mc-out-schedule-file-not-given",
+         GIHF + ["--schedule", "file", "--mc-out", "{dir}/mc.json"], None, {}),
         ("gihf-missing-schedule-file",
          GIHF + ["--schedule", "file", "--schedule-file", ABSENT], None, {}),
         ("cert-missing-key", ["verify", "cert", *WORD, "--cert", "{dir}/c.json"], None,
@@ -447,6 +472,7 @@ class TestRejectedInput:
         ("cert-unhashable-symbol", ["verify", "cert", *WORD, "--cert", "{dir}/c.json"], None,
          {"c.json": '{"A": [[1], 2], "p": 1, "splits": []}'}),
         ("cert-missing-file", ["verify", "cert", *WORD, "--cert", ABSENT], None, {}),
+        ("cert-missing-file-word-from-stdin", ["verify", "cert", "--cert", ABSENT], "1 2\n", {}),
         # each of these verified on 1 2 3 1 2 3 once its field was truncated
         ("cert-float-part-count", WORD6, None,
          {"w6.txt": "1 2 3 1 2 3\n", "c.json": '{"A": [1, 2, 3], "p": 2.9, "splits": [3]}'}),
@@ -469,8 +495,11 @@ class TestRejectedInput:
         proc = run_cli(*args, stdin_text=stdin_text, check=False)
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 1
-        report = report_of(proc)
+        report = report_of(proc)  # its config has a successful run's keys
         assert report["command"] == " ".join(args[:2])
+        for key in ("input", "word"):
+            if key in report["config"] and f"--{key}" not in args:
+                assert report["config"][key] == "-"  # the word came from stdin
         assert report["result"]["ok"] is False
         assert isinstance(report["result"]["error"], str) and report["result"]["error"]
 

@@ -367,3 +367,27 @@ class TestOracleWidthLimit:
     def test_accepts_hash_length_64(self):
         o = CompressionOracle(64, 80, seed=1)
         assert 0 <= o.compress((1 << 64) - 1, 7) < 1 << 64
+
+
+class TestSeeds:
+    """A seed is any integer, 0 and below included; anything else is
+    refused with a TypeError naming it, never truncated."""
+
+    MAKERS = [lambda seed: CompressionOracle(8, 16, seed), lambda seed: BlockSampler(8, seed)]
+
+    @pytest.mark.parametrize("make", MAKERS, ids=["CompressionOracle", "BlockSampler"])
+    @pytest.mark.parametrize("seed", [2.7, 2.0, "2", None])
+    def test_non_integer_seed_is_refused(self, make, seed):
+        with pytest.raises(TypeError, match="^seed must be an integer, not "):
+            make(seed)
+
+    @pytest.mark.parametrize("seed", [0, -5, True])
+    def test_every_integer_is_a_seed_and_reproduces_its_stream(self, seed):
+        oracle = CompressionOracle(8, 16, seed)
+        assert oracle.seed == seed and type(oracle.seed) is int
+        queries = [(0, 0), (7, 300), (255, 65535)]
+        assert [oracle.compress(h, b) for h, b in queries] == [
+            reference_compress(seed, 8, h, b) for h, b in queries]
+        sampler = BlockSampler(8, seed)
+        assert sampler.seed == seed and type(sampler.seed) is int
+        assert list(islice(sampler, 40)) == reference_sampler_stream(8, seed, 40)

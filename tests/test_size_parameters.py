@@ -27,6 +27,7 @@ from gihflab.nesting import (
     attack_threshold,
     factorization_subset,
     find_attack_structure,
+    level_blocks,
     partition_bijection,
 )
 from gihflab.regularity import (
@@ -36,7 +37,7 @@ from gihflab.regularity import (
     find_structure,
     structure_threshold,
 )
-from gihflab.words import require_int
+from gihflab.words import equal_blocks, require_int
 
 WORD = (1, 2, 3, 4, 2, 1, 4, 3)
 HALVES = (frozenset({1}), frozenset({2}))
@@ -54,6 +55,8 @@ def verify_joux(cap):
 
 
 SIZE_PARAMETERS = [
+    # words
+    ("equal_blocks-count", lambda v: equal_blocks((1, 2, 3, 4), v), "block count", 0),
     # regularity
     ("find_structure-m", lambda v: find_structure(WORD, v, 2), "subalphabet size m", 0),
     ("find_structure-q", lambda v: find_structure(WORD, 2, v), "occurrence bound q", 0),
@@ -77,6 +80,9 @@ SIZE_PARAMETERS = [
      "collision exponent k", 0),
     ("find_attack_structure-q", lambda v: find_attack_structure(WORD, 2, 1, v),
      "occurrence bound q", 0),
+    ("level_blocks-n", lambda v: level_blocks(v, 1, 2), "hash length n", 0),
+    ("level_blocks-k", lambda v: level_blocks(2, v, 2), "collision exponent k", 0),
+    ("level_blocks-p", lambda v: level_blocks(2, 1, v), "part count p", 0),
     ("partition_bijection-x", lambda v: partition_bijection(HALVES, HALVES, v),
      "intersection target x", 0),
     ("factorization_subset-d0", lambda v: factorization_subset(PERMS, (v, 2)),
