@@ -102,23 +102,18 @@ class MulticollisionSet:
     r: int
 
     def validate(self) -> None:
-        seen: set = set()
         for group in self.groups:
-            if len(group.positions) != len(set(group.positions)):
-                raise ValueError("duplicate position inside a group")
-            if seen & set(group.positions):
-                raise ValueError("groups must cover disjoint positions")
-            seen |= set(group.positions)
             if len(group.choices) < 2:
                 raise ValueError("each group needs at least two choices")
             if any(len(c) != len(group.positions) for c in group.choices):
                 raise ValueError("choice width must match the group positions")
             if len(set(group.choices)) != len(group.choices):
                 raise ValueError("a group repeats a choice")
-        # cheap size checks come first, so a hostile length or r never
+        # length positions, repeats counted, that cover 1..length hold each
+        # once; cheap size checks come first, so a hostile length or r never
         # builds a huge set or integer
-        covered = seen | set(self.base_blocks)
-        if len(seen) + len(self.base_blocks) != self.length or covered != set(range(1, self.length + 1)):
+        positions = [*chain.from_iterable(g.positions for g in self.groups), *self.base_blocks]
+        if len(positions) != self.length or set(positions) != set(range(1, self.length + 1)):
             raise ValueError("groups plus base blocks must cover every position exactly once")
         expansion = self.expansion_size
         if self.r < 1 or expansion.bit_length() != self.r + 1 or expansion != 2 ** self.r:
@@ -181,14 +176,16 @@ class AttackReport:
     itself; raw_calls counts every compress call the attack made, the
     distinct queries plus the repeated evaluations of known pairs.  Level 1
     draws raw sampler blocks, one compress call per draw on a one-symbol
-    span, so a Joux attack's raw_calls equals its attack_queries.  A later
-    level's candidate resumes the previous candidate's walk instead of
-    re-walking its span, so raw_calls stays within about 1% of
-    attack_queries on the q=2 attack.
+    span, so a Joux attack's raw_calls equals its attack_queries.  Every
+    longer span, raw or not, and so every later level's candidate, resumes
+    the previous candidate's walk instead of re-walking the span, so
+    raw_calls stays within about 1% of attack_queries on the q=2 attack.
     stage_queries gives the per-stage split (per pair collision for
     the first level, per collapsed group afterwards), which also records the
     per-position reading of the first-level cost estimate next to the
-    per-symbol one implied by walking the whole part.
+    per-symbol one implied by walking the whole part.  The fields are the
+    report's format: to_dict writes them with asdict, plus the constant
+    a_tilde (DEFAULT_A_TILDE) that the bound reads.
     """
 
     r: int
@@ -200,17 +197,15 @@ class AttackReport:
     verify_ok: bool
     bound: float
     seed: int
-    a_tilde: float = DEFAULT_A_TILDE
-    h0: int = 0
-    p: int = 1
-    schedule: str = "identity"
-    raw_calls: int = 0
-    stage_queries: tuple = ()
-    level_queries: tuple = ()
+    h0: int
+    p: int
+    schedule: str
+    raw_calls: int
+    stage_queries: tuple
+    level_queries: tuple
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "stage_queries": list(self.stage_queries),
-                "level_queries": list(self.level_queries)}
+        return {**asdict(self), "a_tilde": DEFAULT_A_TILDE}
 
 
 @dataclass(frozen=True)
@@ -382,12 +377,14 @@ def _walk_level(oracle, part, units, fillers, state):
     unit's one position.  Filler blocks before each span are hashed;
     table_collision then hashes the span per candidate, in draw order,
     until two candidates reach one outgoing state.  A raw one-symbol span,
-    as in every Joux stage, costs one compress call per draw; every other
-    span is walked by _resumed_walk, where each candidate resumes the
-    previous candidate's walk at the first slot where their blocks differ,
-    not at the span's start.  Only a colliding pair of raw blocks is
-    wrapped into one-block choices.  Returns the new groups, the part's
-    outgoing state and the distinct queries of each search.
+    as in every Joux stage, costs one compress call per draw, and only its
+    colliding pair is wrapped into one-block choices.  Every other span is
+    walked by _resumed_walk, where each candidate resumes the previous
+    candidate's walk at the first slot where their blocks differ, not at
+    the span's start; a longer raw span (a one-part certificate on the
+    mirror word) reads each draw as a one-block choice.  Returns the new
+    groups, the part's outgoing state and the distinct queries of each
+    search.
     """
     first = {}
     last = {}
@@ -408,16 +405,11 @@ def _walk_level(oracle, part, units, fillers, state):
         # filler block; a span opens with one of its own positions
         steps = tuple((slot.get(sym, -1), fillers.get(sym)) for sym in part[begin:end + 1])
 
+        if isinstance(candidates, BlockSampler) and len(steps) > 1:
+            candidates = zip(candidates)  # (b,) choices for the one position
         raw = isinstance(candidates, BlockSampler)
-        if raw and len(steps) == 1:
-            evaluate = partial(compress, state)  # every Joux stage
-        elif raw:
-            walk = _resumed_walk(compress, state, steps)
-
-            def evaluate(block):
-                return walk((block,))
-        else:
-            evaluate = _resumed_walk(compress, state, steps)
+        # a raw one-symbol span is every Joux stage
+        evaluate = partial(compress, state) if raw else _resumed_walk(compress, state, steps)
 
         before = oracle.query_count
         found = table_collision(evaluate, candidates)

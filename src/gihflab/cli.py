@@ -24,6 +24,7 @@ import statistics
 import sys
 import time
 from collections import Counter
+from dataclasses import asdict
 from typing import Optional
 
 from . import __version__
@@ -279,8 +280,7 @@ def _cmd_verify_cert(args):
 def _cmd_verify_collision(args):
     oracle, sched, h0, mc = _read_collision(args.mc)
     outcome = verify_multicollision(oracle, sched, h0, mc, cap=args.cap)
-    return ({"ok": outcome.ok, "complete": outcome.complete, "checked": outcome.checked,
-             "digest": outcome.digest},
+    return (asdict(outcome),
             f"multicollision: {'OK' if outcome.ok else 'REJECTED'} "
             f"({outcome.checked} messages{'' if outcome.complete else ', sampled'})",
             outcome.ok)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate, combinations, groupby
 from typing import Iterator, Optional
 
@@ -358,14 +358,7 @@ class ComputeNResult:
             "N": self.value,
             "exhaustive": self.exhaustive,
             "alphabet_cap": self.alphabet_cap,
-            "sizes": [
-                {
-                    "alphabet_size": r.alphabet_size,
-                    "words_checked": r.words_checked,
-                    "violator": list(r.violator) if r.violator is not None else None,
-                }
-                for r in self.reports
-            ],
+            "sizes": [asdict(r) for r in self.reports],
         }
 
 

@@ -3,6 +3,7 @@ import statistics
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from enum import IntEnum
 
 import pytest
@@ -35,6 +36,7 @@ from gihflab.nesting import (
     AttackCertificate,
     attack_threshold,
     factorization_subset,
+    find_attack_structure,
     level_blocks,
     verify_attack_structure,
 )
@@ -539,8 +541,63 @@ class TestOnePassVerifier:
             assert all(pick < size for sel in selections for pick, size in zip(sel, sizes))
 
 
+def _regroup(mc, gi, **change):
+    """mc with fields of its group gi replaced."""
+    groups = list(mc.groups)
+    groups[gi] = replace(groups[gi], **change)
+    return replace(mc, groups=tuple(groups))
+
+
+def _rebase(mc, add=None):
+    """mc with its last base position dropped, or moved to `add`."""
+    base = dict(mc.base_blocks)
+    block = base.pop(max(base))
+    if add is not None:
+        base[add] = block
+    return replace(mc, base_blocks=base)
+
+
 class TestVerifierRejectsHostileSets:
     """Sets that re-hash without error at face value but claim nothing."""
+
+    # one row per rejection rule of MulticollisionSet.validate; the mirror
+    # set's groups cover positions 16..9 and 8..1, its base blocks 17..l
+    MALFORMED = {
+        "duplicate-position-in-group": (
+            lambda mc: _regroup(mc, 0, positions=mc.groups[0].positions[:-1] + (16,)),
+            "cover every position exactly once"),
+        "groups-share-a-position": (
+            lambda mc: _regroup(mc, 1, positions=mc.groups[1].positions[:-1] + (16,)),
+            "cover every position exactly once"),
+        "group-position-also-base": (
+            lambda mc: _regroup(mc, 1, positions=mc.groups[1].positions[:-1] + (17,)),
+            "cover every position exactly once"),
+        "missing-position": (lambda mc: _rebase(mc), "cover every position exactly once"),
+        "position-0": (lambda mc: _rebase(mc, 0), "cover every position exactly once"),
+        "position-length-plus-1": (lambda mc: _rebase(mc, mc.length + 1),
+                                   "cover every position exactly once"),
+        "one-choice": (lambda mc: _regroup(mc, 0, choices=mc.groups[0].choices[:1]),
+                       "at least two choices"),
+        "wrong-width": (lambda mc: _regroup(mc, 0, choices=(mc.groups[0].choices[0],
+                                                            mc.groups[0].choices[1][:-1])),
+                        "choice width must match"),
+        "repeated-choice": (lambda mc: _regroup(mc, 0, choices=mc.groups[0].choices[:1] * 2),
+                            "repeats a choice"),
+        "wrong-r": (lambda mc: replace(mc, r=mc.r + 1), "is not 2\\^3"),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_rejects_each_malformed_set_without_a_query(self, case):
+        o, mc = self._mirror()
+        assert [g.positions for g in mc.groups] == [tuple(range(16, 8, -1)), tuple(range(8, 0, -1))]
+        mutate, message = self.MALFORMED[case]
+        bad = mutate(mc)
+        with pytest.raises(ValueError, match=message):
+            bad.validate()
+        audit = o.clone()
+        outcome = verify_multicollision(audit, mirror_schedule(), 0, bad)
+        assert not outcome.ok and outcome.checked == 0
+        assert audit.query_count == 0
 
     def _mirror(self):
         o = CompressionOracle(8, 16, seed=34)
@@ -732,6 +789,14 @@ class TestThreeLevelAttack:
         assert sum(report.level_queries) == report.attack_queries
         outcome = verify_multicollision(oracle.clone(), sched, 0, mc)
         assert outcome.ok and outcome.complete and outcome.checked == 2 ** k
+
+    def test_search_finds_the_three_part_certificate(self):
+        # the q = 3 search itself, whose p >= 3 branch takes B from
+        # factorization_subset under the decision's splits
+        alpha, _ = _three_permutations(4, 1)
+        cert = find_attack_structure(alpha, 4, 1, 3)
+        assert (cert.p, len(cert.subalphabet), cert.splits) == (3, 16, (256, 512))
+        assert verify_attack_structure(alpha, cert)
 
 
 class TestResumedLevelWalk:

@@ -324,6 +324,13 @@ class TestVerifyCollisionHostileFiles:
             mc["groups"][1]["choices"][0][0] = 1 << 16
         assert "error" not in self.verify(tmp_path, data)
 
+    def test_duplicate_position_in_group(self, tmp_path, genuine):
+        data = json.loads(json.dumps(genuine))
+        positions = data["multicollision"]["groups"][0]["positions"]
+        positions[-1] = positions[0]
+        assert self.verify(tmp_path, data) == {
+            "ok": False, "complete": True, "checked": 0, "digest": None}
+
     def test_repeated_base_position(self, tmp_path, genuine):
         # an earlier entry with another block would be dropped silently by
         # a dict that keeps the last one, and the genuine set would verify

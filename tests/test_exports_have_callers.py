@@ -1,8 +1,9 @@
-"""Every name gihflab/__init__.py re-exports, every public top-level
-function and class of a gihflab module, and every public method or property
-of such a class, has a caller in a library module or a bench script, so the
-package defines no public name only the tests use.  Dataclass fields are not
-scanned: asdict and to_dict read them without naming them."""
+"""Every public top-level function and class of a gihflab module, and every
+public method or property of such a class, has a caller in a library module
+or a bench script, so the package defines no public name only the tests use.
+Dataclass fields are not scanned: asdict and to_dict read them without
+naming them.  The package itself re-exports nothing: its API is the
+modules."""
 
 import ast
 from pathlib import Path
@@ -10,14 +11,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gihflab"
 BENCH = ROOT / "bench"
-
-
-def reexports(source: str):
-    """Names bound by the relative from-imports of an __init__ source, in
-    import order."""
-    return [alias.asname or alias.name for node in ast.parse(source).body
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-            for alias in node.names]
 
 
 def public_definitions(source: str):
@@ -52,9 +45,7 @@ def referenced_names(source: str) -> set:
     return referenced
 
 
-def test_scans_see_reexports_and_callers():
-    init = "from .words import word as w, split_word\nfrom os import sep\n"
-    assert reexports(init) == ["w", "split_word"]
+def test_scans_see_callers():
     source = (
         "def f(x):\n    return f(x) + g\n"
         "class C:\n    size: C\n"
@@ -83,11 +74,13 @@ def library_reads() -> set:
                          for path in callers))
 
 
-def test_every_export_has_a_caller_outside_the_tests():
-    used = library_reads()
-    exports = reexports((SRC / "__init__.py").read_text(encoding="utf-8"))
-    assert exports
-    assert [name for name in exports if name not in used] == []
+def test_package_binds_only_its_version():
+    nodes = list(ast.walk(ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))))
+    assert not [node for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not [node for node in nodes
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    assert {node.id for node in nodes
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)} == {"__version__"}
 
 
 def test_every_public_definition_has_a_caller_outside_the_tests():

@@ -173,6 +173,15 @@ class TestVerifyNesting:
         assert not verify_nesting(perms, [4, 2], (1, 2, 3, 9))
         assert verify_nesting(perms, [4, 2], (1, 2, 9, 10))
 
+    def test_rejects_misaligned_blocks(self):
+        # the second word swaps 2 and 9: B's blocks {1, 2} and {9, 10} of
+        # the first word meet {1, 9} and {2, 10} in the second, while each
+        # final block 1..8 and 9..16 still holds two letters of B
+        swapped = (1, 9, 3, 4, 5, 6, 7, 8, 2) + tuple(range(10, 17))
+        identity = tuple(range(1, 17))
+        assert not verify_nesting((identity, swapped), [4, 2], (1, 2, 9, 10))
+        assert verify_nesting((identity, identity), [4, 2], (1, 2, 9, 10))
+
     def test_rejects_unhashable_and_non_iterable_subsets(self):
         perms, subset = self._instance()
         assert not verify_nesting(perms, [4, 2], ([1],) + subset[1:])
