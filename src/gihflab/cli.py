@@ -145,50 +145,46 @@ def _write_mc(path: str, mc: MulticollisionSet, report, sched: Schedule) -> None
 
 # -- subcommand handlers: each returns (result, summary, ok) -------------------
 
+def _per_word(path: str, describe, title: str, verb: str):
+    """(result, summary, ok) of a subcommand that reads the words at path
+    and describes each by one dict with a "found" flag."""
+    results = [describe(w) for w in _read_words(path)]
+    hits = sum(r["found"] for r in results)
+    return {"results": results}, f"{title}: {hits}/{len(results)} words {verb}", True
+
+
 def _cmd_classics_cadence(args):
-    results = []
-    for w in _read_words(args.input):
+    def describe(w):
         cadence = find_arithmetic_cadence(w, args.s)
         if cadence is None:
-            results.append({"found": False})
-        else:
-            results.append({
-                "found": True,
-                "positions": list(cadence.positions),
-                "difference": cadence.difference,
-            })
-    hits = sum(r["found"] for r in results)
-    return {"results": results}, f"cadence order {args.s}: {hits}/{len(results)} words hit", True
+            return {"found": False}
+        return {"found": True, "positions": list(cadence.positions),
+                "difference": cadence.difference}
+
+    return _per_word(args.input, describe, f"cadence order {args.s}", "hit")
 
 
 def _cmd_classics_ndiv(args):
-    results = []
-    for w in _read_words(args.input):
+    def describe(w):
         division = find_n_division(w, args.n)
         if division is None:
-            results.append({"found": False})
-        else:
-            results.append({
-                "found": True,
-                "prefix": list(division.prefix),
+            return {"found": False}
+        return {"found": True, "prefix": list(division.prefix),
                 "factors": [list(f) for f in division.factors],
-                "suffix": list(division.suffix),
-            })
-    hits = sum(r["found"] for r in results)
-    return {"results": results}, f"{args.n}-division: {hits}/{len(results)} words divided", True
+                "suffix": list(division.suffix)}
+
+    return _per_word(args.input, describe, f"{args.n}-division", "divided")
 
 
 def _cmd_regularity_find(args):
-    results = []
-    for w in _read_words(args.input):
+    def describe(w):
         outcome = find_structure(w, args.m, args.q)
+        decided = Counter(kind for _, kind in outcome.decisions)
         if outcome.certificate is None:
-            results.append({"found": False, "exhaustive": outcome.exhaustive})
-        else:
-            results.append({"found": True, **outcome.certificate.to_dict()})
-    hits = sum(r["found"] for r in results)
-    return ({"results": results},
-            f"structure m={args.m} q={args.q}: {hits}/{len(results)} words certified", True)
+            return {"found": False, "exhaustive": outcome.exhaustive, "decided": decided}
+        return {"found": True, **outcome.certificate.to_dict(), "decided": decided}
+
+    return _per_word(args.input, describe, f"structure m={args.m} q={args.q}", "certified")
 
 
 def _cmd_regularity_witness(args):

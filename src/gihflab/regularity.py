@@ -23,6 +23,11 @@ least m letters are enumerated, and a factorization is refused before any
 growth when fewer than m candidates conflict with at most (candidates - m)
 others, as every letter of a conflict-free m-subset does.
 
+Every examined split is recorded, in search order, with the kind of
+decision that settled it: "candidates" (fewer than m letters are present in
+every part), "degree" (the conflict-degree refusal), "growth" (the growth
+ran out) or "certificate" (a subalphabet was found, so the search stops).
+
 A decision makes one occurrence pass over the word: one Counter gives the
 largest occurrence count, the alphabet size and, in its key order, the
 first-occurrence order.  Each examined part is sliced straight from the cut
@@ -35,7 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate, combinations, groupby
 from typing import Iterator, Optional
 
@@ -73,10 +78,14 @@ class SearchOutcome:
 
     exhaustive=True together with certificate=None means the full
     (p, splits, subset) space was enumerated and no certificate exists.
+    decisions holds (splits, kind) for every split examined, in search
+    order, kind being "candidates", "degree", "growth" or "certificate"
+    (see the module docstring); it takes no part in equality.
     """
 
     certificate: Optional[StructureCertificate]
     exhaustive: bool
+    decisions: tuple[tuple[tuple[int, ...], str], ...] = field(default=(), compare=False)
 
 
 def verify_structure(w: Word, cert: StructureCertificate, m: int) -> bool:
@@ -156,38 +165,41 @@ def _span_conflicts(parts, order, m) -> tuple[list, Optional[list[int]]]:
     return cands, [mask & ~(1 << i) for i, mask in enumerate(masks)]
 
 
-def _first_subalphabet(parts, order, m) -> Optional[tuple[int, ...]]:
-    """First conflict-free m-subset of the letters present in every part.
+def _first_subalphabet(parts, order, m) -> tuple[str, Optional[tuple[int, ...]]]:
+    """(kind, subset): the first conflict-free m-subset of the letters
+    present in every part, with kind "certificate", or None with the kind
+    of refusal: "candidates" when fewer than m letters are present in every
+    part, "degree" or "growth".
 
     Letters conflict when their spans overlap in some part; the relation is
     a bitmask per candidate built from running span masks (_span_conflicts).
     Each letter of a conflict-free m-subset conflicts only with letters
     outside it, so unless m candidates conflict with at most total - m
-    others none exists, and the split is refused before any growth.
-    Otherwise depth-first growth over candidate indices in first-occurrence
-    order, on an explicit `chosen` stack, pruned by conflicts and by the
-    number of candidates left; the first subset completed is the
-    lexicographically earliest.
+    others none exists, and the split is refused ("degree") before any
+    growth.  Otherwise depth-first growth over candidate indices in
+    first-occurrence order, on an explicit `chosen` stack, pruned by
+    conflicts and by the number of candidates left; the first subset
+    completed is the lexicographically earliest.
     """
     cands, masks = _span_conflicts(parts, order, m)
     if masks is None:
-        return None
+        return "candidates", None
     total = len(cands)
     if sorted(map(int.bit_count, masks))[m - 1] > total - m:
-        return None
+        return "degree", None
     chosen: list[int] = []
     idx = 0
     while len(chosen) < m:
         if len(chosen) + total - idx < m:
             if not chosen:
-                return None
+                return "growth", None
             idx = chosen.pop() + 1
             continue
         bit = 1 << idx
         if not any(masks[c] & bit for c in chosen):
             chosen.append(idx)
         idx += 1
-    return tuple(cands[i] for i in chosen)
+    return "certificate", tuple(cands[i] for i in chosen)
 
 
 def factorization_count(length: int, q: int) -> int:
@@ -217,10 +229,13 @@ def find_structure(w: Word, m: int, q: int) -> SearchOutcome:
     them at each p, in the same order, taken from the splits of the word
     shrunk by m - 1 letters per part with cut i moved back by i * (m - 1).
     A split whose conflict degrees already rule out m letters is refused
-    before any growth (_first_subalphabet).  Rejects m or q below 1 or not
-    an integer (require_int), words that are not q-bounded and requests whose
-    factorization count exceeds DEFAULT_MAX_FACTORIZATIONS; refuses m larger
-    than the word's alphabet without examining any split.
+    before any growth (_first_subalphabet).  The outcome's decisions record
+    each examined split with its kind: "candidates", "degree" or "growth"
+    for a refusal, "certificate" for the last split of a find.  Rejects m
+    or q below 1 or not an integer (require_int), words that are not
+    q-bounded and requests whose factorization count exceeds
+    DEFAULT_MAX_FACTORIZATIONS; refuses m larger than the word's alphabet
+    without examining any split.
     """
     require_int(m, "subalphabet size m")
     require_int(q, "occurrence bound q")
@@ -239,18 +254,20 @@ def find_structure(w: Word, m: int, q: int) -> SearchOutcome:
 
     order = tuple(counts)
     shift = m - 1
+    decisions = []
     for p in range(1, min(q, length // m) + 1):
         for cuts in combinations(range(1, length - p * shift), p - 1):
             splits = tuple(c + i * shift for i, c in enumerate(cuts, 1))
             bounds = (0, *splits, length)
             parts = [w[a:b] for a, b in zip(bounds, bounds[1:])]
-            found = _first_subalphabet(parts, order, m)
+            kind, found = _first_subalphabet(parts, order, m)
+            decisions.append((splits, kind))
             if found is not None:
                 cert = StructureCertificate(found, p, splits)
                 if not verify_structure(w, cert, m):
                     raise RuntimeError(f"internal error: unsound certificate {cert}")
-                return SearchOutcome(cert, exhaustive=True)
-    return SearchOutcome(None, exhaustive=True)
+                return SearchOutcome(cert, True, tuple(decisions))
+    return SearchOutcome(None, True, tuple(decisions))
 
 
 # -- witness family and exact boundary ----------------------------------------
@@ -322,11 +339,14 @@ def canonical_bounded_words(size: int, q: int) -> Iterator[Word]:
 
 @dataclass(frozen=True)
 class SizeReport:
-    """Outcome of checking one alphabet size during boundary computation."""
+    """Outcome of checking one alphabet size during boundary computation;
+    decided counts the splits examined at that size, over every word
+    checked, by kind of decision (SearchOutcome.decisions)."""
 
     alphabet_size: int
     words_checked: int
     violator: Optional[Word]
+    decided: dict
 
 
 @dataclass(frozen=True)
@@ -376,13 +396,15 @@ def compute_n(m: int, q: int, alphabet_cap: int) -> ComputeNResult:
     for size in range(1, alphabet_cap + 1):
         violator: Optional[Word] = None
         checked = 0
+        decided: Counter = Counter()
         for candidate in canonical_bounded_words(size, q):
             checked += 1
             outcome = find_structure(candidate, m, q)
+            decided.update(kind for _, kind in outcome.decisions)
             if outcome.certificate is None:
                 violator = candidate
                 break
-        reports.append(SizeReport(size, checked, violator))
+        reports.append(SizeReport(size, checked, violator, dict(decided)))
         if violator is None:
             return ComputeNResult(m, q, size, alphabet_cap, tuple(reports))
     return ComputeNResult(m, q, None, alphabet_cap, tuple(reports))

@@ -3,7 +3,10 @@
 The brute-force implementations here deliberately avoid the library's search
 code paths: they enumerate raw (subset, p, splits) triples, index subsets,
 or cut tuples directly, so agreement tests actually cross-check two
-independent routes.
+independent routes.  One exception: plain_structure shares the library's
+span-mask kernel, regularity._span_conflicts (which TestSpanConflicts checks
+against reference_conflicts), so it cross-checks only the search's prunes
+and its order.
 """
 
 from __future__ import annotations
@@ -227,6 +230,24 @@ def reference_conflicts(parts, cands):
                     conflicts[i].add(j)
                     conflicts[j].add(i)
     return conflicts
+
+
+def reference_decision(parts, m: int) -> str:
+    """The kind of decision find_structure records for a split into parts,
+    by its definition: "candidates" when fewer than m letters occur in every
+    part; "degree" when, of the c letters that do, the m-th smallest number
+    of conflicts exceeds c - m; "growth" when no m of them are pairwise
+    conflict-free; otherwise "certificate"."""
+    common = set(parts[0]).intersection(*parts[1:])
+    if len(common) < m:
+        return "candidates"
+    conflicts = reference_conflicts(parts, sorted(common))
+    if sorted(map(len, conflicts))[m - 1] > len(common) - m:
+        return "degree"
+    for subset in combinations(range(len(common)), m):
+        if all(j not in conflicts[i] for i, j in combinations(subset, 2)):
+            return "certificate"
+    return "growth"
 
 
 def lexicographic_attack_certificate(w, n: int, k: int, q: int) -> AttackCertificate:

@@ -11,10 +11,10 @@ import pytest
 from gihflab import cli
 from gihflab.attacks import generalized_attack, joux_attack, verify_multicollision
 from gihflab.hashsim import CompressionOracle, identity_schedule, mirror_schedule
-from gihflab.regularity import find_structure
+from gihflab.regularity import canonical_bounded_words, find_structure
 from gihflab.words import format_words
 
-from support import random_two_permutation_word
+from support import admissible_splits, brute_force_structure, random_two_permutation_word
 
 CLI = [sys.executable, "-m", "gihflab.cli"]
 
@@ -97,6 +97,21 @@ class TestRegularityCommands:
         result = report_of(proc)["result"]
         assert result["N"] == 3
         assert result["exhaustive"] is True
+        # each size's counts sum to the admissible splits up to each
+        # checked word's brute-force find, or all of them for the violator
+        for size in result["sizes"]:
+            words = list(canonical_bounded_words(size["alphabet_size"], 2))
+            examined = 0
+            for w in words[:size["words_checked"]]:
+                splits = admissible_splits(len(w), 2, 2) if len(set(w)) >= 2 else []
+                brute = brute_force_structure(w, 2, 2)
+                examined += len(splits) if brute is None else splits.index(brute.splits) + 1
+            decided = size["decided"]
+            assert sum(decided.values()) == examined, size
+            found = size["words_checked"] - (size["violator"] is not None)
+            assert decided.get("certificate", 0) == found, size
+        assert [size["decided"] for size in result["sizes"]] == [
+            {}, {"certificate": 3, "degree": 1}, {"certificate": 37, "degree": 8}]
 
     def test_find_has_no_mode_option(self):
         proc = run_cli("regularity", "find", "--m", "2", "--q", "2",
@@ -113,8 +128,18 @@ class TestRegularityCommands:
         elapsed = time.perf_counter() - started
         assert code == 0
         assert json.loads(capsys.readouterr().out)["result"]["results"] == [
-            {"A": [1, 2], "found": True, "p": 2, "splits": [2]}]
+            {"A": [1, 2], "found": True, "p": 2, "splits": [2],
+             "decided": {"degree": 1, "certificate": 1}}]
         assert elapsed < 0.5
+
+    def test_find_counts_each_kind_of_decision(self, tmp_path):
+        # p = 1 is refused by conflict degree; (32,) holds the certificate
+        words = tmp_path / "words.txt"
+        words.write_text(format_words([random_two_permutation_word(random.Random(3), 993)]))
+        proc = run_cli("regularity", "find", "--m", "32", "--q", "2", "--input", str(words))
+        (found,) = report_of(proc)["result"]["results"]
+        assert found["splits"] == [32]
+        assert found["decided"] == {"certificate": 1, "degree": 1}
 
     def test_find_and_verify_cert_round_trip(self, tmp_path):
         words = tmp_path / "words.txt"

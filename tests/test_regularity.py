@@ -3,7 +3,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
-from itertools import accumulate, combinations
+from itertools import combinations
 
 import pytest
 
@@ -31,6 +31,7 @@ from support import (
     random_bounded_word,
     random_two_permutation_word,
     reference_conflicts,
+    reference_decision,
     reference_verify_structure,
 )
 
@@ -40,47 +41,6 @@ MALFORMED_CERTIFICATES = {
     "float-split": StructureCertificate((1, 2), 2, (2.0,)),
     "float-part-count": StructureCertificate((1, 2), 2.9, (2,)),
 }
-
-
-def record_examined(monkeypatch):
-    """Patch a recorder around _first_subalphabet; the returned list gets
-    the splits of every factorization find_structure examines, in order."""
-    examined = []
-    real = regularity._first_subalphabet
-
-    def recorder(parts, order, m):
-        examined.append(tuple(accumulate(map(len, parts[:-1]))))
-        return real(parts, order, m)
-
-    monkeypatch.setattr(regularity, "_first_subalphabet", recorder)
-    return examined
-
-
-class ReadCountingMasks(list):
-    """Conflict masks that count the single-mask reads the growth makes."""
-
-    reads = 0
-
-    def __getitem__(self, index):
-        self.reads += 1
-        return super().__getitem__(index)
-
-
-def count_mask_reads(monkeypatch):
-    """Patch _span_conflicts to hand out ReadCountingMasks; the returned
-    list gets each one."""
-    handed = []
-    real = regularity._span_conflicts
-
-    def counting(parts, order, m):
-        cands, masks = real(parts, order, m)
-        if masks is not None:
-            masks = ReadCountingMasks(masks)
-            handed.append(masks)
-        return cands, masks
-
-    monkeypatch.setattr(regularity, "_span_conflicts", counting)
-    return handed
 
 
 def certificate_mutants(rng, w, cert, m):
@@ -211,11 +171,10 @@ class TestFindStructure:
         with pytest.raises(TypeError):
             find_structure((1, 2), 1, 1, "greedy")  # no search modes
 
-    def test_rejects_non_integer_sizes_before_any_split(self, monkeypatch):
-        def examine(*args):
-            raise AssertionError("split examined")
-
-        monkeypatch.setattr(regularity, "_first_subalphabet", examine)
+    def test_rejects_non_integer_sizes_before_any_split(self):
+        # (1, 1, 1) is not 2-bounded, so the size check runs first
+        with pytest.raises(TypeError, match="subalphabet size m must be an integer"):
+            find_structure((1, 1, 1), 2.5, 2)
         for w in ((1, 2, 1, 2), (1, 2, 3, 1, 2, 3, 4, 5)):
             for m in (2.5, 2.0):
                 with pytest.raises(TypeError, match="subalphabet size m must be an integer"):
@@ -283,13 +242,10 @@ class TestFindStructure:
         with pytest.raises(ValueError, match="more than 2000000 factorizations"):
             find_structure(w, 2, 3)
 
-    def test_oversized_subalphabet_refused_before_any_split(self, monkeypatch):
-        def examine(*args):
-            raise AssertionError("split examined")
-
-        monkeypatch.setattr(regularity, "_first_subalphabet", examine)
+    def test_oversized_subalphabet_refused_before_any_split(self):
         for w, m in (((), 1), ((1, 2, 1, 2), 3), (tuple(range(1, 201)) * 2, 201)):
-            assert find_structure(w, m, 2) == SearchOutcome(None, True)
+            outcome = find_structure(w, m, 2)
+            assert outcome == SearchOutcome(None, True) and outcome.decisions == ()
 
     def test_long_permutations_do_not_recurse(self):
         rng = random.Random(11)
@@ -298,10 +254,9 @@ class TestFindStructure:
         assert (cert.p, cert.splits) == (2, (1100,))
         assert verify_structure(w, cert, 1100)
 
-    def test_search_order_matches_brute_force(self, monkeypatch):
+    def test_search_order_matches_brute_force(self):
         # both loop p, then splits, then subsets, so (p, splits) pins the order;
         # the search examines exactly the admissible splits up to its find
-        examined = record_examined(monkeypatch)
         rng = random.Random(12)
         ones = 0
         for _ in range(300):
@@ -310,7 +265,6 @@ class TestFindStructure:
                                     exact_alphabet=rng.random() < 0.5)
             m = rng.randint(1, 4)
             ones += m == 1
-            examined.clear()
             ours = find_structure(w, m, q)
             brute = brute_force_structure(w, m, q)
             assert ours.exhaustive
@@ -321,6 +275,7 @@ class TestFindStructure:
                 assert verify_structure(w, ours.certificate, m)
                 assert verify_structure(w, brute, m)
                 expected = expected[:expected.index(brute.splits) + 1]
+            examined = [splits for splits, _ in ours.decisions]
             assert examined == expected, (w, m, q)
             for splits in examined:
                 assert all(len(part) >= m for part in split_word(w, splits)), (w, m, splits)
@@ -363,13 +318,13 @@ class TestFindStructure:
                 shrunk += 1
         assert shrunk > 50
 
-    def test_two_permutation_word_examines_two_factorizations(self, monkeypatch):
+    def test_two_permutation_word_examines_two_factorizations(self):
         # p = 1 is refused by conflict degree, and (32,) is the first p = 2
         # split whose parts both hold 32 letters
         w = random_two_permutation_word(random.Random(3), 993)
-        examined = record_examined(monkeypatch)
-        cert = find_structure(w, 32, 2).certificate
-        assert examined == [(), (32,)]
+        outcome = find_structure(w, 32, 2)
+        cert = outcome.certificate
+        assert outcome.decisions == (((), "degree"), ((32,), "certificate"))
         assert (cert.p, cert.splits, cert.subalphabet) == (2, (32,), w[:32])
 
     def test_admissible_split_count(self):
@@ -453,20 +408,23 @@ class TestSpanConflicts:
 
 
 class TestConflictDegreeRefusal:
-    def test_refuses_a_complete_relation_before_any_growth(self, monkeypatch):
-        handed = count_mask_reads(monkeypatch)
+    def test_refuses_a_complete_relation_before_any_growth(self):
         w = tuple(range(1, 201)) * 2  # one part: every span holds the middle
-        assert regularity._first_subalphabet((w,), tuple(dict.fromkeys(w)), 2) is None
-        (masks,) = handed
+        outcome = find_structure(w, 2, 2)
+        assert outcome.decisions == (((), "degree"), ((2,), "certificate"))
+        _, masks = regularity._span_conflicts((w,), tuple(dict.fromkeys(w)), 2)
         assert all(mask.bit_count() == 199 for mask in masks)
-        assert masks.reads == 0
 
-    def test_witness_is_still_refused_by_the_growth(self, monkeypatch):
-        # every letter of the six-letter witness conflicts with 5 of 30
-        handed = count_mask_reads(monkeypatch)
-        assert find_structure(extremal_witness(6), 6, 2) == SearchOutcome(None, True)
-        assert handed and all(mask.bit_count() == 5 for mask in handed[0])
-        assert handed[0].reads > 0
+    def test_witness_is_still_refused_by_the_growth(self):
+        # every letter of the six-letter witness conflicts with 5 of 30, and
+        # no p = 2 split leaves 6 letters in both parts
+        w = extremal_witness(6)
+        outcome = find_structure(w, 6, 2)
+        assert outcome == SearchOutcome(None, True)
+        assert outcome.decisions == (((), "growth"),
+                                     *(((cut,), "candidates") for cut in range(6, 50)))
+        _, masks = regularity._span_conflicts((w,), tuple(dict.fromkeys(w)), 6)
+        assert len(masks) == 30 and all(mask.bit_count() == 5 for mask in masks)
 
     def test_refusal_never_hides_a_certificate(self):
         # the growth alone (plain_structure) finds nothing the prune refused
@@ -478,13 +436,37 @@ class TestConflictDegreeRefusal:
             cands, masks = regularity._span_conflicts((w,), tuple(dict.fromkeys(w)), m)
             if masks is None:
                 continue
-            found = regularity._first_subalphabet((w,), tuple(dict.fromkeys(w)), m)
+            kind, found = regularity._first_subalphabet((w,), tuple(dict.fromkeys(w)), m)
             if sorted(map(int.bit_count, masks))[m - 1] > len(cands) - m:
                 fired += 1
-                assert found is None
+                assert (kind, found) == ("degree", None)
             plain = plain_structure(w, m, 1)
             assert found == (None if plain is None else plain.subalphabet), (w, m)
         assert fired > 20
+
+
+class TestDecisionRecord:
+    def test_each_kind_is_the_reference_decision(self):
+        # every examined split is recorded with the kind the references give
+        # it, and only the last split of a find is a certificate
+        rng = random.Random(26)
+        seen = Counter()
+        for _ in range(4000):
+            q = rng.randint(1, 3)
+            w = random_bounded_word(rng, rng.randint(1, 8), q,
+                                    exact_alphabet=rng.random() < 0.5)
+            m = rng.randint(1, 4)
+            outcome = find_structure(w, m, q)
+            kinds = [kind for _, kind in outcome.decisions]
+            for splits, kind in outcome.decisions:
+                assert kind == reference_decision(split_word(w, splits), m), (w, m, splits)
+            assert kinds.count("certificate") == (outcome.certificate is not None)
+            if outcome.certificate is not None:
+                assert outcome.decisions[-1] == (outcome.certificate.splits, "certificate")
+            seen.update(kinds)
+        # the growth refuses about one examined split in 170 at these sizes
+        assert set(seen) == {"candidates", "degree", "growth", "certificate"}
+        assert min(seen.values()) > 10, seen
 
 
 class TestWitnessFamily:
