@@ -3,9 +3,9 @@
 One engine runs every attack.  An attack certificate (see nesting) cuts the
 schedule word into parts that condense to permutations of a subalphabet B,
 and one level walker hashes each part, running one table search
-(hashsim.table_collision) for each of the nesting.level_blocks equal blocks
-of B-positions it is cut into.  Every level searches the same way; only its
-candidates differ.  Level 1 cuts into singletons and searches the sampler's
+(hashsim.table_collision) for each of the equal blocks of B-positions that
+nesting.level_layout cuts it into.  Every level searches the same way; only
+its candidates differ.  Level 1 cuts into singletons and searches the sampler's
 raw blocks for a pair per B-position, as Joux does per stage; each later level
 collapses the >= 2^n combinations of the groups a block inherits.  Those
 candidates come in product order, so consecutive ones share every step of
@@ -59,10 +59,10 @@ from .nesting import (
     ConstructionError,
     attack_threshold,
     find_attack_structure,
-    level_blocks,
+    level_layout,
 )
 from .regularity import DEFAULT_MAX_FACTORIZATIONS, factorization_count
-from .words import condense, equal_blocks, integers, require_int, split_word
+from .words import integers, require_int, spans
 
 DEFAULT_A_TILDE = 2.5
 DEFAULT_EXPANSION_CAP = 1 << 16
@@ -273,26 +273,24 @@ def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
 
     complete, checked = True, mc.expansion_size
     if checked <= min(cap, SEPARATE_HASHING_MAX):
-        digests = _message_digests(oracle, alpha, h0, mc,
-                                   product(*(range(len(g.choices)) for g in mc.groups)))
+        digests = _message_digests(oracle, alpha, h0, mc.messages())
     else:
         digests = _frontier_digests(oracle, alpha, h0, mc, cap)
     if digests is None:
         selections = _sampled_selections(mc, cap)
         complete, checked = False, len(selections)
-        digests = _message_digests(oracle, alpha, h0, mc, selections)
+        digests = _message_digests(oracle, alpha, h0, map(mc.message, selections))
     if len(digests) != 1:
         return VerificationResult(False, complete, 0)
     return VerificationResult(True, complete, checked, next(iter(digests)))
 
 
-def _message_digests(oracle: CompressionOracle, alpha, h0: int, mc: MulticollisionSet,
-                     selections) -> set:
-    """The digests f_alpha of the selected messages of mc, each hashed on
-    its own; stops at the second distinct digest."""
+def _message_digests(oracle: CompressionOracle, alpha, h0: int, messages) -> set:
+    """The digests f_alpha of the messages, each hashed on its own; stops
+    at the second distinct digest."""
     digests: set = set()
-    for selection in selections:
-        digests.add(f_alpha(oracle, h0, mc.message(selection), alpha))
+    for message in messages:
+        digests.add(f_alpha(oracle, h0, message, alpha))
         if len(digests) > 1:
             break
     return digests
@@ -386,11 +384,7 @@ def _walk_level(oracle, part, units, fillers, state):
     groups, the part's outgoing state and the distinct queries of each
     search.
     """
-    first = {}
-    last = {}
-    for idx, sym in enumerate(part):
-        first.setdefault(sym, idx)
-        last[sym] = idx
+    first, last = spans(part)
     compress = oracle.compress
     groups = []
     stage_queries = []
@@ -440,11 +434,9 @@ def _resumed_walk(compress, state, steps):
     one-part certificate on the mirror word, or a part of a 3-bounded word)
     counts at its first read.
     """
-    first_read = {}
-    for step, (at, _) in enumerate(steps):
-        if at >= 0:
-            first_read.setdefault(at, step)
-    reads = tuple(first_read.items())  # slots in read order, each with its first step
+    first_read, _ = spans(at for at, _ in steps)
+    # slots in read order, each with its first step; a filler step is at -1
+    reads = tuple((at, step) for at, step in first_read.items() if at >= 0)
     trail = [state]  # trail[i]: the state before step i of the previous walk
     previous = (None,) * len(reads)  # no block is None: the first walk starts at step 0
 
@@ -480,18 +472,15 @@ def _inherited_units(groups, blocks):
 def _attack(oracle, sched, q, alpha, cert, fillers, sampler, h0, expansion_cap):
     """Run the certificate's levels along the schedule word alpha, then
     verify the multicollision on a clone of the oracle.  Each level cuts
-    its condensed part into level_blocks(n, k, p) equal blocks, singletons
+    its condensed part into equal blocks (nesting.level_layout), singletons
     at level 1; positions outside the subalphabet keep their filler block."""
-    subset = set(cert.subalphabet)
     start = oracle.query_count
     raw_start = oracle.raw_calls
     state = h0
     groups = []
     stage_queries = []
     level_queries = []
-    layout = zip(split_word(alpha, cert.splits), level_blocks(cert.n, cert.k, cert.p))
-    for level, (part, count) in enumerate(layout, 1):
-        blocks = equal_blocks(condense(part, subset), count)
+    for level, (part, blocks) in enumerate(level_layout(alpha, cert), 1):
         if level == 1:
             units = [(block, sampler) for block in blocks]  # raw blocks
         else:
@@ -502,6 +491,7 @@ def _attack(oracle, sched, q, alpha, cert, fillers, sampler, h0, expansion_cap):
         level_queries.append(oracle.query_count - before)
 
     length = max(alpha)  # alpha covers 1..l
+    subset = set(cert.subalphabet)
     base_blocks = {pos: blk for pos, blk in fillers.items() if pos not in subset}
     mc = MulticollisionSet(length=length, groups=tuple(groups),
                            base_blocks=base_blocks, r=cert.k)

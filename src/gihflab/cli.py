@@ -284,12 +284,6 @@ def _cmd_verify_collision(args):
 
 # -- parser --------------------------------------------------------------------
 
-def _add_seed(parser: argparse.ArgumentParser) -> None:
-    # the parser is built once per process, so main reads the variable when
-    # --seed is absent
-    parser.add_argument("--seed", type=int, help=f"run seed (or set {SEED_ENV_VAR})")
-
-
 def _seed_from_environment(parser: argparse.ArgumentParser) -> int:
     """The seed GIHFLAB_SEED sets; a missing or non-integer value is a
     usage error (exit 2)."""
@@ -309,24 +303,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bounded-word regularity certificates and multicollision "
                     "attacks on simulated iterated hash functions.")
     sub = parser.add_subparsers(dest="group", required=True)
+    # option groups shared by several subcommands, each defined once
+    word_file = argparse.ArgumentParser(add_help=False)
+    word_file.add_argument("--input", default="-", help="word file (default stdin)")
+    oracle = argparse.ArgumentParser(add_help=False)
+    oracle.add_argument("--n", type=int, required=True)
+    oracle.add_argument("--m", type=int, required=True)
+    oracle.add_argument("--h0", type=int, default=0)
+    # the parser is cached, so main reads the variable when --seed is absent
+    oracle.add_argument("--seed", type=int, help=f"run seed (or set {SEED_ENV_VAR})")
 
     classics = sub.add_parser("classics", help="classical regularity finders")
     classics_sub = classics.add_subparsers(dest="command", required=True)
-    cadence = classics_sub.add_parser("cadence", help="arithmetic cadence finder")
+    cadence = classics_sub.add_parser("cadence", parents=[word_file],
+                                      help="arithmetic cadence finder")
     cadence.add_argument("--s", type=int, required=True, help="cadence order")
-    cadence.add_argument("--input", default="-", help="word file (default stdin)")
     cadence.set_defaults(func=_cmd_classics_cadence)
-    ndiv = classics_sub.add_parser("ndiv", help="n-division finder")
+    ndiv = classics_sub.add_parser("ndiv", parents=[word_file], help="n-division finder")
     ndiv.add_argument("--n", type=int, required=True, help="factor count")
-    ndiv.add_argument("--input", default="-", help="word file (default stdin)")
     ndiv.set_defaults(func=_cmd_classics_ndiv)
 
     regularity = sub.add_parser("regularity", help="structure certificates")
     regularity_sub = regularity.add_subparsers(dest="command", required=True)
-    find = regularity_sub.add_parser("find", help="search for a certificate")
+    find = regularity_sub.add_parser("find", parents=[word_file],
+                                     help="search for a certificate")
     find.add_argument("--m", type=int, required=True)
     find.add_argument("--q", type=int, required=True)
-    find.add_argument("--input", default="-", help="word file (default stdin)")
     find.set_defaults(func=_cmd_regularity_find)
     witness = regularity_sub.add_parser("witness", help="extremal 2-bounded witness")
     witness.add_argument("--m", type=int, required=True)
@@ -340,46 +342,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     nesting = sub.add_parser("nesting", help="attack-structure extraction")
     nesting_sub = nesting.add_subparsers(dest="command", required=True)
-    attack_structure = nesting_sub.add_parser("attack-structure")
+    attack_structure = nesting_sub.add_parser("attack-structure", parents=[word_file])
     attack_structure.add_argument("--n", type=int, required=True)
     attack_structure.add_argument("--k", type=int, required=True)
     attack_structure.add_argument("--q", type=int, required=True)
-    attack_structure.add_argument("--input", default="-", help="word file (default stdin)")
     attack_structure.set_defaults(func=_cmd_nesting_attack_structure)
 
     hashsim = sub.add_parser("hashsim", help="oracle simulation baselines")
     hashsim_sub = hashsim.add_subparsers(dest="command", required=True)
-    birthday = hashsim_sub.add_parser("birthday", help="k-collision birthday search")
-    birthday.add_argument("--n", type=int, required=True)
-    birthday.add_argument("--m", type=int, required=True)
+    birthday = hashsim_sub.add_parser("birthday", parents=[oracle],
+                                      help="k-collision birthday search")
     birthday.add_argument("--k", type=int, default=2)
     birthday.add_argument("--trials", type=int, default=1)
-    birthday.add_argument("--h0", type=int, default=0)
-    _add_seed(birthday)
     birthday.set_defaults(func=_cmd_hashsim_birthday)
 
     attack = sub.add_parser("attack", help="multicollision attacks")
     attack_sub = attack.add_subparsers(dest="command", required=True)
-    joux = attack_sub.add_parser("joux", help="classic chained pair collisions")
-    joux.add_argument("--n", type=int, required=True)
-    joux.add_argument("--m", type=int, required=True)
+    joux = attack_sub.add_parser("joux", parents=[oracle],
+                                 help="classic chained pair collisions")
     joux.add_argument("--r", type=int, required=True)
     joux.add_argument("--trials", type=int, default=1)
-    joux.add_argument("--h0", type=int, default=0)
     joux.add_argument("--mc-out", help="write the first trial's multicollision JSON here")
-    _add_seed(joux)
     joux.set_defaults(func=_cmd_attack_joux)
-    gihf = attack_sub.add_parser("gihf", help="generalized q-bounded attack")
-    gihf.add_argument("--n", type=int, required=True)
-    gihf.add_argument("--m", type=int, required=True)
+    gihf = attack_sub.add_parser("gihf", parents=[oracle], help="generalized q-bounded attack")
     gihf.add_argument("--q", type=int, required=True)
     gihf.add_argument("--r", type=int, required=True)
     gihf.add_argument("--schedule", choices=["identity", "mirror", "file"],
                       default="mirror")
     gihf.add_argument("--schedule-file", help="word file with one schedule word per line")
-    gihf.add_argument("--h0", type=int, default=0)
     gihf.add_argument("--mc-out", help="write the multicollision JSON here")
-    _add_seed(gihf)
     gihf.set_defaults(func=_cmd_attack_gihf)
 
     verify = sub.add_parser("verify", help="re-check certificates and collisions")

@@ -32,7 +32,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .regularity import (
     StructureCertificate,
@@ -49,6 +49,7 @@ from .words import (
     is_permutation,
     project,
     require_int,
+    spans,
     split_word,
 )
 
@@ -250,6 +251,14 @@ def level_blocks(n: int, k: int, p: int) -> tuple[int, ...]:
     return tuple(n ** (p - i) * k for i in range(1, p + 1))
 
 
+def level_layout(w: Word, cert: AttackCertificate) -> Iterator[tuple[Word, tuple[Word, ...]]]:
+    """(part, blocks) for each level of an attack certificate, level 1
+    first: the level's part of w, cut at the certificate's splits, and its
+    condensation on B cut into level_blocks(n, k, p) equal blocks."""
+    for part, count in zip(split_word(w, cert.splits), level_blocks(cert.n, cert.k, cert.p)):
+        yield part, equal_blocks(condense(part, cert.subalphabet), count)
+
+
 def _subset_request(n: int, k: int, p: int, *, at_most: Optional[int] = None) -> int:
     # Size of the structure subalphabet that lets us carve out B for a given
     # part count: B is taken directly for p <= 2, n^(p-1) * k letters, via
@@ -286,9 +295,7 @@ def _filler_free_run(w: Word, size: int) -> Optional[tuple[tuple[int, ...], tupl
     occurrence of a letter of B lies before the run, so each letter of B
     occurs once in each part."""
     counts = Counter(w)
-    first: dict = {}
-    for i, a in enumerate(w):
-        first.setdefault(a, i)
+    first, _ = spans(w)
     run = 0
     for i in range(len(w) - 1, -1, -1):
         run = run + 1 if counts[w[i]] == 2 and first[w[i]] < i else 0
@@ -317,8 +324,8 @@ def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
       letters, so none holds a filler block: the least "positions inside
       later-level spans holding a letter outside B" of any certificate.
       A word without such a run is treated as at p = 1;
-    * p >= 3: factorization_subset on the condensed permutations, under
-      A's splits.
+    * p >= 3: factorization_subset's B, in the order of the condensed first
+      part, which holds every letter of A, under A's splits.
     """
     require_int(n, "hash length n")
     require_int(k, "collision exponent k")
@@ -352,11 +359,9 @@ def find_attack_structure(w: Word, n: int, k: int, q: int) -> AttackCertificate:
     else:
         tset = set(base.subalphabet[: _subset_request(n, k, p)])
         level_words = [condense(part, tset) for part in split_word(w, splits)]
-        nested = factorization_subset(level_words, level_blocks(n, k, p))
-        members = set(nested)
-        chosen = tuple(a for a in dict.fromkeys(w) if a in members)
+        chosen = factorization_subset(level_words, level_blocks(n, k, p))
 
-    cert = AttackCertificate(tuple(chosen), p, splits, n, k)
+    cert = AttackCertificate(chosen, p, splits, n, k)
     if not verify_attack_structure(w, cert):
         raise ConstructionError("attack certificate failed verification")
     return cert
@@ -368,15 +373,15 @@ def verify_attack_structure(w: Word, cert: AttackCertificate) -> bool:
     Reads n and k from the certificate and checks that they are positive
     integers, that (B, p, splits) is a structure certificate with
     |B| = n^(p-1) * k, so each part condenses to a permutation of B, and
-    that for each pair of consecutive levels, cut into level_blocks(n, k, p)
-    equal blocks, every block alphabet of the finer level lies inside some
+    that for each pair of consecutive levels, cut into blocks by
+    level_layout, every block alphabet of the finer level lies inside some
     block alphabet of the coarser one.
     """
     try:
         w = tuple(w)
         subset = tuple(cert.subalphabet)
         p, n, k = map(operator.index, (cert.p, cert.n, cert.k))
-        splits = tuple(cert.splits)
+        splits = tuple(map(operator.index, cert.splits))
     except (TypeError, AttributeError, ValueError):
         return False
     if n < 1 or k < 1:
@@ -387,14 +392,12 @@ def verify_attack_structure(w: Word, cert: AttackCertificate) -> bool:
         return False
     if n > 1 and len(subset) >> (p - 1) == 0:
         return False
-    blocks = level_blocks(n, k, p)
-    if blocks[0] != len(subset):
+    if level_blocks(n, k, p)[0] != len(subset):
         return False
-    bset = set(subset)
-    condensed = [condense(part, bset) for part in split_word(w, splits)]
-    for (fine_word, fine), (coarse_word, coarse) in pairwise(zip(condensed, blocks)):
-        coarse_alphabets = [set(u) for u in equal_blocks(coarse_word, coarse)]
-        for block in equal_blocks(fine_word, fine):
+    layout = level_layout(w, AttackCertificate(subset, p, splits, n, k))
+    for (_, fine), (_, coarse) in pairwise(layout):
+        coarse_alphabets = [set(u) for u in coarse]
+        for block in fine:
             if not any(set(block) <= u for u in coarse_alphabets):
                 return False
     return True

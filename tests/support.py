@@ -17,7 +17,12 @@ from itertools import combinations, groupby, permutations
 
 from gihflab.attacks import CollisionGroup
 from gihflab.hashsim import BlockSampler, derive_seed, f_plus, mix64
-from gihflab.nesting import AttackCertificate, _subset_request, level_blocks
+from gihflab.nesting import (
+    AttackCertificate,
+    _subset_request,
+    factorization_subset,
+    level_blocks,
+)
 from gihflab.regularity import (
     StructureCertificate,
     _span_conflicts,
@@ -323,8 +328,15 @@ def random_permutations_of(rng: random.Random, alphabet_size: int, count: int):
     return out
 
 
-def certificate_parts(w, cert: StructureCertificate):
-    return split_word(tuple(w), cert.splits)
+def three_permutations(n, k):
+    """Three shuffled permutations of 1..n^4 k^5, concatenated, and a p = 3
+    certificate whose subalphabet B comes from factorization_subset."""
+    l = n ** 4 * k ** 5
+    rng = random.Random(f"three-permutations:{n}:{k}")
+    perms = [rng.sample(range(1, l + 1), l) for _ in range(3)]
+    alpha = tuple(perms[0] + perms[1] + perms[2])
+    subset = factorization_subset(perms, level_blocks(n, k, 3))
+    return alpha, AttackCertificate(subset, 3, (l, 2 * l), n, k)
 
 
 def enumerated_digests(oracle, alpha, h0: int, mc):

@@ -35,9 +35,7 @@ from gihflab.hashsim import (
 from gihflab.nesting import (
     AttackCertificate,
     attack_threshold,
-    factorization_subset,
     find_attack_structure,
-    level_blocks,
     verify_attack_structure,
 )
 from gihflab.words import split_word
@@ -51,6 +49,7 @@ from support import (
     reference_joux_pairs,
     reference_table_collision,
     rewalk_level,
+    three_permutations,
 )
 
 
@@ -65,17 +64,6 @@ def _certified_attack(alpha, cert, q, seed):
     fillers = {pos: next(sampler) for pos in range(1, l + 1)}
     return (oracle, sched,
             *_attack(oracle, sched, q, alpha, cert, fillers, sampler, 0, 1 << 16))
-
-
-def _three_permutations(n, k):
-    """Three shuffled permutations of 1..n^4 k^5 and a p = 3 certificate
-    whose subalphabet B comes from factorization_subset."""
-    l = n ** 4 * k ** 5
-    rng = random.Random(f"three-permutations:{n}:{k}")
-    perms = [rng.sample(range(1, l + 1), l) for _ in range(3)]
-    alpha = tuple(perms[0] + perms[1] + perms[2])
-    subset = factorization_subset(perms, level_blocks(n, k, 3))
-    return alpha, AttackCertificate(subset, 3, (l, 2 * l), n, k)
 
 
 def _two_permutation_word(n, seed):
@@ -137,8 +125,8 @@ LEVEL_WALK_CASES = {
     "two-permutations-n12": lambda: _two_permutation_attack(12, 73),
     "two-permutations-lexicographic-n12":
         lambda: _certified_attack(*_lexicographic_two_permutations(12, 73), 2, 73)[2:],
-    "three-levels-k1": lambda: _certified_attack(*_three_permutations(4, 1), 3, 61)[2:],
-    "three-levels-k2": lambda: _certified_attack(*_three_permutations(4, 2), 3, 62)[2:],
+    "three-levels-k1": lambda: _certified_attack(*three_permutations(4, 1), 3, 61)[2:],
+    "three-levels-k2": lambda: _certified_attack(*three_permutations(4, 2), 3, 62)[2:],
 }
 
 
@@ -778,7 +766,7 @@ class TestThreeLevelAttack:
 
     @pytest.mark.parametrize("n,k", [(4, 1), (4, 2)])
     def test_three_permutations(self, n, k):
-        alpha, cert = _three_permutations(n, k)
+        alpha, cert = three_permutations(n, k)
         assert verify_attack_structure(alpha, cert)
         oracle, sched, mc, report = _certified_attack(alpha, cert, 3, 60 + k)
         assert report.verify_ok and report.p == 3 and report.r == k
@@ -793,7 +781,7 @@ class TestThreeLevelAttack:
     def test_search_finds_the_three_part_certificate(self):
         # the q = 3 search itself, whose p >= 3 branch takes B from
         # factorization_subset under the decision's splits
-        alpha, _ = _three_permutations(4, 1)
+        alpha, _ = three_permutations(4, 1)
         cert = find_attack_structure(alpha, 4, 1, 3)
         assert (cert.p, len(cert.subalphabet), cert.splits) == (3, 16, (256, 512))
         assert verify_attack_structure(alpha, cert)

@@ -35,6 +35,17 @@ CONFIG_KEYS = {
 }
 
 
+@pytest.mark.parametrize("command", ["hashsim birthday", "attack joux", "attack gihf"])
+def test_help_lists_shared_oracle_options_once(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    options = capsys.readouterr().out.partition("options:")[2]
+    listed = [line.split()[0] for line in options.splitlines() if line.strip()]
+    for option in ("--n", "--m", "--h0", "--seed"):
+        assert listed.count(option) == 1, (option, listed)
+
+
 def run_cli(*args, stdin_text=None, env_extra=None, check=True):
     env = dict(os.environ)
     env.pop("GIHFLAB_SEED", None)

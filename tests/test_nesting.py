@@ -14,12 +14,13 @@ from gihflab.nesting import (
     factorization_subset,
     find_attack_structure,
     level_blocks,
+    level_layout,
     partition_bijection,
     verify_attack_structure,
     verify_nesting,
 )
 from gihflab.regularity import structure_threshold
-from gihflab.words import equal_blocks, project
+from gihflab.words import condense, equal_blocks, project, split_word
 
 from support import (
     filler_estimate,
@@ -29,6 +30,7 @@ from support import (
     random_permutations_of,
     random_two_permutation_word,
     reference_compact_certificate,
+    three_permutations,
 )
 
 
@@ -473,6 +475,39 @@ class TestDeepInputs:
         word = (1,) * 3000
         cert = AttackCertificate((1,), 3000, tuple(range(1, 3000)), 3, 1)
         assert not verify_attack_structure(word, cert)
+
+
+class TestLevelLayout:
+    """level_layout against the cut it replaces, written out: the word split
+    at the certificate's splits, each part condensed on B and cut into
+    n^(p-i) * k equal blocks at level i."""
+
+    @staticmethod
+    def written_out(w, cert):
+        bset = set(cert.subalphabet)
+        parts = split_word(w, cert.splits)
+        return [(part, equal_blocks(condense(part, bset), cert.n ** (cert.p - i) * cert.k))
+                for i, part in enumerate(parts, 1)]
+
+    def certificates(self):
+        yield (1, 2, 3, 4), find_attack_structure((1, 2, 3, 4), 2, 4, 1)  # identity
+        yield (1, 2, 3, 4, 5, 6, 6, 5), find_attack_structure((1, 2, 3, 4, 5, 6, 6, 5), 2, 2, 2)
+        for n, seed in ((2, 0), (2, 1), (4, 2)):
+            w = random_two_permutation_word(random.Random(f"layout:{seed}"),
+                                            attack_threshold(n, 2, 2))
+            yield w, find_attack_structure(w, n, 2, 2)
+        alpha, _ = three_permutations(4, 1)
+        yield alpha, find_attack_structure(alpha, 4, 1, 3)
+
+    def test_matches_written_out_cut(self):
+        seen = set()
+        for w, cert in self.certificates():
+            seen.add(cert.p)
+            layout = list(level_layout(w, cert))
+            assert layout == self.written_out(w, cert)
+            assert len(layout) == cert.p
+            assert all(len(block) == 1 for block in layout[0][1])  # level 1: singletons
+        assert seen == {1, 2, 3}
 
 
 class TestLevelBlocks:

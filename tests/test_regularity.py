@@ -111,6 +111,11 @@ class TestVerifyStructure:
     def test_malformed_fields_are_rejected_not_raised(self, cert):
         assert not verify_structure((1, 2, 1, 2), cert, 2)
 
+    def test_unhashable_symbol_is_rejected_not_raised(self):
+        cert = StructureCertificate((1, 2), 2, (2,))
+        assert not verify_structure((1, 2, [1], 2), cert, 2)
+        assert not verify_structure(([1], 2, 1, 2), StructureCertificate((2,), 1, ()), 1)
+
     def test_non_integer_size_is_rejected_not_raised(self):
         cert = StructureCertificate((1, 2), 2, (2,))
         assert verify_structure((1, 2, 1, 2), cert, 2)

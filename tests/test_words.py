@@ -14,6 +14,7 @@ from gihflab.words import (
     is_permutation,
     parse_words,
     project,
+    spans,
     split_word,
     word,
 )
@@ -119,6 +120,23 @@ class TestHelpers:
         assert equal_blocks((1, 2, 3, 4), 2) == ((1, 2), (3, 4))
         with pytest.raises(ValueError):
             equal_blocks((1, 2, 3), 2)
+
+
+class TestSpans:
+    def test_matches_definition(self):
+        # first index w.index(a), last len(w) - 1 - w[::-1].index(a), keys in
+        # first-occurrence order; the empty word included
+        rng = random.Random(106)
+        words = [()] + [random_word(rng, max_len=30, max_sym=9) for _ in range(300)]
+        for w in words:
+            order = list(dict.fromkeys(w))
+            first, last = spans(w)
+            assert list(first) == list(last) == order
+            assert first == {a: w.index(a) for a in order}
+            assert last == {a: len(w) - 1 - w[::-1].index(a) for a in order}
+
+    def test_small_word(self):
+        assert spans((3, 1, 3, 2, 1)) == ({3: 0, 1: 1, 2: 3}, {3: 2, 1: 4, 2: 3})
 
 
 class TestWordFiles:
