@@ -24,11 +24,11 @@ messages together in one pass along that word on a counter-isolated clone,
 so audit queries never pollute the attack cost.
 The pass keeps only the picks of the groups still being read, so a Joux
 2^r-collision costs 2r compressions, not r * 2^r, and it hashes runs of
-fixed blocks with hashsim.f_plus.  A group read once, as every Joux group
-is, joins, is hashed and merges in one frontier step and never enters the
-key.  The expansion cap bounds that frontier; a set that outgrows it is
-sampled instead, with cap distinct messages drawn by a seeded walk over the
-2^r selections.  Sampled messages, and sets of at most eight messages, are
+fixed blocks with hashsim.f_plus.  Each group read is one frontier step,
+and a group read once, as every Joux group is, never enters the key.  The
+expansion cap bounds that frontier; a set that outgrows it is sampled
+instead, with cap distinct messages drawn by a seeded walk over the 2^r
+selections.  Sampled messages, and sets of at most eight messages, are
 hashed one message at a time with hashsim.f_alpha, the iterated compression
 itself, which stops at a hostile set's second digest.
 """
@@ -36,11 +36,10 @@ itself, which stops at a hostile set's second digest.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, groupby, islice, product
+from itertools import chain, count, groupby, islice, product
 from typing import Iterator, Optional, Sequence
 
 from .hashsim import (
@@ -67,15 +66,15 @@ from .words import integers, require_int, spans
 DEFAULT_A_TILDE = 2.5
 DEFAULT_EXPANSION_CAP = 1 << 16
 # Sets of at most this many messages, the q=2 attack's 4-message sets among
-# them, are hashed one message at a time rather than by the one-pass
-# frontier.  Since a group read once takes one frontier step, the frontier
-# is as fast or faster at these sizes (CPython 3.11.7, medians on fresh
-# oracle clones, separate vs frontier: Joux 2^1-set 4.7 vs 4.9 us, 2^2-set
-# 11 vs 8 us, 2^3-set 23 vs 10 us, the genuine q=2 4-message set at n = 16,
-# l = 993 3.2 vs 3.0 ms), though only separate hashing stops at a hostile
-# set's second digest.  The constant stays only for the 8 * 3 compress
-# calls that bench/test_perfbench.py traces for the verification of a Joux
-# 2^3-set, until ROADMAP item 5 removes that figure with this branch.
+# them, are hashed one message at a time, not by the one-pass frontier,
+# though the frontier is as fast or faster at these sizes (separate vs
+# frontier, CPython 3.11.7 on a shared 2-CPU VM, in process on fresh oracle
+# clones, minimum of 9 round medians, two runs: Joux 2^1-set 11-12 vs 7-11
+# us, 2^2-set 19-28 vs 11-18 us, 2^3-set 39 vs 16 us, the genuine q=2
+# 4-message set at n = 16, l = 993 4.7-4.8 vs 4.3-4.5 ms): only separate
+# hashing stops at a hostile set's second digest.  The constant stays only
+# for the 8 * 3 compress calls bench/test_perfbench.py traces for a Joux
+# 2^3-set's verification, until ROADMAP item 5 removes that figure with it.
 SEPARATE_HASHING_MAX = 8
 
 
@@ -301,54 +300,45 @@ def _frontier_digests(oracle: CompressionOracle, alpha, h0: int, mc: Multicollis
     """The digests of all messages of mc along alpha, from one pass over it;
     None as soon as the frontier would exceed cap (key, state) pairs.
 
-    The frontier maps the picks of the live groups, those with occurrences
-    both behind and ahead of the pass, to the set of states their messages
-    reach.  A group's pick joins the key at its first occurrence and leaves
-    it after its last, where the state sets of its picks merge: the rest of
-    the word never reads its blocks again.  A group read only once does all
-    three in one step: each key's states are hashed with every choice and
-    merged in place, after the same cap check as a join, so the key never
-    holds its pick.  Runs of base positions are hashed with f_plus, state by
-    state.
+    The frontier is the set of (key, state) pairs the pass has reached, the
+    key holding the picks of the live groups, those read both behind and
+    ahead of the pass.  Each group read is one step: a group's first read
+    hashes every pair with each of its choices, after the cap check, and a
+    later read with the key's pick.  The pick sits in the key from the
+    first read to the last, where it is dropped and the pairs that then
+    agree merge: the rest of the word never reads its blocks again.  A
+    group read once joins and leaves in one step and never enters the key.
+    Runs of base positions are hashed with f_plus, pair by pair.
     """
     compress = oracle.compress
     owner = {pos: (gi, at) for gi, group in enumerate(mc.groups)
              for at, pos in enumerate(group.positions)}
-    remaining = Counter(owner[pos][0] for pos in alpha if pos in owner)
+    # each group's first and last read, indexed among the group reads only
+    first, last = spans(owner[pos][0] for pos in alpha if pos in owner)
+    reads = count()
     live: list = []  # the groups whose picks make up the key, in key order
-    frontier = {(): {h0}}
+    frontier = {((), h0)}
     for in_group, run in groupby(alpha, owner.__contains__):
         if not in_group:
             blocks = [mc.base_blocks[pos] for pos in run]
-            frontier = {key: {f_plus(oracle, state, blocks) for state in states}
-                        for key, states in frontier.items()}
+            frontier = {(key, f_plus(oracle, state, blocks)) for key, state in frontier}
             continue
-        for pos in run:
+        for pos, i in zip(run, reads):  # run first: its end draws no index
             gi, at = owner[pos]
             choices = mc.groups[gi].choices
-            if gi not in live:
-                if sum(map(len, frontier.values())) * len(choices) > cap:
+            joining, leaving = i == first[gi], i == last[gi]
+            if joining:
+                if len(frontier) * len(choices) > cap:
                     return None
-                if remaining[gi] == 1:
-                    # read once: join, hash and merge in one step
-                    frontier = {key: {compress(state, choice[at])
-                                      for state in states for choice in choices}
-                                for key, states in frontier.items()}
-                    continue
                 live.append(gi)
-                frontier = {key + (pick,): states for key, states in frontier.items()
-                            for pick in range(len(choices))}
-            k = live.index(gi)
-            frontier = {key: {compress(state, choices[key[k]][at]) for state in states}
-                        for key, states in frontier.items()}
-            remaining[gi] -= 1
-            if not remaining[gi]:
+            k = live.index(gi)  # the pick's index in the key, or where it joins
+            if leaving:
                 del live[k]
-                merged: dict = {}
-                for key, states in frontier.items():
-                    merged.setdefault(key[:k] + key[k + 1:], set()).update(states)
-                frontier = merged
-    return frontier[()]
+            frontier = {(key[:k] + (pick,) * (not leaving) + key[k + 1:],
+                         compress(state, choices[pick][at]))
+                        for key, state in frontier
+                        for pick in (range(len(choices)) if joining else (key[k],))}
+    return {state for _, state in frontier}
 
 
 def _sampled_selections(mc: MulticollisionSet, cap: int) -> list:

@@ -58,6 +58,8 @@ from .words import format_words, integers, parse_words
 SEED_ENV_VAR = "GIHFLAB_SEED"
 # parsed options that are not part of a report's config
 _NOT_CONFIG = ("group", "command", "func", "mc_out", "schedule_file")
+# the named schedules; --schedule also takes "file"
+_SCHEDULES = {"identity": identity_schedule, "mirror": mirror_schedule}
 
 
 # -- input readers: a bad path raises OSError, malformed content ValueError ----
@@ -85,10 +87,8 @@ def _load_json(path: str):
 
 
 def _schedule_for(name: str, schedule_file: Optional[str]) -> Schedule:
-    if name == "identity":
-        return identity_schedule()
-    if name == "mirror":
-        return mirror_schedule()
+    if name in _SCHEDULES:
+        return _SCHEDULES[name]()
     if schedule_file is None:
         raise ValueError("--schedule file requires --schedule-file")
     return schedule_from_words(_read_words(schedule_file))
@@ -115,7 +115,7 @@ def _read_collision(path: str):
         mc = MulticollisionSet.from_dict(data["multicollision"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed collision file: {type(exc).__name__}: {exc}") from exc
-    named = _schedule_for(name, None) if name in ("identity", "mirror") else None
+    named = _SCHEDULES[name]() if name in _SCHEDULES else None
 
     def word(l: int):
         # the file's word serves its own length; the verifier checks its
@@ -367,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     gihf = attack_sub.add_parser("gihf", parents=[oracle], help="generalized q-bounded attack")
     gihf.add_argument("--q", type=int, required=True)
     gihf.add_argument("--r", type=int, required=True)
-    gihf.add_argument("--schedule", choices=["identity", "mirror", "file"],
-                      default="mirror")
+    gihf.add_argument("--schedule", choices=[*_SCHEDULES, "file"], default="mirror")
     gihf.add_argument("--schedule-file", help="word file with one schedule word per line")
     gihf.add_argument("--mc-out", help="write the multicollision JSON here")
     gihf.set_defaults(func=_cmd_attack_gihf)

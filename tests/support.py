@@ -352,11 +352,13 @@ def enumerated_digests(oracle, alpha, h0: int, mc):
 
 
 def expanding_frontier_digests(oracle, alpha, h0: int, mc, cap: int):
-    """attacks._frontier_digests without the one-step merge: every group's
-    pick joins the key at its first occurrence, each occurrence rebuilds the
-    frontier, and the state sets of its picks merge after its last, even for
-    a group read once.  Same arguments and result: the digest set, or None
-    as soon as the frontier would exceed cap (key, state) pairs."""
+    """An independent route to attacks._frontier_digests, in up to three
+    passes per group read over a dict from the live picks to state sets:
+    every group's pick joins the key at its first occurrence, each
+    occurrence rebuilds the frontier, and the state sets of its picks merge
+    after its last, found by counting reads down, even for a group read
+    once.  Same arguments and result: the digest set, or None as soon as
+    the frontier would exceed cap (key, state) pairs."""
     compress = oracle.compress
     owner = {pos: (gi, at) for gi, group in enumerate(mc.groups)
              for at, pos in enumerate(group.positions)}

@@ -31,7 +31,6 @@ from gihflab.nesting import (
 )
 from gihflab.regularity import (
     StructureCertificate,
-    compute_n,
     find_structure,
     extremal_witness,
     verify_structure,

@@ -357,12 +357,12 @@ def _two_permutation_set(seed):
     return o, sched, generalized_attack(o, sched, 2, 6, 2)[0]
 
 
-def _mixed_set(rng):
-    """A hand-built set over a random 2-bounded word, with the alpha it is
+def _mixed_set(rng, q=2):
+    """A hand-built set over a random q-bounded word, with the alpha it is
     hashed along: one- and two-position groups of 2 to 4 choices, read once
     or more, between base positions.  At n = 4 states often merge."""
     length = rng.randint(3, 9)
-    alpha = random_bounded_word(rng, length, 2)
+    alpha = random_bounded_word(rng, length, q)
     free = list(range(1, length + 1))
     rng.shuffle(free)
     groups = []
@@ -431,9 +431,10 @@ class TestOnePassVerifier:
         assert verdicts.count(False) >= 8
 
     def _reference_cases(self, source, rng):
-        if source == "mixed":
+        if source.startswith("mixed"):
+            q = 3 if source == "mixed-3" else 2
             for _ in range(40):
-                yield _mixed_set(rng)
+                yield _mixed_set(rng, q)
             return
         if source == "joux":
             sets = []
@@ -447,17 +448,22 @@ class TestOnePassVerifier:
             for mc in [genuine] + [_flipped(genuine, rng, o.m) for _ in range(3)]:
                 yield o, alpha, mc
 
-    @pytest.mark.parametrize("source", ["joux", "mirror", "two-permutation", "mixed"])
+    @pytest.mark.parametrize("source",
+                             ["joux", "mirror", "two-permutation", "mixed", "mixed-3"])
     def test_matches_expanding_reference(self, source):
-        # a group read once joins, is hashed and merges in one step, where
-        # the reference rebuilds the frontier three times; both stop at the
-        # same cap and query the same (state, block) pairs
+        # each group read is one step of the pass: the group's first read,
+        # its last, both (a group read once) or neither, where the
+        # reference joins, hashes and merges in up to three frontier
+        # rebuilds; both stop at the same cap and query the same
+        # (state, block) pairs
         rng = random.Random(f"expanding:{source}")
         kinds = Counter()  # sets by the read-more-than-once flags of their groups
+        middle = 0  # sets with a group read that is neither its first nor its last
         for o, alpha, mc in self._reference_cases(source, rng):
             reads = Counter(alpha)
-            flags = {sum(reads[pos] for pos in g.positions) > 1 for g in mc.groups}
-            kinds[tuple(sorted(flags))] += 1
+            counts = [sum(reads[pos] for pos in g.positions) for g in mc.groups]
+            kinds[tuple(sorted({count > 1 for count in counts}))] += 1
+            middle += max(counts) > 2
             boundary = _boundary_cap(o, alpha, mc)
             for cap in (1 << 16, boundary, boundary - 1):
                 reference, passed = o.clone(), o.clone()
@@ -466,11 +472,12 @@ class TestOnePassVerifier:
                 assert (expected is None) == (cap < boundary)
                 assert passed.query_count == reference.query_count
                 assert passed.raw_calls == reference.raw_calls
-        # Joux reads every group once, the q=2 attacks every group twice
+        # Joux reads every group once, the q=2 attacks every position twice
         if source == "joux":
-            assert set(kinds) == {(False,)}
-        elif source == "mixed":
+            assert set(kinds) == {(False,)} and middle == 0
+        elif source.startswith("mixed"):
             assert kinds[(False, True)] >= 8
+            assert middle >= (24 if source == "mixed-3" else 8)  # 34 and 12 of 40
         else:
             assert set(kinds) == {(True,)}
 

@@ -9,7 +9,6 @@ import pytest
 from gihflab import nesting
 from gihflab.nesting import (
     AttackCertificate,
-    ConstructionError,
     attack_threshold,
     factorization_subset,
     find_attack_structure,

@@ -1,10 +1,12 @@
-"""Every name a library module imports is used in that module, so a deletion
-leaves no import behind.  __init__.py is exempt: its imports are re-exports."""
+"""Every name a library or test module imports is used in that module, so a
+deletion leaves no import behind.  The package's __init__.py is exempt: its
+imports are re-exports."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gihflab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "gihflab"
 
 
 def unused_imports(source: str):
@@ -32,9 +34,17 @@ def test_scan_sees_every_unused_import():
     assert unused_imports(source) == ["system", "Callable"]
 
 
+def _unused_in(paths):
+    """(file name, import) for each unused import in the given files."""
+    assert paths
+    return [(path.name, name) for path in paths
+            for name in unused_imports(path.read_text(encoding="utf-8"))]
+
+
 def test_library_modules_use_every_import():
-    sources = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
-    assert sources
-    unused = [(path.name, name) for path in sources
-              for name in unused_imports(path.read_text(encoding="utf-8"))]
-    assert unused == []
+    assert _unused_in([path for path in sorted(SRC.glob("*.py"))
+                       if path.name != "__init__.py"]) == []
+
+
+def test_test_modules_use_every_import():
+    assert _unused_in(sorted(TESTS.glob("*.py"))) == []
