@@ -167,7 +167,7 @@ def factorization_subset(perms: Sequence[Word], d: Sequence[int]) -> tuple[int, 
     perms, d, alphabet = _validate_factorization_inputs(perms, d)
     kept = alphabet
     for i in range(len(d) - 1, 0, -1):
-        take = d[0] * math.prod(d[1:i]) ** 2 // d[i]  # letters kept per block
+        take = len(kept) // d[i] ** 3  # per block: kept holds d0 * (d1...di)^2 letters
         left_blocks = equal_blocks(project(perms[i - 1], kept), d[i])
         blocks_b = tuple(frozenset(b) for b in left_blocks)
         blocks_c = tuple(frozenset(b) for b in equal_blocks(project(perms[i], kept), d[i]))

@@ -28,11 +28,11 @@ decision that settled it: "candidates" (fewer than m letters are present in
 every part), "degree" (the conflict-degree refusal), "growth" (the growth
 ran out) or "certificate" (a subalphabet was found, so the search stops).
 
-A decision makes one occurrence pass over the word: one Counter gives the
-largest occurrence count, the alphabet size and, in its key order, the
-first-occurrence order.  Each examined part is sliced straight from the cut
-offsets and read once, for its first and last occurrence tables, and the
-certificate found is checked by one filtering pass per part.
+A decision reads the word once, with one Counter for the largest
+occurrence count and the alphabet size.  Each examined split is decided
+from its parts alone, each sliced from the cut offsets and read once for
+its first and last occurrence tables; the first part's table orders the
+candidates.  One filtering pass per part checks the certificate found.
 """
 
 from __future__ import annotations
@@ -94,38 +94,36 @@ def verify_structure(w: Word, cert: StructureCertificate, m: int) -> bool:
     The cut offsets must rise strictly from 0 to len(w), and each part,
     filtered to the subalphabet with its runs collapsed, must hold every
     chosen letter exactly once."""
-    try:
+    try:  # malformed fields and unhashable symbols of w raise in here
         w = tuple(w)
         chosen = tuple(cert.subalphabet)
         subset = set(chosen)
         p = operator.index(cert.p)
         splits = tuple(map(operator.index, cert.splits))
         m = operator.index(m)
-    except (TypeError, AttributeError, ValueError):
-        return False
-    if len(chosen) != len(subset) or len(subset) != m or m < 1:
-        return False
-    if p < 1 or len(splits) != p - 1:
-        return False
-    bounds = (0, *splits, len(w))
-    if not all(a < b for a, b in zip(bounds, bounds[1:])):
-        return False
-    try:  # a symbol of w that cannot be hashed raises TypeError in the filter
+        if len(chosen) != len(subset) or len(subset) != m or m < 1:
+            return False
+        if p < 1 or len(splits) != p - 1:
+            return False
+        bounds = (0, *splits, len(w))
+        if not all(a < b for a, b in zip(bounds, bounds[1:])):
+            return False
         for a, b in zip(bounds, bounds[1:]):
             runs = [s for s, _ in groupby(filter(subset.__contains__, w[a:b]))]
             if len(runs) != m or set(runs) != subset:
                 return False
-    except TypeError:
+    except (TypeError, AttributeError, ValueError):
         return False
     return True
 
 
 # -- finder ------------------------------------------------------------------
 
-def _span_conflicts(parts, order, m) -> tuple[list, Optional[list[int]]]:
-    """Letters present in every part, in first-occurrence order, and, when
-    there are at least m of them, their conflict relation as one bitmask per
-    candidate (bit j of masks[i] set iff candidates i and j conflict).
+def _span_conflicts(parts, m) -> tuple[list, Optional[list[int]]]:
+    """Letters present in every part, in their first-occurrence order in
+    the first part, which is the word's for a split of one word, and, when
+    there are at least m of them, their conflict relation as one bitmask
+    per candidate (bit j of masks[i] set iff candidates i and j conflict).
 
     Two letters conflict when their occurrence spans overlap in some part:
     one then occurs strictly inside the other's span, so projecting onto a
@@ -133,12 +131,11 @@ def _span_conflicts(parts, order, m) -> tuple[list, Optional[list[int]]]:
     span i iff j starts at or before i's end and ends at or after i's start,
     so per part the masks come from two running ORs over positions, one of
     spans started so far and one of spans still open, in O(|part| + |cands|)
-    big-int operations rather than a test per pair, from each part's
-    words.spans tables.
+    big-int operations rather than a test per pair.
     """
     tables = [spans(part) for part in parts]
     common = set(tables[0][0]).intersection(*(first for first, _ in tables[1:]))
-    cands = [a for a in order if a in common]
+    cands = [a for a in tables[0][0] if a in common]
     if len(cands) < m:
         return cands, None
     masks = [0] * len(cands)
@@ -156,7 +153,7 @@ def _span_conflicts(parts, order, m) -> tuple[list, Optional[list[int]]]:
     return cands, [mask & ~(1 << i) for i, mask in enumerate(masks)]
 
 
-def _first_subalphabet(parts, order, m) -> tuple[str, Optional[tuple[int, ...]]]:
+def _first_subalphabet(parts, m) -> tuple[str, Optional[tuple[int, ...]]]:
     """(kind, subset): the first conflict-free m-subset of the letters
     present in every part, with kind "certificate", or None with the kind
     of refusal: "candidates" when fewer than m letters are present in every
@@ -168,11 +165,11 @@ def _first_subalphabet(parts, order, m) -> tuple[str, Optional[tuple[int, ...]]]
     outside it, so unless m candidates conflict with at most total - m
     others none exists, and the split is refused ("degree") before any
     growth.  Otherwise depth-first growth over candidate indices in
-    first-occurrence order, on an explicit `chosen` stack, pruned by
+    increasing order, on an explicit `chosen` stack, pruned by
     conflicts and by the number of candidates left; the first subset
     completed is the lexicographically earliest.
     """
-    cands, masks = _span_conflicts(parts, order, m)
+    cands, masks = _span_conflicts(parts, m)
     if masks is None:
         return "candidates", None
     total = len(cands)
@@ -231,7 +228,7 @@ def find_structure(w: Word, m: int, q: int) -> SearchOutcome:
     require_int(m, "subalphabet size m")
     require_int(q, "occurrence bound q")
     w = tuple(w)
-    counts = Counter(w)  # keys in first-occurrence order
+    counts = Counter(w)
     top = max(counts.values(), default=0)
     if top > q:
         raise ValueError(f"word is not {q}-bounded (max occurrence count {top})")
@@ -243,7 +240,6 @@ def find_structure(w: Word, m: int, q: int) -> SearchOutcome:
     if m > len(counts):
         return SearchOutcome(None, exhaustive=True)
 
-    order = tuple(counts)
     shift = m - 1
     decisions = []
     for p in range(1, min(q, length // m) + 1):
@@ -251,7 +247,7 @@ def find_structure(w: Word, m: int, q: int) -> SearchOutcome:
             splits = tuple(c + i * shift for i, c in enumerate(cuts, 1))
             bounds = (0, *splits, length)
             parts = [w[a:b] for a, b in zip(bounds, bounds[1:])]
-            kind, found = _first_subalphabet(parts, order, m)
+            kind, found = _first_subalphabet(parts, m)
             decisions.append((splits, kind))
             if found is not None:
                 cert = StructureCertificate(found, p, splits)

@@ -203,10 +203,9 @@ def plain_structure(w, m: int, q: int):
     decided by a depth-first search over the span conflict masks for the
     lexicographically first conflict-free m-subset of candidate indices."""
     w = tuple(w)
-    order = tuple(dict.fromkeys(w))
     for p in range(1, q + 1):
         for splits in combinations(range(1, len(w)), p - 1):
-            cands, masks = _span_conflicts(split_word(w, splits), order, m)
+            cands, masks = _span_conflicts(split_word(w, splits), m)
             if masks is None:
                 continue
             stack = [((), 0)]  # (chosen indices, first index left to try)
@@ -237,22 +236,25 @@ def reference_conflicts(parts, cands):
     return conflicts
 
 
-def reference_decision(parts, m: int) -> str:
-    """The kind of decision find_structure records for a split into parts,
-    by its definition: "candidates" when fewer than m letters occur in every
-    part; "degree" when, of the c letters that do, the m-th smallest number
-    of conflicts exceeds c - m; "growth" when no m of them are pairwise
-    conflict-free; otherwise "certificate"."""
+def reference_decision(parts, m: int):
+    """(kind, subset): the decision on a split into parts, by its
+    definition.  The kind is "candidates" when fewer than m letters occur
+    in every part; "degree" when, of the c letters that do, the m-th
+    smallest number of conflicts exceeds c - m; "growth" when no m of them
+    are pairwise conflict-free; otherwise "certificate", with the
+    lexicographically first conflict-free m-subset, candidates ordered by
+    first occurrence in parts[0].  The subset is None for a refusal."""
     common = set(parts[0]).intersection(*parts[1:])
-    if len(common) < m:
-        return "candidates"
-    conflicts = reference_conflicts(parts, sorted(common))
-    if sorted(map(len, conflicts))[m - 1] > len(common) - m:
-        return "degree"
-    for subset in combinations(range(len(common)), m):
+    cands = [a for a in dict.fromkeys(parts[0]) if a in common]
+    if len(cands) < m:
+        return "candidates", None
+    conflicts = reference_conflicts(parts, cands)
+    if sorted(map(len, conflicts))[m - 1] > len(cands) - m:
+        return "degree", None
+    for subset in combinations(range(len(cands)), m):
         if all(j not in conflicts[i] for i, j in combinations(subset, 2)):
-            return "certificate"
-    return "growth"
+            return "certificate", tuple(cands[i] for i in subset)
+    return "growth", None
 
 
 def lexicographic_attack_certificate(w, n: int, k: int, q: int) -> AttackCertificate:

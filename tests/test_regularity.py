@@ -375,7 +375,7 @@ class TestSpanConflicts:
             p = rng.randint(1, min(3, len(w)))
             splits = tuple(sorted(rng.sample(range(1, len(w)), p - 1)))
             parts = split_word(w, splits)
-            cands, masks = regularity._span_conflicts(parts, tuple(dict.fromkeys(w)), 0)
+            cands, masks = regularity._span_conflicts(parts, 0)
             assert cands == [a for a in dict.fromkeys(w)
                              if all(a in part for part in parts)]
             relation = [{j for j in range(len(cands)) if mask >> j & 1} for mask in masks]
@@ -388,10 +388,10 @@ class TestSpanConflicts:
 
     def test_masks_only_for_enough_candidates(self):
         parts = split_word((1, 2, 3, 1, 2, 3), (3,))
-        assert regularity._span_conflicts(parts, [1, 2, 3], 4) == ([1, 2, 3], None)
-        assert regularity._span_conflicts(parts, [1, 2, 3], 3) == ([1, 2, 3], [0, 0, 0])
+        assert regularity._span_conflicts(parts, 4) == ([1, 2, 3], None)
+        assert regularity._span_conflicts(parts, 3) == ([1, 2, 3], [0, 0, 0])
         # one part: every span overlaps every other
-        assert regularity._span_conflicts(((1, 2, 3, 1, 2, 3),), [1, 2, 3], 1) == \
+        assert regularity._span_conflicts(((1, 2, 3, 1, 2, 3),), 1) == \
             ([1, 2, 3], [0b110, 0b101, 0b011])
 
     def test_long_two_permutation_search_stays_small(self):
@@ -417,7 +417,7 @@ class TestConflictDegreeRefusal:
         w = tuple(range(1, 201)) * 2  # one part: every span holds the middle
         outcome = find_structure(w, 2, 2)
         assert outcome.decisions == (((), "degree"), ((2,), "certificate"))
-        _, masks = regularity._span_conflicts((w,), tuple(dict.fromkeys(w)), 2)
+        _, masks = regularity._span_conflicts((w,), 2)
         assert all(mask.bit_count() == 199 for mask in masks)
 
     def test_witness_is_still_refused_by_the_growth(self):
@@ -428,7 +428,7 @@ class TestConflictDegreeRefusal:
         assert outcome == SearchOutcome(None, True)
         assert outcome.decisions == (((), "growth"),
                                      *(((cut,), "candidates") for cut in range(6, 50)))
-        _, masks = regularity._span_conflicts((w,), tuple(dict.fromkeys(w)), 6)
+        _, masks = regularity._span_conflicts((w,), 6)
         assert len(masks) == 30 and all(mask.bit_count() == 5 for mask in masks)
 
     def test_refusal_never_hides_a_certificate(self):
@@ -438,10 +438,10 @@ class TestConflictDegreeRefusal:
         for _ in range(400):
             w = random_bounded_word(rng, rng.randint(2, 8), 2)
             m = rng.randint(2, 4)
-            cands, masks = regularity._span_conflicts((w,), tuple(dict.fromkeys(w)), m)
+            cands, masks = regularity._span_conflicts((w,), m)
             if masks is None:
                 continue
-            kind, found = regularity._first_subalphabet((w,), tuple(dict.fromkeys(w)), m)
+            kind, found = regularity._first_subalphabet((w,), m)
             if sorted(map(int.bit_count, masks))[m - 1] > len(cands) - m:
                 fired += 1
                 assert (kind, found) == ("degree", None)
@@ -464,7 +464,7 @@ class TestDecisionRecord:
             outcome = find_structure(w, m, q)
             kinds = [kind for _, kind in outcome.decisions]
             for splits, kind in outcome.decisions:
-                assert kind == reference_decision(split_word(w, splits), m), (w, m, splits)
+                assert kind == reference_decision(split_word(w, splits), m)[0], (w, m, splits)
             assert kinds.count("certificate") == (outcome.certificate is not None)
             if outcome.certificate is not None:
                 assert outcome.decisions[-1] == (outcome.certificate.splits, "certificate")
@@ -472,6 +472,28 @@ class TestDecisionRecord:
         # the growth refuses about one examined split in 170 at these sizes
         assert set(seen) == {"candidates", "degree", "growth", "certificate"}
         assert min(seen.values()) > 10, seen
+
+    def test_decision_is_the_reference_on_parts_of_no_split(self):
+        # the decision reads only its parts: here parts of unequal lengths,
+        # with letters repeated within a part and letters that later parts
+        # hold but the first does not; candidates follow the first part
+        rng = random.Random(29)
+        seen = Counter()
+        absent_first = unsorted = 0
+        for _ in range(12000):
+            q = rng.randint(1, 3)
+            parts = tuple(random_bounded_word(rng, rng.randint(1, 8), q,
+                                              exact_alphabet=rng.random() < 0.5)
+                          for _ in range(rng.randint(1, 3)))
+            m = rng.randint(1, 4)
+            kind, found = regularity._first_subalphabet(parts, m)
+            assert (kind, found) == reference_decision(parts, m), (parts, m)
+            seen[kind] += 1
+            absent_first += any(set(part) - set(parts[0]) for part in parts[1:])
+            unsorted += found is not None and list(found) != sorted(found)
+        assert set(seen) == {"candidates", "degree", "growth", "certificate"}
+        assert min(seen.values()) > 10 and absent_first > 100 and unsorted > 100, \
+            (seen, absent_first, unsorted)
 
 
 class TestWitnessFamily:
