@@ -7,14 +7,15 @@ and one level walker hashes each part, running one table search
 nesting.level_layout cuts it into.  Every level searches the same way; only
 its candidates differ.  Level 1 cuts into singletons and searches the sampler's
 raw blocks for a pair per B-position, as Joux does per stage; each later level
-collapses the >= 2^n combinations of the groups a block inherits.  Those
-candidates come in product order, so consecutive ones share every step of
-their span before the first slot where their blocks differ; each resumes
-the previous candidate's walk there, and a collapse level compresses about
-once per distinct query.  Iteration order is fixed, so an oracle seed
-reproduces the attack byte for byte.  joux_attack, Joux's chained pair
-collisions, is the q=1 case: the identity word 1..r in one part, with no
-filler blocks.
+collapses the >= 2^n combinations of the G two-choice groups a block
+inherits.  Its candidates are the indices 0..2^G - 1, one choice bit per
+group in product order, so candidate i changes only the last ctz(i) + 1
+groups of its predecessor; it resumes the previous candidate's walk at a
+step precomputed for that suffix, and a collapse level compresses about
+once per distinct query.  Only the colliding pair becomes block tuples.
+Iteration order is fixed, so an oracle seed reproduces the attack byte for
+byte.  joux_attack, Joux's chained pair collisions, is the q=1 case: the
+identity word 1..r in one part, with no filler blocks.
 
 An attack owns its oracle exclusively while it runs.  A schedule is only
 its words, so the attack reads q-boundedness from the word it attacks:
@@ -39,7 +40,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, count, groupby, islice, product
+from itertools import accumulate, chain, count, groupby, islice, product
 from typing import Iterator, Optional, Sequence
 
 from .hashsim import (
@@ -175,10 +176,12 @@ class AttackReport:
     itself; raw_calls counts every compress call the attack made, the
     distinct queries plus the repeated evaluations of known pairs.  Level 1
     draws raw sampler blocks, one compress call per draw on a one-symbol
-    span, so a Joux attack's raw_calls equals its attack_queries.  Every
-    longer span, raw or not, and so every later level's candidate, resumes
-    the previous candidate's walk instead of re-walking the span, so
-    raw_calls stays within about 1% of attack_queries on the q=2 attack.
+    span, so a Joux attack's raw_calls equals its attack_queries.  A longer
+    raw span is walked whole per draw.  A later level's candidate, an index
+    over the groups it inherits, resumes the previous candidate's walk at
+    the first read its flipped groups change, instead of re-walking the
+    span, so raw_calls stays within about 1% of attack_queries on the q=2
+    attack.
     stage_queries gives the per-stage split (per pair collision for
     the first level, per collapsed group afterwards), which also records the
     per-position reading of the first-level cost estimate next to the
@@ -359,41 +362,41 @@ def _sampled_selections(mc: MulticollisionSet, cap: int) -> list:
 def _walk_level(oracle, part, units, fillers, state):
     """Hash one part of the schedule word and find one collision per unit.
 
-    A unit is (positions, candidates): message positions whose occurrences
-    form one span of the part, and block tuples aligned with them, or, at
-    the first level, the BlockSampler itself, whose raw blocks fill the
-    unit's one position.  Filler blocks before each span are hashed;
-    table_collision then hashes the span per candidate, in draw order,
-    until two candidates reach one outgoing state.  A raw one-symbol span,
-    as in every Joux stage, costs one compress call per draw, and only its
-    colliding pair is wrapped into one-block choices.  Every other span is
-    walked by _resumed_walk, where each candidate resumes the previous
-    candidate's walk at the first slot where their blocks differ, not at
-    the span's start; a longer raw span (a one-part certificate on the
-    mirror word) reads each draw as a one-block choice.  Returns the new
-    groups, the part's outgoing state and the distinct queries of each
-    search.
+    A unit is (positions, source): message positions whose occurrences form
+    one span of the part, and where their candidates come from.  At the
+    first level the source is the BlockSampler itself, whose raw blocks
+    fill the unit's one position; at a later level it is the G inherited
+    groups tiling the unit, each with two choices, whose candidates are the
+    indices 0..2^G - 1 (_index_walk).  Filler blocks before each span are
+    hashed; table_collision then hashes the span per candidate, in draw
+    order, until two candidates reach one outgoing state.  A raw one-symbol
+    span, as in every Joux stage, costs one compress call per draw, and a
+    longer raw span (a one-part certificate on the mirror word) is walked
+    whole per draw.  Only the colliding pair becomes choices: one-block
+    choices for raw blocks, block tuples aligned with the positions for
+    indices.  Returns the new groups, the part's outgoing state and the
+    distinct queries of each search.
     """
     first, last = spans(part)
     compress = oracle.compress
     groups = []
     stage_queries = []
     cursor = 0
-    for positions, candidates in units:
+    for positions, source in units:
         begin = min(first[pos] for pos in positions)
         end = max(last[pos] for pos in positions)
         for sym in part[cursor:begin]:
             state = compress(state, fillers[sym])
-        slot = {pos: at for at, pos in enumerate(positions)}
-        # each symbol of the span reads its candidate slot, or -1 and its
-        # filler block; a span opens with one of its own positions
-        steps = tuple((slot.get(sym, -1), fillers.get(sym)) for sym in part[begin:end + 1])
-
-        if isinstance(candidates, BlockSampler) and len(steps) > 1:
-            candidates = zip(candidates)  # (b,) choices for the one position
-        raw = isinstance(candidates, BlockSampler)
-        # a raw one-symbol span is every Joux stage
-        evaluate = partial(compress, state) if raw else _resumed_walk(compress, state, steps)
+        # a span opens with one of the unit's own positions
+        span = part[begin:end + 1]
+        raw = isinstance(source, BlockSampler)
+        if raw:
+            candidates = source
+            evaluate = (partial(compress, state) if len(span) == 1  # every Joux stage
+                        else partial(_span_walk, compress, state, span, positions[0], fillers))
+        else:
+            candidates = range(1 << len(source))
+            evaluate = _index_walk(compress, state, span, source, fillers)
 
         before = oracle.query_count
         found = table_collision(evaluate, candidates)
@@ -403,6 +406,8 @@ def _walk_level(oracle, part, units, fillers, state):
         pair, state = found
         if raw:
             pair = tuple(zip(pair))  # (b,) choices for the one position
+        else:
+            pair = tuple(_combination(source, i) for i in pair)
         stage_queries.append(oracle.query_count - before)
         groups.append(CollisionGroup(positions, pair))
         cursor = end + 1
@@ -411,52 +416,77 @@ def _walk_level(oracle, part, units, fillers, state):
     return groups, state, stage_queries
 
 
-def _resumed_walk(compress, state, steps):
-    """evaluate(choice) for a span and candidates that are block tuples:
-    the state that hashing `steps` from `state` reaches, where a step
-    (at, filler) reads the candidate's block choice[at], or its filler
-    block when at is -1.
+def _span_walk(compress, state, span, position, fillers, block):
+    """The state that hashing `span` from `state` reaches with `block` at
+    every read of `position` and filler blocks elsewhere."""
+    for sym in span:
+        state = compress(state, block if sym == position else fillers[sym])
+    return state
 
-    The states along the previous candidate's walk are kept.  A candidate
-    resumes at the first read of its first slot, in read order, whose block
-    differs from the previous candidate's: every step before it reads equal
-    blocks from equal states.  A slot read more than once in the span (a
-    one-part certificate on the mirror word, or a part of a 3-bounded word)
-    counts at its first read.
+
+def _index_walk(compress, state, span, members, fillers):
+    """evaluate(i) for a collapse unit: the state that hashing `span` from
+    `state` reaches under candidate i, which picks choice bit G - 1 - g of
+    i for member g of the G members, so 0..2^G - 1 is the product order of
+    their choices.  Candidates must come in that order.
+
+    Candidate i differs from i - 1 exactly in the last ctz(i) + 1 members,
+    the set bits of i ^ (i - 1), so it keeps the states along the previous
+    walk and resumes at the earliest read, among those members' slots,
+    whose two choices differ: every step before it reads equal blocks from
+    equal states.  Those steps are precomputed for each suffix length, and
+    candidate 0 starts at step 0.
     """
-    first_read, _ = spans(at for at, _ in steps)
-    # slots in read order, each with its first step; a filler step is at -1
-    reads = tuple((at, step) for at, step in first_read.items() if at >= 0)
-    trail = [state]  # trail[i]: the state before step i of the previous walk
-    previous = (None,) * len(reads)  # no block is None: the first walk starts at step 0
+    width = len(members)
+    owner = {pos: (width - 1 - g, at) for g, member in enumerate(members)
+             for at, pos in enumerate(member.positions)}
+    reads = []  # per step: the bit of i that picks its block, and both blocks
+    earliest = [len(span)] * width  # per bit: its first read whose choices differ
+    for step, sym in enumerate(span):
+        if sym in owner:
+            bit, at = owner[sym]
+            blocks = tuple(choice[at] for choice in members[width - 1 - bit].choices)
+            if blocks[0] != blocks[1]:
+                earliest[bit] = min(earliest[bit], step)
+        else:
+            bit, blocks = 0, (fillers[sym],) * 2
+        reads.append((bit, blocks))
+    # resume[s]: the step for candidates whose low s bits flip, s = ctz(i) + 1
+    # being the bit length of i & -i (0 for i = 0)
+    resume = (0, *accumulate(earliest, min))
+    trail = [state]  # trail[k]: the state before step k of the previous walk
 
-    def evaluate(choice):
-        nonlocal previous
-        for at, step in reads:
-            if choice[at] != previous[at]:
-                break
+    def evaluate(i):
+        step = resume[(i & -i).bit_length()]
         del trail[step + 1:]
         value = trail[step]
-        for at, filler in steps[step:]:
-            value = compress(value, filler if at < 0 else choice[at])
+        for bit, blocks in reads[step:]:
+            value = compress(value, blocks[i >> bit & 1])
             trail.append(value)
-        previous = choice
         return value
 
     return evaluate
 
 
+def _combination(members, i):
+    """Candidate i of _index_walk as one block tuple aligned with the
+    members' positions, in order."""
+    width = len(members)
+    return tuple(chain.from_iterable(member.choices[i >> (width - 1 - g) & 1]
+                                     for g, member in enumerate(members)))
+
+
 def _inherited_units(groups, blocks):
     """One unit per block of a later level: the inherited groups tiling the
-    block, with every combination of their choices as candidates."""
+    block, in the block's order, as the source of its candidates."""
     owner = {pos: gi for gi, group in enumerate(groups) for pos in group.positions}
     for block in blocks:
-        members = [groups[gi] for gi in dict.fromkeys(owner[pos] for pos in block)]
+        members = tuple(groups[gi] for gi in dict.fromkeys(owner[pos] for pos in block))
         positions = tuple(chain.from_iterable(g.positions for g in members))
         # the certificate guarantees previous groups tile each block exactly
-        assert len(positions) == len(block)
-        combos = product(*(g.choices for g in members))
-        yield positions, (tuple(chain.from_iterable(combo)) for combo in combos)
+        if len(positions) != len(block):
+            raise ConstructionError(f"the inherited groups do not tile the block {block}")
+        yield positions, members
 
 
 def _attack(oracle, sched, q, alpha, cert, fillers, sampler, h0, expansion_cap):

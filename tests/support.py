@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations, groupby, permutations
+from itertools import chain, combinations, groupby, permutations, product
 
 from gihflab.attacks import CollisionGroup
 from gihflab.hashsim import BlockSampler, derive_seed, f_plus, mix64
@@ -461,10 +461,15 @@ def rewalk_level(oracle, part, units, fillers, state):
     repeated value found by reference_table_collision.  Same arguments and
     result: the level's groups, the part's outgoing state and the distinct
     queries of each search.  A first-level unit's raw sampler blocks become
-    one-block choices (b,)."""
+    one-block choices (b,); a later unit's candidates are the block tuples
+    of every combination of its member groups' choices, in product order."""
     groups, stage_queries, cursor = [], [], 0
-    for positions, candidates in units:
-        candidates = zip(candidates) if isinstance(candidates, BlockSampler) else candidates
+    for positions, source in units:
+        if isinstance(source, BlockSampler):
+            candidates = zip(source)
+        else:
+            candidates = (tuple(chain.from_iterable(combo))
+                          for combo in product(*(member.choices for member in source)))
         slots = set(positions)
         reads = [i for i, sym in enumerate(part) if sym in slots]
         begin, end = reads[0], reads[-1] + 1

@@ -14,6 +14,7 @@ from gihflab.attacks import (
     MulticollisionSet,
     _attack,
     _frontier_digests,
+    _inherited_units,
     _sampled_selections,
     _walk_level,
     complexity_bound,
@@ -34,6 +35,7 @@ from gihflab.hashsim import (
 )
 from gihflab.nesting import (
     AttackCertificate,
+    ConstructionError,
     attack_threshold,
     find_attack_structure,
     verify_attack_structure,
@@ -795,10 +797,11 @@ class TestThreeLevelAttack:
 
 
 class TestResumedLevelWalk:
-    """A level candidate resumes the previous candidate's walk at the first
-    slot, in read order, where their blocks differ.  Every level must equal
-    tests/support.py::rewalk_level, which hashes each candidate's span from
-    its start."""
+    """A collapse-level candidate is an index over the unit's member groups
+    and resumes the previous candidate's walk at the first read, among the
+    members whose picks flip, where the two choices differ.  Every level
+    must equal tests/support.py::rewalk_level, which hashes each product-order
+    candidate's span from its start."""
 
     @staticmethod
     def _run(monkeypatch, walk, attack):
@@ -817,6 +820,23 @@ class TestResumedLevelWalk:
         assert verify_attack_structure(alpha, cert)
         assert any(part.count(x) > 1 for part in split_word(alpha, cert.splits)
                    for x in cert.subalphabet)
+
+    def test_exhausted_collapse_search_names_the_unit(self):
+        # one member with two choices: two candidates, which reach one state
+        # at n = 60 with probability 2^-60
+        oracle = CompressionOracle(60, 64, seed=80)
+        member = CollisionGroup((2, 3), ((1, 2), (3, 4)))
+        with pytest.raises(ConstructionError, match=r"positions \(2, 3\)"):
+            _walk_level(oracle, (1, 2, 3), [((2, 3), (member,))], {1: 5}, 0)
+        # the filler, then both candidates' two-step spans: their choices
+        # differ at the span's first read
+        assert oracle.raw_calls == oracle.query_count == 1 + 2 * 2
+
+    def test_untiled_block_raises(self):
+        # a block must be exactly the positions of the groups it touches
+        groups = [CollisionGroup((1, 2), ((1, 2), (3, 4)))]
+        with pytest.raises(ConstructionError, match="do not tile the block"):
+            list(_inherited_units(groups, [(1,)]))
 
     @pytest.mark.parametrize("case", LEVEL_WALK_CASES)
     def test_levels_equal_the_rewalk_reference(self, monkeypatch, case):

@@ -10,6 +10,9 @@ group read once in one frontier step, which changes no report.  The
 library digest was retaken when a p = 2 attack certificate became the
 filler-free run, which moves the two-permutation attack's blocks and
 queries; the mirror word keeps its certificate, so the CLI digests hold.
+The collapse-level digest, over every attack that tests/test_attacks.py
+replays level by level, was taken before collapse levels addressed their
+candidates by index, which changes no block, query count or raw call.
 """
 
 import hashlib
@@ -21,6 +24,7 @@ from gihflab.attacks import generalized_attack, joux_attack, verify_multicollisi
 from gihflab.hashsim import CompressionOracle, identity_schedule, schedule_from_words
 from gihflab.nesting import attack_threshold
 
+from test_attacks import LEVEL_WALK_CASES
 from test_cli import body_without_timing, run_cli
 
 
@@ -60,6 +64,16 @@ def test_library_outputs_pinned():
     runs = [[mc.to_dict(), report.to_dict()] for mc, report in _library_runs()]
     assert sha256(json.dumps(runs, sort_keys=True)) == (
         "69c051cb9850b1dd250c501ee1ec1f876b3614bbd6c95334b04b0004a4d258a0")
+
+
+def test_level_walk_outputs_pinned():
+    # every collapse-level shape: a slot read twice, p = 2 spans with and
+    # without filler blocks, and three-level certificates; the reports hold
+    # raw_calls, so a walk that resumed too early or too late fails here
+    runs = [[mc.to_dict(), report.to_dict()]
+            for mc, report in (attack() for attack in LEVEL_WALK_CASES.values())]
+    assert sha256(json.dumps(runs, sort_keys=True)) == (
+        "b8c7f022dd19e7cabe1512c4b82c88f61c301a22b7f0168851f7944b3ebe0299")
 
 
 def test_cli_outputs_pinned(tmp_path):
