@@ -30,8 +30,11 @@ and a group read once, as every Joux group is, never enters the key.  The
 expansion cap bounds that frontier; a set that outgrows it is sampled
 instead, with cap distinct messages drawn by a seeded walk over the 2^r
 selections.  Sampled messages, and sets of at most eight messages, are
-hashed one message at a time with hashsim.f_alpha, the iterated compression
-itself, which stops at a hostile set's second digest.
+hashed one message at a time, which stops at a hostile set's second digest.
+That route cuts the word the same way: a group read compresses with the
+message's pick, and a run of fixed blocks is hashed with f_plus only when
+the message enters it at another state than the last message did, so the
+later messages of a genuine set pay only for their group reads.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .hashsim import (
     CompressionOracle,
     Schedule,
     derive_seed,
-    f_alpha,
     f_plus,
     identity_schedule,
     table_collision,
@@ -67,15 +69,16 @@ from .words import integers, require_int, spans
 DEFAULT_A_TILDE = 2.5
 DEFAULT_EXPANSION_CAP = 1 << 16
 # Sets of at most this many messages, the q=2 attack's 4-message sets among
-# them, are hashed one message at a time, not by the one-pass frontier,
-# though the frontier is as fast or faster at these sizes (separate vs
-# frontier, CPython 3.11.7 on a shared 2-CPU VM, in process on fresh oracle
-# clones, minimum of 9 round medians, two runs: Joux 2^1-set 11-12 vs 7-11
-# us, 2^2-set 19-28 vs 11-18 us, 2^3-set 39 vs 16 us, the genuine q=2
-# 4-message set at n = 16, l = 993 4.7-4.8 vs 4.3-4.5 ms): only separate
-# hashing stops at a hostile set's second digest.  The constant stays only
-# for the 8 * 3 compress calls bench/test_perfbench.py traces for a Joux
-# 2^3-set's verification, until ROADMAP item 5 removes that figure with it.
+# them, are hashed one message at a time, not by the one-pass frontier: only
+# separate hashing stops at a hostile set's second digest.  Since it reuses
+# a fixed run's leaving state for an equal entering state, it beats the
+# frontier on the genuine q=2 4-message set at n = 16, l = 993 and trails it
+# on small Joux sets (separate vs frontier, CPython 3.11.7 on a shared 2-CPU
+# VM, in process on fresh oracle clones, minimum of 9 round medians: Joux
+# 2^1-set 6-10 vs 6-8 us, 2^2-set 10-17 vs 9-15 us, 2^3-set 18-29 vs 12-21
+# us, the q=2 set 2.3-3.3 vs 3.5-3.7 ms).  The constant stays 8 for the
+# 8 * 3 compress calls bench/test_perfbench.py traces for a Joux 2^3-set's
+# verification, until ROADMAP item 5 removes that figure with it.
 SEPARATE_HASHING_MAX = 8
 
 
@@ -135,9 +138,13 @@ class MulticollisionSet:
                 blocks[pos - 1] = blk
         return tuple(blocks)
 
+    def selections(self) -> Iterator[tuple[int, ...]]:
+        """One pick per group for each expanded message, in product order:
+        the last group's pick varies fastest."""
+        return product(*(range(len(g.choices)) for g in self.groups))
+
     def messages(self) -> Iterator[tuple[int, ...]]:
-        for selection in product(*(range(len(g.choices)) for g in self.groups)):
-            yield self.message(selection)
+        return map(self.message, self.selections())
 
     def to_dict(self) -> dict:
         return {
@@ -253,8 +260,9 @@ def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
     nonempty positions, so that is exactly the distinctness of the
     messages), the word covers 1..l, and h0 and every block lie in the
     oracle's ranges.  A set of at most SEPARATE_HASHING_MAX (and at most
-    `cap`) messages then has each message hashed on its own; a larger one
-    has all its messages hashed together in one pass over the word, whose
+    `cap`) messages then has each message hashed on its own, in the order
+    of MulticollisionSet.selections (_message_digests); a larger one has
+    all its messages hashed together in one pass over the word, whose
     frontier of (live picks, state) pairs `cap` bounds.  A set whose
     frontier would outgrow `cap` is sampled instead and flagged
     complete=False: min(cap, 2^r) pairwise distinct messages, drawn by a
@@ -275,27 +283,60 @@ def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
 
     complete, checked = True, mc.expansion_size
     if checked <= min(cap, SEPARATE_HASHING_MAX):
-        digests = _message_digests(oracle, alpha, h0, mc.messages())
+        digests = _message_digests(oracle, alpha, h0, mc, mc.selections())
     else:
         digests = _frontier_digests(oracle, alpha, h0, mc, cap)
     if digests is None:
         selections = _sampled_selections(mc, cap)
         complete, checked = False, len(selections)
-        digests = _message_digests(oracle, alpha, h0, map(mc.message, selections))
+        digests = _message_digests(oracle, alpha, h0, mc, selections)
     if len(digests) != 1:
         return VerificationResult(False, complete, 0)
     return VerificationResult(True, complete, checked, next(iter(digests)))
 
 
-def _message_digests(oracle: CompressionOracle, alpha, h0: int, messages) -> set:
-    """The digests f_alpha of the messages, each hashed on its own; stops
-    at the second distinct digest."""
+def _message_digests(oracle: CompressionOracle, alpha, h0: int, mc: MulticollisionSet,
+                     selections) -> set:
+    """The digests of the selected messages of mc along alpha, each message
+    hashed on its own; stops at the second distinct digest.
+
+    alpha is cut as _frontier_digests cuts it, into runs of base positions
+    and group reads.  A group read compresses with the selection's pick.  A
+    base run is hashed with f_plus only when its entering state differs from
+    the last state that entered it, so the pass keeps one (entering,
+    leaving) pair per run, however many messages it hashes.
+    """
+    compress = oracle.compress
+    owner = _owners(mc)
+    steps = []  # per group read: (gi, its block per pick); per base run: (None, blocks)
+    for in_group, run in groupby(alpha, owner.__contains__):
+        if in_group:
+            steps.extend((gi, [choice[at] for choice in mc.groups[gi].choices])
+                         for gi, at in map(owner.__getitem__, run))
+        else:
+            steps.append((None, [mc.base_blocks[pos] for pos in run]))
+    last = [(None, None)] * len(steps)  # per base run: the last (entering, leaving) pair
     digests: set = set()
-    for message in messages:
-        digests.add(f_alpha(oracle, h0, message, alpha))
+    for selection in selections:
+        state = h0
+        for k, (gi, blocks) in enumerate(steps):
+            if gi is not None:
+                state = compress(state, blocks[selection[gi]])
+            elif last[k][0] == state:
+                state = last[k][1]
+            else:
+                entering, state = state, f_plus(oracle, state, blocks)
+                last[k] = (entering, state)
+        digests.add(state)
         if len(digests) > 1:
             break
     return digests
+
+
+def _owners(mc: MulticollisionSet) -> dict:
+    """Each group position of mc mapped to (group index, slot in the group)."""
+    return {pos: (gi, at) for gi, group in enumerate(mc.groups)
+            for at, pos in enumerate(group.positions)}
 
 
 def _frontier_digests(oracle: CompressionOracle, alpha, h0: int, mc: MulticollisionSet,
@@ -314,8 +355,7 @@ def _frontier_digests(oracle: CompressionOracle, alpha, h0: int, mc: Multicollis
     Runs of base positions are hashed with f_plus, pair by pair.
     """
     compress = oracle.compress
-    owner = {pos: (gi, at) for gi, group in enumerate(mc.groups)
-             for at, pos in enumerate(group.positions)}
+    owner = _owners(mc)
     # each group's first and last read, indexed among the group reads only
     first, last = spans(owner[pos][0] for pos in alpha if pos in owner)
     reads = count()

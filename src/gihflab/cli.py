@@ -396,7 +396,7 @@ def main(argv: Optional[list] = None) -> int:
         args.seed = _seed_from_environment(parser)
     command = f"{args.group} {args.command}"
     config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
-    started = time.time()
+    started = time.perf_counter()
     try:
         result, summary, ok = args.func(args)
     except (OSError, ValueError) as exc:
@@ -408,7 +408,7 @@ def main(argv: Optional[list] = None) -> int:
         "command": command,
         "config": config,
         "result": result,
-        "timing": {"elapsed_s": round(time.time() - started, 6)},
+        "timing": {"elapsed_s": round(time.perf_counter() - started, 6)},
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     print(summary, file=sys.stderr)

@@ -52,11 +52,11 @@ def _passed(criterion: str, detail: str) -> None:
 
 
 def test_criterion_01_exact_boundary_for_pairs():
-    started = time.time()
+    started = time.perf_counter()
     proc = subprocess.run(
         CLI + ["regularity", "compute-n", "--m", "2", "--q", "2"],
         capture_output=True, text=True)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)["result"]
     assert result["N"] == 3
@@ -66,7 +66,7 @@ def test_criterion_01_exact_boundary_for_pairs():
 
 
 def test_criterion_02_witness_family():
-    started = time.time()
+    started = time.perf_counter()
     for m in (2, 3, 4, 5):
         outcome = find_structure(extremal_witness(m), m, 2)
         assert outcome.certificate is None, m
@@ -79,14 +79,14 @@ def test_criterion_02_witness_family():
             outcome = find_structure(w, m, 2)
             assert outcome.certificate is not None, (m, w)
             assert verify_structure(w, outcome.certificate, m)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     assert elapsed < 300
     _passed("2", f"witnesses certificate-free, 100+100 saturated words certified "
                  f"in {elapsed:.2f}s")
 
 
 def test_criterion_03_block_matching_suite():
-    started = time.time()
+    started = time.perf_counter()
     rng = random.Random(33033)
     successes = 0
     for _ in range(500):
@@ -99,7 +99,7 @@ def test_criterion_03_block_matching_suite():
         assert sigma is not None
         assert all(len(blocks_b[i] & blocks_c[sigma[i]]) >= x for i in range(k))
         successes += 1
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     assert successes == 500
     assert elapsed < 60
     _passed("3", f"500/500 block matchings met the intersection target "
@@ -107,7 +107,7 @@ def test_criterion_03_block_matching_suite():
 
 
 def test_criterion_04_subset_extraction_suite():
-    started = time.time()
+    started = time.perf_counter()
     rng = random.Random(44044)
     successes = 0
     for _ in range(200):
@@ -120,14 +120,14 @@ def test_criterion_04_subset_extraction_suite():
         subset = factorization_subset(perms, d)
         assert verify_nesting(perms, d, subset)
         successes += 1
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     assert successes == 200
     assert elapsed < 300
     _passed("4", f"200/200 subsets extracted and verified in {elapsed:.2f}s")
 
 
 def test_criterion_05_attack_structure_pipeline():
-    started = time.time()
+    started = time.perf_counter()
     rng = random.Random(55055)
     successes = 0
     for n in (4, 8):
@@ -137,14 +137,14 @@ def test_criterion_05_attack_structure_pipeline():
             cert = find_attack_structure(alpha, n, 2, 2)
             assert verify_attack_structure(alpha, cert)
             successes += 1
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     assert successes == 50
     assert elapsed < 300
     _passed("5", f"50/50 attack certificates found and verified in {elapsed:.2f}s")
 
 
 def test_criterion_06_joux_attack():
-    started = time.time()
+    started = time.perf_counter()
     totals = []
     for seed in range(10):
         oracle = CompressionOracle(16, 24, seed=6000 + seed)
@@ -153,7 +153,7 @@ def test_criterion_06_joux_attack():
         assert len(set(mc.messages())) == 64
         totals.append(report.attack_queries)
     mean = statistics.mean(totals)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     assert 1536 <= mean <= 7680
     assert elapsed < 60
     _passed("6", f"10/10 verified 64-collisions, mean {mean:.0f} queries "
@@ -170,10 +170,10 @@ def test_criterion_07_generalized_attack_q2():
         assert report.verify_ok
         assert report.attack_queries <= bound
         assert len(set(mc.messages())) == 4
-    started = time.time()
+    started = time.perf_counter()
     oracle = CompressionOracle(8, 16, seed=7100)
     mc, report = generalized_attack(oracle, mirror_schedule(), 2, 8, 2)
-    small_elapsed = time.time() - started
+    small_elapsed = time.perf_counter() - started
     assert report.l == 241
     assert report.verify_ok
     assert small_elapsed < 300

@@ -502,14 +502,59 @@ class TestOnePassVerifier:
         assert outcome.ok and outcome.complete and outcome.checked == 2 ** 16
         assert audit.raw_calls == 2 * 16
 
-    def test_small_sets_cost_one_word_per_message(self):
-        # mirror at n = 8, r = 1: two messages along a word of 2 * 57 letters
+    def test_small_sets_cost_one_word_then_the_group_reads(self):
+        # the first message walks the whole word; every later one calls
+        # compress at the group reads only, since a genuine set's messages
+        # enter each base run at the state the first one entered it
         o = CompressionOracle(8, 16, seed=44)
-        mc, _ = generalized_attack(o, mirror_schedule(), 2, 8, 1)
+        mirror, _ = generalized_attack(o, mirror_schedule(), 2, 8, 1)
+        # (oracle, schedule, set, its group reads): the mirror word has
+        # 2 * 57 letters, the two-permutation word 266
+        cases = ((o, mirror_schedule(), mirror, 16), (*_two_permutation_set(400), 24))
+        for oracle, sched, mc, group_reads in cases:
+            alpha = sched.generator(mc.length)
+            owned = {pos for group in mc.groups for pos in group.positions}
+            assert sum(pos in owned for pos in alpha) == group_reads
+            audit = oracle.clone()
+            outcome = verify_multicollision(audit, sched, 0, mc)
+            assert outcome.ok and outcome.complete and outcome.checked == 2 ** mc.r
+            # 114 + 1 * 16 = 130 calls, and 266 + 3 * 24 = 338
+            assert audit.raw_calls == len(alpha) + (2 ** mc.r - 1) * group_reads
+
+    def test_base_run_reuse_is_keyed_by_the_entering_state(self):
+        # in each set message 1 enters a base run at another state than
+        # message 0: the hand-built set's group is read once, before the run
+        # 2..6, and the mirror set's choice 1 is flipped at its first read,
+        # position 8, before the run 9..57 57..9; reusing the run's last
+        # leaving state would skip queries, and join the hand-built digests
+        o = CompressionOracle(8, 16, seed=44)
+        mirror, _ = generalized_attack(o, mirror_schedule(), 2, 8, 1)
+        (group,) = mirror.groups
+        flipped = (group.choices[0], (group.choices[1][0] ^ 1, *group.choices[1][1:]))
+        once = MulticollisionSet(6, (CollisionGroup((1,), ((1,), (2,))),),
+                                 {pos: pos for pos in range(2, 7)}, 1)
+        cases = ((identity_schedule(), once),
+                 (mirror_schedule(), replace(mirror, groups=(replace(group, choices=flipped),))))
+        for sched, mc in cases:
+            reference, audit = o.clone(), o.clone()
+            digests = enumerated_digests(reference, sched.generator(mc.length), 0, mc)
+            assert len(set(digests)) == 2
+            outcome = verify_multicollision(audit, sched, 0, mc)
+            assert not outcome.ok and outcome.checked == 0
+            assert audit.query_count == reference.query_count
+
+    def test_joux_two_to_the_three_costs_one_call_per_read(self):
+        # bench/test_perfbench.py traces this check at 8 * 3 compress calls
+        # and 2 * 3 misses, which is why SEPARATE_HASHING_MAX keeps sets of
+        # up to eight messages off the frontier; a change to that route
+        # fails here, not only in the bench suite
+        o = CompressionOracle(8, 12, 5)
+        mc, report = joux_attack(o, 0, 3)
+        assert report.verify_ok
         audit = o.clone()
-        outcome = verify_multicollision(audit, mirror_schedule(), 0, mc)
-        assert outcome.ok and outcome.complete and outcome.checked == 2
-        assert audit.raw_calls == 2 * 114
+        outcome = verify_multicollision(audit, identity_schedule(), 0, mc)
+        assert outcome.ok and outcome.complete and outcome.checked == 8
+        assert audit.raw_calls == 8 * 3 and audit.query_count == 2 * 3
 
     def test_groups_live_to_the_end_fall_back_to_sampling(self):
         # one-position groups on the mirror word 1..6 6..1 are all live
