@@ -14,8 +14,9 @@ groups of its predecessor; it resumes the previous candidate's walk at a
 step precomputed for that suffix, and a collapse level compresses about
 once per distinct query.  Only the colliding pair becomes block tuples.
 Iteration order is fixed, so an oracle seed reproduces the attack byte for
-byte.  joux_attack, Joux's chained pair collisions, is the q=1 case: the
-identity word 1..r in one part, with no filler blocks.
+byte.  One sampler stream gives each position outside B its filler block,
+in position order, then level 1's candidates.  joux_attack, Joux's chained
+pairs, is the q = 1 case: the identity word 1..r, B = 1..r, no fillers.
 
 An attack owns its oracle exclusively while it runs.  A schedule is only
 its words, so the attack reads q-boundedness from the word it attacks:
@@ -57,7 +58,6 @@ from .hashsim import (
     validate_schedule_word,
 )
 from .nesting import (
-    AttackCertificate,
     ConstructionError,
     attack_threshold,
     find_attack_structure,
@@ -233,11 +233,11 @@ class VerificationResult:
 def complexity_bound(n: int, q: int, l: int):
     """Query bound a~ * q * N^ * 2^(n/2), with a~ = DEFAULT_A_TILDE, for an
     attack on a q-bounded construction of hash length n that ran on a
-    message of N^ = l blocks.  Both attacks build a 2^r-collision on
-    l = nesting.attack_threshold(n, r, q) blocks: r for q = 1 (one pair
-    search per stage), the exact forcing boundary (nr)^2 - nr + 1 for q = 2
-    and the proven upper bound for q >= 3.  Returns an int whenever the
-    value is integral.
+    message of N^ = l blocks.  The attack, Joux's at q = 1, builds a
+    2^r-collision on l = nesting.attack_threshold(n, r, q) blocks: r for
+    q = 1 (one pair search per stage), the exact forcing boundary
+    (nr)^2 - nr + 1 for q = 2 and the proven upper bound for q >= 3.
+    Returns an int whenever the value is integral.
     """
     require_int(n, "hash length n")
     require_int(q, "occurrence bound q")
@@ -529,11 +529,16 @@ def _inherited_units(groups, blocks):
         yield positions, members
 
 
-def _attack(oracle, sched, q, alpha, cert, fillers, sampler, h0, expansion_cap):
+def _attack(oracle, sched, q, alpha, cert, h0, expansion_cap):
     """Run the certificate's levels along the schedule word alpha, then
-    verify the multicollision on a clone of the oracle.  Each level cuts
-    its condensed part into equal blocks (nesting.level_layout), singletons
-    at level 1; positions outside the subalphabet keep their filler block."""
+    verify the multicollision on a clone of the oracle.  One sampler stream
+    fills each position outside the subalphabet, in position order, then
+    gives level 1's candidates; each level cuts its condensed part into
+    equal blocks (nesting.level_layout), singletons at level 1."""
+    length = max(alpha)  # alpha covers 1..l
+    subset = set(cert.subalphabet)
+    sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "joux"))
+    fillers = {pos: next(sampler) for pos in range(1, length + 1) if pos not in subset}
     start = oracle.query_count
     raw_start = oracle.raw_calls
     state = h0
@@ -550,11 +555,8 @@ def _attack(oracle, sched, q, alpha, cert, fillers, sampler, h0, expansion_cap):
         stage_queries.extend(stages)
         level_queries.append(oracle.query_count - before)
 
-    length = max(alpha)  # alpha covers 1..l
-    subset = set(cert.subalphabet)
-    base_blocks = {pos: blk for pos, blk in fillers.items() if pos not in subset}
     mc = MulticollisionSet(length=length, groups=tuple(groups),
-                           base_blocks=base_blocks, r=cert.k)
+                           base_blocks=fillers, r=cert.k)
     mc.validate()
     attack_queries = oracle.query_count - start
     outcome = verify_multicollision(oracle.clone(), sched, h0, mc, cap=expansion_cap)
@@ -577,24 +579,23 @@ def joux_attack(oracle: CompressionOracle, h0: int, r: int, *,
     block-pair collisions from h0, each the first repeated value of
     compress(h, .) over the next fresh blocks of one sampler stream.
 
-    This is the attack engine on the identity word 1..r under the trivial
-    certificate (every position, one part) with no filler blocks.  Returns
-    (MulticollisionSet, AttackReport); the report's stage_queries reconcile
-    exactly with attack_queries.
+    This is the engine's q = 1 case, the identity word 1..r under its q = 1
+    certificate (one part, B = 1..r, no fillers), so generalized_attack on
+    identity_schedule() at q = 1 returns the same result: (MulticollisionSet,
+    AttackReport), whose stage_queries reconcile exactly with attack_queries.
     """
     require_int(r, "collision exponent r")
-    sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "joux"))
-    alpha = tuple(range(1, r + 1))
-    cert = AttackCertificate(alpha, 1, (), oracle.n, r)
-    return _attack(oracle, identity_schedule(), 1, alpha, cert, {}, sampler,
-                   h0, expansion_cap)
+    sched = identity_schedule()
+    alpha = sched.generator(r)
+    cert = find_attack_structure(alpha, oracle.n, r, 1)
+    return _attack(oracle, sched, 1, alpha, cert, h0, expansion_cap)
 
 
 def generalized_attack(oracle: CompressionOracle, sched: Schedule, q: int,
                        n_param: int, r: int, *, h0: int = 0):
     """Build a verified 2^r-collision on the q-bounded generalized iterated
     hash given by `sched`, using the smallest message length whose schedule
-    word meets the attack-structure threshold.
+    word meets the attack-structure threshold; joux_attack is its q = 1 case.
 
     Returns (MulticollisionSet, AttackReport).
     """
@@ -617,7 +618,4 @@ def generalized_attack(oracle: CompressionOracle, sched: Schedule, q: int,
             f"schedule cannot serve the required message length l = {length}: {exc}"
         ) from exc
     cert = find_attack_structure(alpha, n_param, r, q)
-    sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "gihf"))
-    fillers = {pos: next(sampler) for pos in range(1, length + 1)}
-    return _attack(oracle, sched, q, alpha, cert, fillers, sampler,
-                   h0, DEFAULT_EXPANSION_CAP)
+    return _attack(oracle, sched, q, alpha, cert, h0, DEFAULT_EXPANSION_CAP)

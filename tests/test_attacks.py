@@ -23,7 +23,6 @@ from gihflab.attacks import (
     verify_multicollision,
 )
 from gihflab.hashsim import (
-    BlockSampler,
     CompressionOracle,
     Schedule,
     derive_seed,
@@ -49,6 +48,7 @@ from support import (
     random_bounded_word,
     random_two_permutation_word,
     reference_joux_pairs,
+    reference_sampler_stream,
     reference_table_collision,
     rewalk_level,
     three_permutations,
@@ -56,16 +56,11 @@ from support import (
 
 
 def _certified_attack(alpha, cert, q, seed):
-    """_attack at m = 16 on a given certificate for the word alpha, with
-    fillers and candidates drawn as generalized_attack draws them; returns
+    """_attack at m = 16 on a given certificate for the word alpha; returns
     the oracle, the schedule, the multicollision and the report."""
-    l = max(alpha)
-    sched = schedule_from_words([()] * (l - 1) + [alpha])
+    sched = schedule_from_words([()] * (max(alpha) - 1) + [alpha])
     oracle = CompressionOracle(cert.n, 16, seed=seed)
-    sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "gihf"))
-    fillers = {pos: next(sampler) for pos in range(1, l + 1)}
-    return (oracle, sched,
-            *_attack(oracle, sched, q, alpha, cert, fillers, sampler, 0, 1 << 16))
+    return oracle, sched, *_attack(oracle, sched, q, alpha, cert, 0, 1 << 16)
 
 
 def _two_permutation_word(n, seed):
@@ -132,6 +127,15 @@ LEVEL_WALK_CASES = {
 }
 
 
+# the two entry points of a Joux attack: joux_attack and its q = 1 case of
+# generalized_attack on the identity word
+JOUX_ROUTES = {
+    "joux_attack": joux_attack,
+    "generalized_attack": lambda o, h0, r: generalized_attack(
+        o, identity_schedule(), 1, o.n, r, h0=h0),
+}
+
+
 class TestFirstLevelPair:
     """One Joux stage: the first-level table search over fresh blocks."""
 
@@ -166,13 +170,27 @@ class TestFirstLevelPair:
         (4, 8, 1, 0, 6), (8, 16, 22, 0, 5), (8, 70, 3, 200, 4), (12, 20, 7, 1, 3),
         (16, 24, 41, 0, 2),
     ])
-    def test_matches_brute_force_reference(self, n, m, seed, h0, r):
-        mc, report = joux_attack(CompressionOracle(n, m, seed=seed), h0, r)
+    @pytest.mark.parametrize("route", JOUX_ROUTES)
+    def test_matches_brute_force_reference(self, route, n, m, seed, h0, r):
+        mc, report = JOUX_ROUTES[route](CompressionOracle(n, m, seed=seed), h0, r)
         pairs, draws = reference_joux_pairs(n, m, seed, h0, r)
         assert [g.positions for g in mc.groups] == [(i,) for i in range(1, r + 1)]
         assert [(g.choices[0][0], g.choices[1][0]) for g in mc.groups] == pairs
+        assert mc.base_blocks == {}
         assert list(report.stage_queries) == draws
         assert report.attack_queries == sum(draws)
+
+    @pytest.mark.parametrize("n,m,seed,h0,r", [
+        (16, 24, 5, 0, 3), (8, 16, 11, 0, 1), (8, 16, 12, 7, 4), (12, 20, 13, 1, 6),
+    ])
+    def test_both_routes_return_one_attack(self, n, m, seed, h0, r):
+        # one engine call: the same set, report and query count on both
+        # routes, 1,344 queries at n = 16, seed 5, r = 3
+        joux, generalized = (attack(CompressionOracle(n, m, seed=seed), h0, r)
+                             for attack in JOUX_ROUTES.values())
+        assert joux == generalized and joux[1].verify_ok
+        if (n, seed, r) == (16, 5, 3):
+            assert joux[1].attack_queries == 1344
 
 
 class TestJouxAttack:
@@ -759,6 +777,22 @@ class TestGeneralizedAttack:
         assert len(set(messages)) == 4
         digests = {gihf_eval(o.clone(), mirror_schedule(), 0, msg) for msg in messages}
         assert len(digests) == 1
+
+    @pytest.mark.parametrize("n,seed", [(8, 72), (12, 73)])
+    def test_one_stream_fills_outside_b_first(self, n, seed):
+        # the "joux" stream gives each position outside B its filler, in
+        # position order, then level 1's candidates, whose pairs the
+        # level-2 choices are built from
+        mc, report = _two_permutation_attack(n, seed)
+        subalphabet = find_attack_structure(_two_permutation_word(n, seed), n, 2, 2).subalphabet
+        outside = sorted(set(range(1, mc.length + 1)) - set(subalphabet))
+        assert sorted(mc.base_blocks) == outside
+        skip = len(outside)
+        stream = reference_sampler_stream(
+            n + 8, derive_seed(seed, "joux"), skip + report.level_queries[0])
+        assert [mc.base_blocks[pos] for pos in outside] == stream[:skip]
+        chosen = {blk for g in mc.groups for choice in g.choices for blk in choice}
+        assert chosen <= set(stream[skip:])
 
     def test_stage_accounting(self):
         o = CompressionOracle(8, 16, seed=29)

@@ -13,6 +13,13 @@ queries; the mirror word keeps its certificate, so the CLI digests hold.
 The collapse-level digest, over every attack that tests/test_attacks.py
 replays level by level, was taken before collapse levels addressed their
 candidates by index, which changes no block, query count or raw call.
+The library digest was split into a Joux and a generalized-attack digest
+before Joux became the engine's q = 1 call.  That change draws every
+attack's blocks from the one "joux" sampler stream, not a "gihf" one, and
+gives filler blocks only to the positions outside B, so it moved the
+generalized-attack digest, the collapse-level digest and the `attack gihf`
+CLI digests (report, set file and its `verify collision` report); the Joux
+digests, library and CLI, hold.
 """
 
 import hashlib
@@ -42,10 +49,13 @@ def _two_permutation_schedule(n, r, seed):
     return schedule_from_words([()] * (length - 1) + [tuple(first + second)])
 
 
-def _library_runs():
+def _joux_runs():
     for n, m in ((8, 16), (16, 24)):
         for r in (1, 3, 4):
             yield joux_attack(CompressionOracle(n, m, seed=40 + r), 0, r)
+
+
+def _generalized_runs():
     yield generalized_attack(CompressionOracle(8, 16, seed=41), identity_schedule(), 1, 8, 3)
     yield generalized_attack(CompressionOracle(4, 8, seed=42),
                              _two_permutation_schedule(4, 2, 43), 2, 4, 2, h0=5)
@@ -60,20 +70,27 @@ def _verify_body(path) -> str:
     return json.dumps(report, sort_keys=True)
 
 
-def test_library_outputs_pinned():
-    runs = [[mc.to_dict(), report.to_dict()] for mc, report in _library_runs()]
-    assert sha256(json.dumps(runs, sort_keys=True)) == (
-        "69c051cb9850b1dd250c501ee1ec1f876b3614bbd6c95334b04b0004a4d258a0")
+def _runs_digest(runs) -> str:
+    return sha256(json.dumps([[mc.to_dict(), report.to_dict()] for mc, report in runs],
+                             sort_keys=True))
+
+
+def test_library_joux_outputs_pinned():
+    assert _runs_digest(_joux_runs()) == (
+        "1c5f2400982c9431ec59fed78e616125bc46404e8260708228dce6f131759936")
+
+
+def test_library_generalized_outputs_pinned():
+    assert _runs_digest(_generalized_runs()) == (
+        "c63338e58133edcc100ecd36ae76bd3e61033fd68c2b9f6e7278c911e0e301dc")
 
 
 def test_level_walk_outputs_pinned():
     # every collapse-level shape: a slot read twice, p = 2 spans with and
     # without filler blocks, and three-level certificates; the reports hold
     # raw_calls, so a walk that resumed too early or too late fails here
-    runs = [[mc.to_dict(), report.to_dict()]
-            for mc, report in (attack() for attack in LEVEL_WALK_CASES.values())]
-    assert sha256(json.dumps(runs, sort_keys=True)) == (
-        "b8c7f022dd19e7cabe1512c4b82c88f61c301a22b7f0168851f7944b3ebe0299")
+    assert _runs_digest(attack() for attack in LEVEL_WALK_CASES.values()) == (
+        "937fb52f84349409b964005f48ca6cd25c486c6cd645294078694cea3a52d9df")
 
 
 def test_cli_outputs_pinned(tmp_path):
@@ -85,11 +102,11 @@ def test_cli_outputs_pinned(tmp_path):
     assert sha256(body_without_timing(joux.stdout)) == (
         "4a29e29efad625c908e1c701b29b2a19a500f37db631f03616451b48c3592e49")
     assert sha256(body_without_timing(gihf.stdout)) == (
-        "e3decf0b3df87620f04a48a1aa0b9f2648d53a0ece715c7e1c23171c6fc3e86f")
+        "ed31168a6d8229b9b1c62800e382a16a2b008e79b0901cbb552b77301723bb33")
     assert sha256(mc.read_bytes()) == (
-        "a6843b7cd3f6e5edd6c684e857d132a3de3725287d72aa3c9357d95bcba8d443")
+        "89e070ce2d7d6897a1b8905fd8abca51b8c10ca2268e03b963a2e2be4bb50eb1")
     assert sha256(_verify_body(mc)) == (
-        "8fba6f5c1e6f96d5162ef65a3bb049c9eb848a81434051c72a72eb265ee3ae12")
+        "645eb43c317a88c8d512f993354dce091dad077a2c80022d4d6d70876cbcc281")
 
 
 def test_verify_joux_pinned(tmp_path):
