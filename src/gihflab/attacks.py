@@ -32,10 +32,11 @@ expansion cap bounds that frontier; a set that outgrows it is sampled
 instead, with cap distinct messages drawn by a seeded walk over the 2^r
 selections.  Sampled messages, and sets of at most eight messages, are
 hashed one message at a time, which stops at a hostile set's second digest.
-That route cuts the word the same way: a group read compresses with the
-message's pick, and a run of fixed blocks is hashed with f_plus only when
-the message enters it at another state than the last message did, so the
-later messages of a genuine set pay only for their group reads.
+Every route reads one cut of the word, made once per check (_steps): a
+group read compresses with the message's pick, and a run of fixed blocks
+is hashed with f_plus, by the one-message route only when the message
+enters it at another state than the last message did, so the later
+messages of a genuine set pay only for their group reads.
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, count, groupby, islice, product
+from itertools import accumulate, chain, groupby, islice, product
 from typing import Iterator, Optional, Sequence
 
 from .hashsim import (
-    BlockSampler,
     CompressionOracle,
     Schedule,
+    block_stream,
     derive_seed,
     f_plus,
     identity_schedule,
@@ -282,39 +283,46 @@ def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
         return VerificationResult(False, True, 0)
 
     complete, checked = True, mc.expansion_size
+    steps = _steps(alpha, mc)
     if checked <= min(cap, SEPARATE_HASHING_MAX):
-        digests = _message_digests(oracle, alpha, h0, mc, mc.selections())
+        digests = _message_digests(oracle, steps, h0, mc.selections())
     else:
-        digests = _frontier_digests(oracle, alpha, h0, mc, cap)
+        digests = _frontier_digests(oracle, steps, h0, cap)
     if digests is None:
         selections = _sampled_selections(mc, cap)
         complete, checked = False, len(selections)
-        digests = _message_digests(oracle, alpha, h0, mc, selections)
+        digests = _message_digests(oracle, steps, h0, selections)
     if len(digests) != 1:
         return VerificationResult(False, complete, 0)
     return VerificationResult(True, complete, checked, next(iter(digests)))
 
 
-def _message_digests(oracle: CompressionOracle, alpha, h0: int, mc: MulticollisionSet,
-                     selections) -> set:
-    """The digests of the selected messages of mc along alpha, each message
-    hashed on its own; stops at the second distinct digest.
-
-    alpha is cut as _frontier_digests cuts it, into runs of base positions
-    and group reads.  A group read compresses with the selection's pick.  A
-    base run is hashed with f_plus only when its entering state differs from
-    the last state that entered it, so the pass keeps one (entering,
-    leaving) pair per run, however many messages it hashes.
-    """
-    compress = oracle.compress
-    owner = _owners(mc)
-    steps = []  # per group read: (gi, its block per pick); per base run: (None, blocks)
+def _steps(alpha, mc: MulticollisionSet) -> list:
+    """mc's blocks along alpha, as every verification route hashes them:
+    (gi, group gi's block per pick) for each group read and (None, blocks)
+    for each run of base positions."""
+    owner = {pos: (gi, at) for gi, group in enumerate(mc.groups)
+             for at, pos in enumerate(group.positions)}
+    steps = []
     for in_group, run in groupby(alpha, owner.__contains__):
         if in_group:
             steps.extend((gi, [choice[at] for choice in mc.groups[gi].choices])
                          for gi, at in map(owner.__getitem__, run))
         else:
             steps.append((None, [mc.base_blocks[pos] for pos in run]))
+    return steps
+
+
+def _message_digests(oracle: CompressionOracle, steps, h0: int, selections) -> set:
+    """The digests of the selected messages along the steps (_steps), each
+    message hashed on its own; stops at the second distinct digest.
+
+    A group read compresses with the selection's pick.  A base run is
+    hashed with f_plus only when its entering state differs from the last
+    state that entered it, so the pass keeps one (entering, leaving) pair
+    per run, however many messages it hashes.
+    """
+    compress = oracle.compress
     last = [(None, None)] * len(steps)  # per base run: the last (entering, leaving) pair
     digests: set = set()
     for selection in selections:
@@ -333,16 +341,10 @@ def _message_digests(oracle: CompressionOracle, alpha, h0: int, mc: Multicollisi
     return digests
 
 
-def _owners(mc: MulticollisionSet) -> dict:
-    """Each group position of mc mapped to (group index, slot in the group)."""
-    return {pos: (gi, at) for gi, group in enumerate(mc.groups)
-            for at, pos in enumerate(group.positions)}
-
-
-def _frontier_digests(oracle: CompressionOracle, alpha, h0: int, mc: MulticollisionSet,
-                      cap: int) -> Optional[set]:
-    """The digests of all messages of mc along alpha, from one pass over it;
-    None as soon as the frontier would exceed cap (key, state) pairs.
+def _frontier_digests(oracle: CompressionOracle, steps, h0: int, cap: int) -> Optional[set]:
+    """The digests of all messages along the steps (_steps), from one pass
+    over them; None as soon as the frontier would exceed cap (key, state)
+    pairs.
 
     The frontier is the set of (key, state) pairs the pass has reached, the
     key holding the picks of the live groups, those read both behind and
@@ -355,40 +357,34 @@ def _frontier_digests(oracle: CompressionOracle, alpha, h0: int, mc: Multicollis
     Runs of base positions are hashed with f_plus, pair by pair.
     """
     compress = oracle.compress
-    owner = _owners(mc)
-    # each group's first and last read, indexed among the group reads only
-    first, last = spans(owner[pos][0] for pos in alpha if pos in owner)
-    reads = count()
+    # each group's first and last read, indexed among the steps
+    first, last = spans(gi for gi, _ in steps)
     live: list = []  # the groups whose picks make up the key, in key order
     frontier = {((), h0)}
-    for in_group, run in groupby(alpha, owner.__contains__):
-        if not in_group:
-            blocks = [mc.base_blocks[pos] for pos in run]
+    for i, (gi, blocks) in enumerate(steps):
+        if gi is None:
             frontier = {(key, f_plus(oracle, state, blocks)) for key, state in frontier}
             continue
-        for pos, i in zip(run, reads):  # run first: its end draws no index
-            gi, at = owner[pos]
-            choices = mc.groups[gi].choices
-            joining, leaving = i == first[gi], i == last[gi]
-            if joining:
-                if len(frontier) * len(choices) > cap:
-                    return None
-                live.append(gi)
-            k = live.index(gi)  # the pick's index in the key, or where it joins
-            if leaving:
-                del live[k]
-            frontier = {(key[:k] + (pick,) * (not leaving) + key[k + 1:],
-                         compress(state, choices[pick][at]))
-                        for key, state in frontier
-                        for pick in (range(len(choices)) if joining else (key[k],))}
+        joining, leaving = i == first[gi], i == last[gi]
+        if joining:
+            if len(frontier) * len(blocks) > cap:
+                return None
+            live.append(gi)
+        k = live.index(gi)  # the pick's index in the key, or where it joins
+        if leaving:
+            del live[k]
+        frontier = {(key[:k] + (pick,) * (not leaving) + key[k + 1:],
+                     compress(state, blocks[pick]))
+                    for key, state in frontier
+                    for pick in (range(len(blocks)) if joining else (key[k],))}
     return {state for _, state in frontier}
 
 
 def _sampled_selections(mc: MulticollisionSet, cap: int) -> list:
-    """min(cap, 2^r) distinct group selections: a seeded BlockSampler walks
+    """min(cap, 2^r) distinct group selections: a seeded block_stream walks
     the indices 0..2^r - 1, each read as one mixed-radix digit per group (a
     bijection, since the group sizes multiply to 2^r)."""
-    indices = BlockSampler(mc.r, derive_seed(0xC011EC7, f"sample:{mc.expansion_size}"))
+    indices = block_stream(mc.r, derive_seed(0xC011EC7, f"sample:{mc.expansion_size}"))
     selections = []
     for index in islice(indices, min(cap, mc.expansion_size)):
         selection = []
@@ -404,18 +400,18 @@ def _walk_level(oracle, part, units, fillers, state):
 
     A unit is (positions, source): message positions whose occurrences form
     one span of the part, and where their candidates come from.  At the
-    first level the source is the BlockSampler itself, whose raw blocks
-    fill the unit's one position; at a later level it is the G inherited
-    groups tiling the unit, each with two choices, whose candidates are the
-    indices 0..2^G - 1 (_index_walk).  Filler blocks before each span are
-    hashed; table_collision then hashes the span per candidate, in draw
-    order, until two candidates reach one outgoing state.  A raw one-symbol
-    span, as in every Joux stage, costs one compress call per draw, and a
-    longer raw span (a one-part certificate on the mirror word) is walked
-    whole per draw.  Only the colliding pair becomes choices: one-block
-    choices for raw blocks, block tuples aligned with the positions for
-    indices.  Returns the new groups, the part's outgoing state and the
-    distinct queries of each search.
+    first level the source is the block stream itself, whose raw blocks fill
+    the unit's one position; at a later level it is the tuple of the G
+    inherited groups tiling the unit, each with two choices, whose
+    candidates are the indices 0..2^G - 1 (_index_walk).  Filler blocks
+    before each span are hashed; table_collision then hashes the span per
+    candidate, in draw order, until two candidates reach one outgoing state.
+    A raw one-symbol span, as in every Joux stage, costs one compress call
+    per draw, and a longer raw span (a one-part certificate on the mirror
+    word) is walked whole per draw.  Only the colliding pair becomes
+    choices: one-block choices for raw blocks, block tuples aligned with the
+    positions for indices.  Returns the new groups, the part's outgoing
+    state and the distinct queries of each search.
     """
     first, last = spans(part)
     compress = oracle.compress
@@ -429,7 +425,7 @@ def _walk_level(oracle, part, units, fillers, state):
             state = compress(state, fillers[sym])
         # a span opens with one of the unit's own positions
         span = part[begin:end + 1]
-        raw = isinstance(source, BlockSampler)
+        raw = not isinstance(source, tuple)  # an index unit's source is its groups
         if raw:
             candidates = source
             evaluate = (partial(compress, state) if len(span) == 1  # every Joux stage
@@ -537,7 +533,7 @@ def _attack(oracle, sched, q, alpha, cert, h0, expansion_cap):
     equal blocks (nesting.level_layout), singletons at level 1."""
     length = max(alpha)  # alpha covers 1..l
     subset = set(cert.subalphabet)
-    sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "joux"))
+    sampler = block_stream(oracle.m, derive_seed(oracle.seed, "joux"))
     fillers = {pos: next(sampler) for pos in range(1, length + 1) if pos not in subset}
     start = oracle.query_count
     raw_start = oracle.raw_calls

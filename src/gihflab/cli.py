@@ -110,7 +110,9 @@ def _read_collision(path: str):
         data = _load_json(path)
         n, m, seed, h0 = integers(data[key] for key in ("n", "m", "oracle_seed", "h0"))
         alpha = integers(data["alpha"])
-        name = str(data.get("schedule", "file"))
+        name = data.get("schedule", "file")
+        if not isinstance(name, str):
+            raise TypeError(f"the schedule label must be a string, not {type(name).__name__}")
         oracle = CompressionOracle(n, m, seed)
         mc = MulticollisionSet.from_dict(data["multicollision"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -223,36 +223,25 @@ def _low_bits(x: int, m: int) -> int:
     return x - (high << m) if high else x
 
 
-class BlockSampler:
+def block_stream(m: int, seed: int) -> Iterator[int]:
     """Deterministic stream of distinct message blocks.
 
     Walks a seeded affine permutation of {0..2^m - 1} from the start, so the
     first 2^m draws are pairwise distinct and any (seed, m) pair reproduces
-    the same stream; every further draw raises ValueError.  The sampler is
-    one shared stream: iter(sampler) returns it and next(sampler) reads from
-    it, so next() draws followed by a loop over the sampler continue where
+    the same stream; every further draw raises ValueError.  The stream is
+    one iterator, so next() draws followed by a loop over it continue where
     the draws stopped.  The walk steps by addition and builds 2^m once, at
     its first wrap past it, so a huge m costs no more than its blocks.
     """
-
-    def __init__(self, m: int, seed: int):
-        require_int(m, "block length m")
-        self.m = m
-        self.seed = _checked_seed(seed)
-        mult = _low_bits(2 * mix64(self.seed) + 1, m)
-        if mult == 1 and m > 1:
-            mult = 3
-        offset = _low_bits(mix64(self.seed ^ 0xA5A5A5A5A5A5A5A5), m)
-        # chain retries an iterator that raised, so every draw past 2^m
-        # raises, not only the first
-        self._stream = chain(_affine_walk(m, mult, offset),
-                             iter(partial(_exhausted, m), None))
-
-    def __iter__(self) -> Iterator[int]:
-        return self._stream
-
-    def __next__(self) -> int:
-        return next(self._stream)
+    require_int(m, "block length m")
+    seed = _checked_seed(seed)
+    mult = _low_bits(2 * mix64(seed) + 1, m)
+    if mult == 1 and m > 1:
+        mult = 3
+    offset = _low_bits(mix64(seed ^ 0xA5A5A5A5A5A5A5A5), m)
+    # chain retries an iterator that raised, so every draw past 2^m raises,
+    # not only the first
+    return chain(_affine_walk(m, mult, offset), iter(partial(_exhausted, m), None))
 
 
 def _affine_walk(m: int, mult: int, offset: int) -> Iterator[int]:
@@ -306,7 +295,7 @@ def birthday_search(oracle: CompressionOracle, h: int, k: int) -> tuple[tuple[in
     Returns the colliding blocks and the number of distinct queries spent;
     raises ValueError if k < 2 or if the 2^m blocks run out first.
     """
-    sampler = BlockSampler(oracle.m, derive_seed(oracle.seed, "birthday"))
+    sampler = block_stream(oracle.m, derive_seed(oracle.seed, "birthday"))
     start = oracle.query_count
     blocks, _ = table_collision(partial(oracle.compress, h), sampler, k)
     return blocks, oracle.query_count - start

@@ -215,14 +215,13 @@ def verify_nesting(perms: Sequence[Word], d: Sequence[int], subset: Sequence[int
 # -- attack structure ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class AttackCertificate:
-    """Certificate driving the staged multicollision attack: the word cut at
-    `splits` into p parts condenses, on B, to permutations whose block
-    alphabets nest from each level into the next."""
+class AttackCertificate(StructureCertificate):
+    """Structure certificate of B that drives the staged multicollision
+    attack on hash length n for a 2^k-collision: the word cut at `splits`
+    into p parts condenses, on B (the subalphabet), to permutations whose
+    block alphabets nest from each level into the next.  Its file names
+    the subalphabet "B"."""
 
-    subalphabet: tuple[int, ...]
-    p: int
-    splits: tuple[int, ...]
     n: int
     k: int
 
@@ -381,20 +380,20 @@ def verify_attack_structure(w: Word, cert: AttackCertificate) -> bool:
         w = tuple(w)
         subset = tuple(cert.subalphabet)
         p, n, k = map(operator.index, (cert.p, cert.n, cert.k))
-        splits = tuple(map(operator.index, cert.splits))
+        cert = AttackCertificate(subset, p, tuple(map(operator.index, cert.splits)), n, k)
     except (TypeError, AttributeError, ValueError):
         return False
     if n < 1 or k < 1:
         return False
     # the structure check bounds p by the word's length, and |B| >= 2^(p-1)
     # (n >= 2) bounds it by log |B|, before any power of n is built
-    if not verify_structure(w, StructureCertificate(subset, p, splits), len(subset)):
+    if not verify_structure(w, cert, len(subset)):
         return False
     if n > 1 and len(subset) >> (p - 1) == 0:
         return False
     if level_blocks(n, k, p)[0] != len(subset):
         return False
-    layout = level_layout(w, AttackCertificate(subset, p, splits, n, k))
+    layout = level_layout(w, cert)
     for (_, fine), (_, coarse) in pairwise(layout):
         coarse_alphabets = [set(u) for u in coarse]
         for block in fine:

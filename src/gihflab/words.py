@@ -27,9 +27,9 @@ def word(symbols: Iterable[int]) -> Word:
 
 def require_int(value, name: str) -> None:
     """Guard a size or count argument: reject a non-integer value of the
-    parameter `name` with a TypeError and one below 1 with a ValueError,
-    each naming the parameter."""
-    if not isinstance(value, int):
+    parameter `name`, a bool too, with a TypeError and one below 1 with a
+    ValueError, each naming the parameter."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1")

@@ -16,7 +16,7 @@ from collections import Counter
 from itertools import chain, combinations, groupby, permutations, product
 
 from gihflab.attacks import CollisionGroup
-from gihflab.hashsim import BlockSampler, derive_seed, f_plus, mix64
+from gihflab.hashsim import derive_seed, f_plus, mix64
 from gihflab.nesting import (
     AttackCertificate,
     _subset_request,
@@ -359,8 +359,10 @@ def expanding_frontier_digests(oracle, alpha, h0: int, mc, cap: int):
     every group's pick joins the key at its first occurrence, each
     occurrence rebuilds the frontier, and the state sets of its picks merge
     after its last, found by counting reads down, even for a group read
-    once.  Same arguments and result: the digest set, or None as soon as
-    the frontier would exceed cap (key, state) pairs."""
+    once.  It takes alpha and mc where attacks._frontier_digests takes
+    their steps (attacks._steps), and gives the same result: the digest
+    set, or None as soon as the frontier would exceed cap (key, state)
+    pairs."""
     compress = oracle.compress
     owner = {pos: (gi, at) for gi, group in enumerate(mc.groups)
              for at, pos in enumerate(group.positions)}
@@ -408,7 +410,7 @@ def reference_compress(seed: int, n: int, h: int, b: int) -> int:
 
 
 def reference_sampler_stream(m: int, seed: int, count: int) -> list:
-    """The first `count` blocks of BlockSampler(m, seed), by the affine
+    """The first `count` blocks of block_stream(m, seed), by the affine
     formula (mult * i + offset) mod 2^m."""
     space = 1 << m
     mult = (2 * mix64(seed) + 1) % space
@@ -465,7 +467,7 @@ def rewalk_level(oracle, part, units, fillers, state):
     of every combination of its member groups' choices, in product order."""
     groups, stage_queries, cursor = [], [], 0
     for positions, source in units:
-        if isinstance(source, BlockSampler):
+        if not isinstance(source, tuple):  # raw sampler blocks
             candidates = zip(source)
         else:
             candidates = (tuple(chain.from_iterable(combo))

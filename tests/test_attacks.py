@@ -16,6 +16,7 @@ from gihflab.attacks import (
     _frontier_digests,
     _inherited_units,
     _sampled_selections,
+    _steps,
     _walk_level,
     complexity_bound,
     generalized_attack,
@@ -435,7 +436,7 @@ class TestOnePassVerifier:
                 # so cross-check it directly too; it queries the same
                 # distinct (state, block) pairs as hashing every message
                 passed = o.clone()
-                assert _frontier_digests(passed, alpha, 0, mc, 1 << 16) == set(digests)
+                assert _frontier_digests(passed, _steps(alpha, mc), 0, 1 << 16) == set(digests)
                 assert passed.query_count == reference.query_count
                 messages = list(mc.messages())
                 expected = len(set(digests)) == 1 and len(set(messages)) == len(messages)
@@ -488,7 +489,7 @@ class TestOnePassVerifier:
             for cap in (1 << 16, boundary, boundary - 1):
                 reference, passed = o.clone(), o.clone()
                 expected = expanding_frontier_digests(reference, alpha, 0, mc, cap)
-                assert _frontier_digests(passed, alpha, 0, mc, cap) == expected
+                assert _frontier_digests(passed, _steps(alpha, mc), 0, cap) == expected
                 assert (expected is None) == (cap < boundary)
                 assert passed.query_count == reference.query_count
                 assert passed.raw_calls == reference.raw_calls

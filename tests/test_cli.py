@@ -408,6 +408,14 @@ class TestVerifyCollisionHostileFiles:
         assert outcome.ok and outcome.complete
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("label", [5, [1]], ids=["number", "list"])
+    def test_non_string_schedule_label(self, tmp_path, joux, label):
+        # coerced to "5" or "[1]", the label would name no schedule, and the
+        # file's own word would pass as a file schedule's word
+        assert self.verify(tmp_path, dict(joux, schedule=label))["error"] == (
+            "malformed collision file: TypeError: the schedule label must be a "
+            f"string, not {type(label).__name__}")
+
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_cap_below_one(self, tmp_path, genuine, cap):
         path = tmp_path / "mc.json"

@@ -8,9 +8,9 @@ from itertools import islice
 import pytest
 
 from gihflab.hashsim import (
-    BlockSampler,
     CompressionOracle,
     birthday_search,
+    block_stream,
     derive_seed,
     f_alpha,
     f_plus,
@@ -261,10 +261,10 @@ class TestSchedules:
             validate_schedule_word(gappy, 2)  # alphabet never reaches symbol 2
 
 
-class TestBlockSampler:
+class TestBlockStream:
     def test_deterministic_and_distinct(self):
-        s1 = BlockSampler(10, seed=5)
-        s2 = BlockSampler(10, seed=5)
+        s1 = block_stream(10, seed=5)
+        s2 = block_stream(10, seed=5)
         first = [next(s1) for _ in range(1024)]
         second = [next(s2) for _ in range(1024)]
         assert first == second
@@ -274,7 +274,7 @@ class TestBlockSampler:
     def test_exhaustion(self):
         # every draw past 2^m raises, however it is drawn: a stream that
         # raised once and then ended would let a table search return None
-        sampler = BlockSampler(2, seed=1)
+        sampler = block_stream(2, seed=1)
         [next(sampler) for _ in range(4)]
         with pytest.raises(ValueError, match="exhausted"):
             next(sampler)
@@ -284,7 +284,7 @@ class TestBlockSampler:
         with pytest.raises(ValueError, match="exhausted"):
             next(sampler)
 
-        sampler = BlockSampler(2, seed=1)
+        sampler = block_stream(2, seed=1)
         for _ in range(2):  # four distinct values, then the space runs out
             with pytest.raises(ValueError, match="exhausted"):
                 table_collision(lambda choice: choice, zip(sampler))
@@ -295,7 +295,7 @@ class TestBlockSampler:
         # the sampler to level 1, which loops over it
         count = min(1 << m, 300)
         for drawn in (0, 1, count // 2, count):
-            sampler = BlockSampler(m, seed=m)
+            sampler = block_stream(m, seed=m)
             blocks = [next(sampler) for _ in range(drawn)]
             blocks += islice(iter(sampler), count - drawn)
             assert blocks == reference_sampler_stream(m, m, count)
@@ -304,7 +304,7 @@ class TestBlockSampler:
     def test_stream_is_the_affine_formula(self, m):
         count = min(1 << m, 1000)
         for seed in (0, 5, 2 ** 64 - 1):
-            sampler = BlockSampler(m, seed)
+            sampler = block_stream(m, seed)
             assert [next(sampler) for _ in range(count)] == \
                 reference_sampler_stream(m, seed, count)
 
@@ -312,7 +312,7 @@ class TestBlockSampler:
         tracemalloc.start()
         try:
             started = time.perf_counter()
-            sampler = BlockSampler(4_000_000_000, seed=9)
+            sampler = block_stream(4_000_000_000, seed=9)
             blocks = [next(sampler) for _ in range(1000)]
             elapsed = time.perf_counter() - started
             peak = tracemalloc.get_traced_memory()[1]
@@ -323,8 +323,8 @@ class TestBlockSampler:
         assert peak < 1 << 20
 
     def test_seed_changes_stream(self):
-        a = [next(BlockSampler(12, seed=1)) for _ in range(1)]
-        b = [next(BlockSampler(12, seed=2)) for _ in range(1)]
+        a = [next(block_stream(12, seed=1)) for _ in range(1)]
+        b = [next(block_stream(12, seed=2)) for _ in range(1)]
         assert a != b or derive_seed(1, "x") != derive_seed(2, "x")
 
 
@@ -373,9 +373,9 @@ class TestSeeds:
     """A seed is any integer, 0 and below included; anything else is
     refused with a TypeError naming it, never truncated."""
 
-    MAKERS = [lambda seed: CompressionOracle(8, 16, seed), lambda seed: BlockSampler(8, seed)]
+    MAKERS = [lambda seed: CompressionOracle(8, 16, seed), lambda seed: block_stream(8, seed)]
 
-    @pytest.mark.parametrize("make", MAKERS, ids=["CompressionOracle", "BlockSampler"])
+    @pytest.mark.parametrize("make", MAKERS, ids=["CompressionOracle", "block_stream"])
     @pytest.mark.parametrize("seed", [2.7, 2.0, "2", None])
     def test_non_integer_seed_is_refused(self, make, seed):
         with pytest.raises(TypeError, match="^seed must be an integer, not "):
@@ -388,6 +388,5 @@ class TestSeeds:
         queries = [(0, 0), (7, 300), (255, 65535)]
         assert [oracle.compress(h, b) for h, b in queries] == [
             reference_compress(seed, 8, h, b) for h, b in queries]
-        sampler = BlockSampler(8, seed)
-        assert sampler.seed == seed and type(sampler.seed) is int
+        sampler = block_stream(8, seed)
         assert list(islice(sampler, 40)) == reference_sampler_stream(8, seed, 40)

@@ -16,9 +16,9 @@ from gihflab.attacks import (
 )
 from gihflab.classics import find_arithmetic_cadence, find_n_division
 from gihflab.hashsim import (
-    BlockSampler,
     CompressionOracle,
     birthday_search,
+    block_stream,
     identity_schedule,
     mirror_schedule,
     table_collision,
@@ -102,7 +102,7 @@ SIZE_PARAMETERS = [
     # hashsim
     ("CompressionOracle-n", lambda v: CompressionOracle(v, 16, 1), "hash length n", 0),
     ("CompressionOracle-m", lambda v: CompressionOracle(8, v, 1), "block length m", 0),
-    ("BlockSampler-m", lambda v: BlockSampler(v, 1), "block length m", 0),
+    ("block_stream-m", lambda v: block_stream(v, 1), "block length m", 0),
     ("table_collision-k", lambda v: table_collision(abs, iter(range(4)), v),
      "collision size k", 1),
     ("birthday_search-k", lambda v: birthday_search(oracle(), 0, v), "collision size k", 1),
@@ -116,7 +116,7 @@ SIZE_PARAMETERS = [
 @pytest.mark.parametrize("call,name,refused", [row[1:] for row in SIZE_PARAMETERS],
                          ids=[row[0] for row in SIZE_PARAMETERS])
 def test_size_parameter_is_guarded(call, name, refused):
-    for value in (2.5, 2.0, "2", None):
+    for value in (2.5, 2.0, "2", None, True):
         with pytest.raises(TypeError, match=f"^{re.escape(name)} must be an integer"):
             call(value)
     for value in (refused, -1):
@@ -129,5 +129,7 @@ def test_require_int():
     require_int(10 ** 30, "size")
     with pytest.raises(TypeError, match="^size must be an integer, not float$"):
         require_int(1.0, "size")
+    with pytest.raises(TypeError, match="^size must be an integer, not bool$"):
+        require_int(True, "size")
     with pytest.raises(ValueError, match="^size must be >= 1$"):
         require_int(0, "size")
