@@ -15,8 +15,12 @@ step precomputed for that suffix, and a collapse level compresses about
 once per distinct query.  Only the colliding pair becomes block tuples.
 Iteration order is fixed, so an oracle seed reproduces the attack byte for
 byte.  One sampler stream gives each position outside B its filler block,
-in position order, then level 1's candidates.  joux_attack, Joux's chained
-pairs, is the q = 1 case: the identity word 1..r, B = 1..r, no fillers.
+in position order, then level 1's candidates.  Level 1 reads them through
+one hashsim.Lookahead, which draws the stream in batches and has the
+oracle precompute each batch at the stage's state, so a stage still makes
+one compress call per draw and every stage continues the stream where the
+last one stopped.  joux_attack, Joux's chained pairs, is the q = 1 case:
+the identity word 1..r, B = 1..r, no fillers.
 
 An attack owns its oracle exclusively while it runs.  A schedule is only
 its words, so the attack reads q-boundedness from the word it attacks:
@@ -50,6 +54,7 @@ from typing import Iterator, Optional, Sequence
 
 from .hashsim import (
     CompressionOracle,
+    Lookahead,
     Schedule,
     block_stream,
     derive_seed,
@@ -400,9 +405,10 @@ def _walk_level(oracle, part, units, fillers, state):
 
     A unit is (positions, source): message positions whose occurrences form
     one span of the part, and where their candidates come from.  At the
-    first level the source is the block stream itself, whose raw blocks fill
-    the unit's one position; at a later level it is the tuple of the G
-    inherited groups tiling the unit, each with two choices, whose
+    first level the source is the Lookahead over the block stream, whose
+    raw blocks, warmed at the span's entering state, fill the unit's one
+    position, whatever the span's length; at a later level it is the tuple
+    of the G inherited groups tiling the unit, each with two choices, whose
     candidates are the indices 0..2^G - 1 (_index_walk).  Filler blocks
     before each span are hashed; table_collision then hashes the span per
     candidate, in draw order, until two candidates reach one outgoing state.
@@ -427,7 +433,7 @@ def _walk_level(oracle, part, units, fillers, state):
         span = part[begin:end + 1]
         raw = not isinstance(source, tuple)  # an index unit's source is its groups
         if raw:
-            candidates = source
+            candidates = source.at(state)
             evaluate = (partial(compress, state) if len(span) == 1  # every Joux stage
                         else partial(_span_walk, compress, state, span, positions[0], fillers))
         else:
@@ -535,6 +541,7 @@ def _attack(oracle, sched, q, alpha, cert, h0, expansion_cap):
     subset = set(cert.subalphabet)
     sampler = block_stream(oracle.m, derive_seed(oracle.seed, "joux"))
     fillers = {pos: next(sampler) for pos in range(1, length + 1) if pos not in subset}
+    candidates = Lookahead(oracle, sampler)  # level 1's, after the fillers
     start = oracle.query_count
     raw_start = oracle.raw_calls
     state = h0
@@ -543,7 +550,7 @@ def _attack(oracle, sched, q, alpha, cert, h0, expansion_cap):
     level_queries = []
     for level, (part, blocks) in enumerate(level_layout(alpha, cert), 1):
         if level == 1:
-            units = [(block, sampler) for block in blocks]  # raw blocks
+            units = [(block, candidates) for block in blocks]  # raw blocks
         else:
             units = _inherited_units(groups, blocks)
         before = oracle.query_count

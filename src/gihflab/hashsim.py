@@ -2,6 +2,14 @@
 collision search, table_collision, that every attack level and the birthday
 baseline run.
 
+A table search over fresh blocks draws them through a Lookahead, which
+draws a block stream _BATCH blocks at a time and warms each batch at the
+search's chaining state: the oracle computes f(h, b) for the whole batch at
+once, running the splitmix round on every 64-bit lane of one packed
+integer, and compress then reads the value on a miss instead of mixing.
+The search still makes one compress call per draw, in draw order, so every
+count and every value is the same as without the lookahead.
+
 The oracle is a seeded keyed mixer over (state, block) pairs: deterministic,
 approximately uniform, and emphatically not a cryptographic hash.  Its
 query counter tracks *distinct* (state, block) pairs, matching the cost
@@ -15,9 +23,11 @@ distinct seeds.
 
 from __future__ import annotations
 
+import struct
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -26,6 +36,21 @@ from .words import Word, require_int
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# The bulk path packs up to _BATCH one-chunk blocks into one integer, block
+# i in bits 64i..64i + 63 (little-endian lanes), and a Lookahead draws
+# _BATCH blocks at a time.  The masks below span _BATCH lanes, and a shorter
+# batch ANDs with them as they are: past its own lanes it holds nothing but
+# a product's spill out of its last lane, and that lane's parity mask drops
+# the spill.
+_BATCH = 256
+_LANE_ONES = sum(1 << 64 * i for i in range(_BATCH))  # 1 in every lane
+_EVEN = _MASK64 * sum(1 << 128 * i for i in range((_BATCH + 1) // 2))  # lanes 0, 2, 4, ...
+_ODD = _MASK64 * _LANE_ONES ^ _EVEN
+# what a right shift by 30, 27 or 31 leaves of each lane's own bits
+_LOW34 = ((1 << 34) - 1) * _LANE_ONES
+_LOW37 = ((1 << 37) - 1) * _LANE_ONES
+_LOW33 = ((1 << 33) - 1) * _LANE_ONES
+
 
 def mix64(z: int) -> int:
     """Finalizing 64-bit avalanche mixer (splitmix-style)."""
@@ -33,6 +58,26 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _packed_rounds(acc: int, lanes: Sequence[int], lane_out: int) -> tuple:
+    """mix64(acc ^ b) & out for each b of `lanes`, at most _BATCH blocks
+    below 2^64, computed over one packed integer; lane_out holds `out` in
+    every lane.  A lane's shift takes the next lane's low bits, which the
+    _LOW masks drop; its product by a 64-bit constant spills into the next
+    lane, so the even and the odd lanes are multiplied apart and each
+    product keeps only its own lanes."""
+    layout = struct.Struct(f"<{len(lanes)}Q")
+    z = int.from_bytes(layout.pack(*lanes), "little") ^ acc * (
+        _LANE_ONES >> 64 * (_BATCH - len(lanes)))
+    z ^= (z >> 30) & _LOW34
+    even = z & _EVEN
+    z = (even * 0xBF58476D1CE4E5B9 & _EVEN) | ((z ^ even) * 0xBF58476D1CE4E5B9 & _ODD)
+    z ^= (z >> 27) & _LOW37
+    even = z & _EVEN
+    z = (even * 0x94D049BB133111EB & _EVEN) | ((z ^ even) * 0x94D049BB133111EB & _ODD)
+    z = (z ^ (z >> 31) & _LOW33) & lane_out
+    return layout.unpack(z.to_bytes(layout.size, "little"))
 
 
 def _checked_seed(seed) -> int:
@@ -67,6 +112,14 @@ class CompressionOracle:
     unchanged.  The memo maps the one int b << n | h to the output, which
     is injective once h is known to lie below 2^n, and builds no 2^m.
 
+    warm(h, blocks) is the bulk path: it computes f(h, b) for every block
+    b < 2^64 among `blocks` at once (_packed_rounds) and keeps the values
+    in a side table for h, replacing the last warm's.  A compress miss at
+    that state reads its value there instead of mixing; it still passes the
+    range checks and the memo probe and stores the value in the memo, so a
+    warm counts nothing and changes no value.  A block of 2^64 or more, or
+    a miss at any other state, takes the scalar round.
+
     raw_calls counts every call that passes the range checks: each one
     either adds a memo entry or repeats one, so it is the distinct queries
     plus the memo hits, and only the hits are counted as they happen.
@@ -90,6 +143,11 @@ class CompressionOracle:
         # one-entry cache: the last state h and its round mix64(key ^ h)
         self._last_h = None
         self._last_round = 0
+        # the bulk path's side table: block -> f(h, block) at the state of
+        # the last warm
+        self._warm_h = None
+        self._warm: dict = {}
+        self._lane_out = self._out_mask * _LANE_ONES
 
     @property
     def query_count(self) -> int:
@@ -113,6 +171,11 @@ class CompressionOracle:
         if cached is not None:
             self._hits += 1
             return cached
+        if h == self._warm_h:
+            cached = self._warm.get(b)
+            if cached is not None:
+                self._memo[key] = cached
+                return cached
         # mix64, inlined: its input mask is a no-op, as key ^ h and
         # acc ^ chunk are below 2^64
         if h == self._last_h:
@@ -136,6 +199,28 @@ class CompressionOracle:
         cached = (z ^ (z >> 31)) & self._out_mask
         self._memo[key] = cached
         return cached
+
+    def warm(self, h: int, blocks: Iterable[int]) -> None:
+        """Compute f(h, b) for every int block 0 <= b < 2^64 among `blocks`
+        at once, for compress(h, b) to read on a miss; other blocks are
+        left to the scalar round.  Replaces the last warm's values and
+        counts nothing.  Refuses an h outside the n-bit range as compress
+        does."""
+        if not 0 <= h < self._bound:
+            raise ValueError(f"hash value {h} outside {self.n}-bit range")
+        lanes = list(blocks)
+        acc = mix64(self._key ^ h)
+        table: dict = {}
+        for start in range(0, len(lanes), _BATCH):
+            batch = lanes[start:start + _BATCH]
+            try:
+                rounds = _packed_rounds(acc, batch, self._lane_out)
+            except struct.error:  # a block below 0 or of 2^64 or more
+                batch = [b for b in batch if 0 <= b <= _MASK64]
+                rounds = _packed_rounds(acc, batch, self._lane_out)
+            table.update(zip(batch, rounds))
+        self._warm_h = h
+        self._warm = table
 
 
 def f_plus(oracle: CompressionOracle, h: int, blocks: Sequence[int]) -> int:
@@ -265,6 +350,43 @@ def _exhausted(m: int):
     raise ValueError(f"block space of {m}-bit blocks exhausted")
 
 
+class Lookahead:
+    """One block stream that successive table searches read in turn, each
+    at its own chaining state.
+
+    at(h) yields the stream's blocks in order.  It draws them _BATCH at a
+    time and warms each batch at h (CompressionOracle.warm) before yielding
+    it.  The blocks drawn but not yet yielded stay in the buffer, so the
+    next search, at its own state, warms them there and continues at the
+    same point in the stream; only at(h) draws ahead, so while the buffer
+    is empty, reading `source` directly reads the stream in order too.  A
+    stream that raises ValueError while a batch is drawn, as block_stream
+    does past its last block, raises it again at the next draw, so the
+    error reaches the search only once the blocks drawn before it are
+    yielded.
+    """
+
+    def __init__(self, oracle: CompressionOracle, source: Iterable[int]):
+        self.oracle = oracle
+        self.source = iter(source)
+        self.buffer: deque = deque()
+
+    def at(self, h: int) -> Iterator[int]:
+        buffer = self.buffer
+        while True:
+            if not buffer:
+                try:
+                    buffer.extend(islice(self.source, _BATCH))
+                except ValueError:
+                    if not buffer:
+                        raise
+                if not buffer:
+                    return
+            self.oracle.warm(h, buffer)
+            while buffer:
+                yield buffer.popleft()
+
+
 def table_collision(evaluate: Callable, candidates: Iterable, k: int = 2):
     """First k candidates, in draw order, with one common value under
     `evaluate`: (candidates, value), or None if `candidates` runs out.
@@ -295,7 +417,7 @@ def birthday_search(oracle: CompressionOracle, h: int, k: int) -> tuple[tuple[in
     Returns the colliding blocks and the number of distinct queries spent;
     raises ValueError if k < 2 or if the 2^m blocks run out first.
     """
-    sampler = block_stream(oracle.m, derive_seed(oracle.seed, "birthday"))
+    sampler = Lookahead(oracle, block_stream(oracle.m, derive_seed(oracle.seed, "birthday")))
     start = oracle.query_count
-    blocks, _ = table_collision(partial(oracle.compress, h), sampler, k)
+    blocks, _ = table_collision(partial(oracle.compress, h), sampler.at(h), k)
     return blocks, oracle.query_count - start

@@ -462,13 +462,16 @@ def rewalk_level(oracle, part, units, fillers, state):
     its unit's span from the span's start, and the collision is the first
     repeated value found by reference_table_collision.  Same arguments and
     result: the level's groups, the part's outgoing state and the distinct
-    queries of each search.  A first-level unit's raw sampler blocks become
-    one-block choices (b,); a later unit's candidates are the block tuples
+    queries of each search.  A first-level unit's raw sampler blocks, read
+    straight from its Lookahead's stream without warming, become one-block
+    choices (b,); a later unit's candidates are the block tuples
     of every combination of its member groups' choices, in product order."""
     groups, stage_queries, cursor = [], [], 0
     for positions, source in units:
-        if not isinstance(source, tuple):  # raw sampler blocks
-            candidates = zip(source)
+        if not isinstance(source, tuple):  # a Lookahead over the raw sampler blocks
+            # only Lookahead.at draws ahead, so the stream is read in order
+            assert not source.buffer
+            candidates = zip(source.source)
         else:
             candidates = (tuple(chain.from_iterable(combo))
                           for combo in product(*(member.choices for member in source)))

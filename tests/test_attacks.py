@@ -25,7 +25,9 @@ from gihflab.attacks import (
 )
 from gihflab.hashsim import (
     CompressionOracle,
+    Lookahead,
     Schedule,
+    block_stream,
     derive_seed,
     gihf_eval,
     identity_schedule,
@@ -192,6 +194,54 @@ class TestFirstLevelPair:
         assert joux == generalized and joux[1].verify_ok
         if (n, seed, r) == (16, 5, 3):
             assert joux[1].attack_queries == 1344
+
+
+    def test_a_stage_ends_at_the_last_block_of_a_tiny_space(self):
+        # at n = 2, m = 3, seed 1 the three stages draw 3, 2 and 3 of the 8
+        # blocks, so the last pair ends at the last block, and a fourth
+        # stage finds the space exhausted
+        pairs, draws = reference_joux_pairs(2, 3, 1, 0, 3)
+        assert draws == [3, 2, 3]
+        mc, report = joux_attack(CompressionOracle(2, 3, seed=1), 0, 3)
+        assert [(g.choices[0][0], g.choices[1][0]) for g in mc.groups] == pairs
+        assert pairs[-1][1] == reference_sampler_stream(3, derive_seed(1, "joux"), 8)[-1]
+        assert report.verify_ok and list(report.stage_queries) == draws
+        oracle = CompressionOracle(2, 3, seed=1)
+        with pytest.raises(ValueError, match="block space of 3-bit blocks exhausted"):
+            joux_attack(oracle, 0, 4)
+        assert oracle.query_count == sum(draws)
+
+    @pytest.mark.parametrize("h0", [-1, 256])
+    @pytest.mark.parametrize("route", JOUX_ROUTES)
+    def test_state_outside_the_range_is_refused(self, route, h0):
+        oracle = CompressionOracle(8, 16, seed=24)
+        with pytest.raises(ValueError, match=f"hash value {h0} outside 8-bit range"):
+            JOUX_ROUTES[route](oracle, h0, 3)
+        assert (oracle.query_count, oracle.raw_calls) == (0, 0)
+
+    def test_mixed_spans_read_one_stream_in_order(self):
+        # one-symbol spans (positions 1 and 4) alternate with spans that
+        # read their position twice around a filler (2 and 5), so each kind
+        # of unit follows the other; every unit must continue the stream
+        # where the last one stopped, buffered blocks first
+        part = (1, 2, 3, 2, 4, 5, 6, 5, 7)
+        fillers = {3: 11, 6: 12, 7: 13}
+
+        def level(walk):
+            oracle = CompressionOracle(8, 16, seed=25)
+            candidates = Lookahead(oracle, block_stream(16, seed=26))
+            units = [((pos,), candidates) for pos in (1, 2, 4, 5)]
+            return walk(oracle, part, units, fillers, 9)
+
+        groups, state, stage_queries = level(_walk_level)
+        assert (groups, state, stage_queries) == level(rewalk_level)
+        stream = reference_sampler_stream(16, 26, 4 * 300)
+        at = [stream.index(choice[0]) for g in groups for choice in g.choices]
+        assert at == sorted(at)
+        # a one-symbol unit makes one query per draw, its first draw being
+        # the block after the last unit's pair
+        assert stage_queries[0] == at[1] + 1
+        assert stage_queries[2] == at[5] - at[3]
 
 
 class TestJouxAttack:

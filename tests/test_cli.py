@@ -554,6 +554,20 @@ class TestRejectedInput:
         assert report["result"]["ok"] is False
         assert isinstance(report["result"]["error"], str) and report["result"]["error"]
 
+    @pytest.mark.parametrize("h0", ["-1", "256"])
+    @pytest.mark.parametrize("command", [
+        ["attack", "joux", "--r", "2"],
+        ["attack", "gihf", "--q", "2", "--r", "2", "--schedule", "mirror"],
+        ["hashsim", "birthday"],
+    ], ids=["joux", "gihf", "birthday"])
+    def test_chaining_value_outside_n_bits(self, command, h0):
+        proc = run_cli(*command, "--n", "8", "--m", "16", "--h0", h0, "--seed", "1",
+                       check=False)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1
+        assert report_of(proc)["result"] == {
+            "ok": False, "error": f"hash value {h0} outside 8-bit range"}
+
     @pytest.mark.parametrize("q", [20, 64, 3000, 20000])
     def test_gihf_high_q_refused_before_the_threshold_is_built(self, capsys, q):
         started = time.perf_counter()

@@ -8,7 +8,9 @@ from itertools import islice
 import pytest
 
 from gihflab.hashsim import (
+    _BATCH,
     CompressionOracle,
+    Lookahead,
     birthday_search,
     block_stream,
     derive_seed,
@@ -170,6 +172,91 @@ class TestKernelCrossCheck:
         assert twin.raw_calls == 50
         assert oracle.query_count == len(set(queries))
         assert oracle.raw_calls == len(queries)
+
+
+    @pytest.mark.parametrize("n, m", CASES)
+    def test_bulk_path_matches_reference_and_counts(self, n, m):
+        # warmed batches of every size class, one-chunk blocks next to
+        # blocks of 2^64 and above, pairs already in the memo, queries at
+        # another state between the warm and its reads, and reads in
+        # another order than the warm's
+        rng = random.Random(n * 7919 + m)
+        seed = rng.getrandbits(64)
+        oracle = CompressionOracle(n, m, seed)
+        states = [rng.getrandbits(n) for _ in range(3)] + [0, (1 << n) - 1]
+        edges = [0, 1, (1 << m) - 1, (1 << min(m, 64)) - 1, 1 << (m - 1)]
+        if m > 64:
+            edges += [1 << 64, (1 << 64) + 1]
+        seen = set()
+        calls = 0
+        warmed = []  # the blocks of the last warm, at another state
+
+        def read(h, blocks):
+            nonlocal calls
+            for b in blocks:
+                assert oracle.compress(h, b) == reference_compress(seed, n, h, b)
+                calls += 1
+                seen.add((h, b))
+                assert (oracle.raw_calls, oracle.query_count) == (calls, len(seen))
+
+        for size in (1, 37, _BATCH, 2 * _BATCH + 5):
+            h, other = rng.sample(states, 2)
+            blocks = [rng.getrandbits(rng.randint(1, m)) for _ in range(size)]
+            blocks[rng.randrange(size)] = rng.choice(edges)
+            if size > 1:
+                blocks[-1] = blocks[0]  # a block warmed twice
+            read(h, blocks[:size // 3])  # in the memo before the warm
+            oracle.warm(h, blocks + edges + [-1])  # -1 is left to compress to refuse
+            assert (oracle.raw_calls, oracle.query_count) == (calls, len(seen))
+            read(other, blocks[:5])  # another state, then back
+            shuffled = blocks + edges
+            rng.shuffle(shuffled)
+            read(h, shuffled)
+            read(other, blocks[-5:])
+            read(h, warmed[-20:])  # the last warm's blocks, at this warm's state
+            warmed = blocks
+
+    def test_warm_refuses_a_state_outside_the_range(self):
+        oracle = CompressionOracle(8, 16, seed=1)
+        for h in (-1, 256):
+            with pytest.raises(ValueError, match=f"hash value {h} outside 8-bit range"):
+                oracle.warm(h, [1, 2, 3])
+        assert (oracle.raw_calls, oracle.query_count) == (0, 0)
+
+
+class TestLookahead:
+    """A Lookahead yields its stream's blocks in order, whatever state each
+    reader warms them at and wherever a reader stops."""
+
+    @pytest.mark.parametrize("m", [10, 65])
+    def test_readers_take_turns_in_stream_order(self, m):
+        count = 3 * _BATCH + 40
+        oracle = CompressionOracle(8, m, seed=3)
+        lookahead = Lookahead(oracle, block_stream(m, seed=4))
+        read = []
+        # each reader stops partway into a batch, the next one at its own
+        # state starts with the blocks drawn ahead of the last
+        for h, take in ((0, 5), (7, _BATCH), (7, 1), (200, _BATCH + 30)):
+            read += islice(lookahead.at(h), take)
+        read += lookahead.buffer  # drawn ahead, then the rest of the stream
+        read += islice(lookahead.source, count - len(read))
+        assert read == reference_sampler_stream(m, 4, count)
+        assert oracle.raw_calls == 0
+
+    def test_last_blocks_then_the_exhaustion_error(self):
+        oracle = CompressionOracle(2, 3, seed=1)
+        lookahead = Lookahead(oracle, block_stream(3, seed=2))
+        read = list(islice(lookahead.at(0), 5)) + list(islice(lookahead.at(1), 3))
+        assert read == reference_sampler_stream(3, 2, 8)
+        for h in (1, 2):
+            with pytest.raises(ValueError, match="block space of 3-bit blocks exhausted"):
+                next(lookahead.at(h))
+
+    def test_a_finite_stream_ends(self):
+        oracle = CompressionOracle(8, 16, seed=1)
+        lookahead = Lookahead(oracle, range(10))
+        assert list(islice(lookahead.at(0), 4)) == [0, 1, 2, 3]
+        assert list(lookahead.at(5)) == list(range(4, 10))
 
 
 class TestIteratedEvaluators:
@@ -348,6 +435,13 @@ class TestBirthdaySearch:
         o = CompressionOracle(8, 16, seed=11)
         with pytest.raises(ValueError):
             birthday_search(o, 0, 1)
+
+    @pytest.mark.parametrize("h", [-1, 256])
+    def test_rejects_a_state_outside_the_range(self, h):
+        o = CompressionOracle(8, 16, seed=11)
+        with pytest.raises(ValueError, match=f"hash value {h} outside 8-bit range"):
+            birthday_search(o, h, 2)
+        assert (o.query_count, o.raw_calls) == (0, 0)
 
     def test_median_cost_at_n8(self):
         costs = []

@@ -1,18 +1,23 @@
-"""No test patches a private name of gihflab.regularity: how the structure
-search decided each split is read from SearchOutcome.decisions, so a change
-to how splits are decided breaks only tests of the result."""
+"""No test patches a private name of gihflab.regularity or gihflab.hashsim.
+How the structure search decided each split is read from
+SearchOutcome.decisions, and the oracle's bulk path, its batch size and its
+lane layout are seen only through compress's values and counters, so a
+change to how splits are decided or how rounds are batched breaks only
+tests of the result."""
 
 import ast
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
+GUARDED = ("regularity", "gihflab.regularity", "hashsim", "gihflab.hashsim")
 
 
 def private_patches(source: str):
     """(line, name) of every setattr(target, "name", ...) call, including
-    monkeypatch.setattr, whose target is the regularity module (as
-    `regularity` or `gihflab.regularity`, or the dotted string form
-    "gihflab.regularity.name") and whose name starts with an underscore."""
+    monkeypatch.setattr, whose target is a guarded module (as `regularity`
+    or `gihflab.regularity`, or the dotted string form
+    "gihflab.regularity.name", and likewise for hashsim) and whose name
+    starts with an underscore."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.Call) and _is_setattr(node.func) and node.args):
@@ -24,7 +29,7 @@ def private_patches(source: str):
             module, name = ast.unparse(target), node.args[1].value
         else:
             continue
-        if module in ("regularity", "gihflab.regularity") and str(name).startswith("_"):
+        if module in GUARDED and str(name).startswith("_"):
             found.append((node.lineno, name))
     return found
 
@@ -45,9 +50,13 @@ def test_scan_sees_every_private_patch():
         "    monkeypatch.setattr(module, 'find_structure', f)\n"
         "    setattr(gihflab.regularity, '_span_conflicts', f)\n"
         "    setattr(regularity, 'DEFAULT_MAX_FACTORIZATIONS', 3)\n"
+        "    monkeypatch.setattr(hashsim, '_BATCH', 3)\n"
+        "    monkeypatch.setattr('gihflab.hashsim._packed_rounds', f)\n"
+        "    monkeypatch.setattr(hashsim, 'block_stream', f)\n"
     )
     assert private_patches(source) == [(2, "_first_subalphabet"), (5, "_span_conflicts"),
-                                       (7, "_span_conflicts")]
+                                       (7, "_span_conflicts"), (9, "_BATCH"),
+                                       (10, "_packed_rounds")]
 
 
 def test_no_test_patches_a_private_regularity_name():

@@ -20,6 +20,9 @@ gives filler blocks only to the positions outside B, so it moved the
 generalized-attack digest, the collapse-level digest and the `attack gihf`
 CLI digests (report, set file and its `verify collision` report); the Joux
 digests, library and CLI, hold.
+The birthday digests, library and CLI, were taken before the birthday
+search drew its blocks in batches and warmed them at its state, which
+changes no block and no query count.
 """
 
 import hashlib
@@ -28,7 +31,12 @@ import random
 
 from gihflab import cli
 from gihflab.attacks import generalized_attack, joux_attack, verify_multicollision
-from gihflab.hashsim import CompressionOracle, identity_schedule, schedule_from_words
+from gihflab.hashsim import (
+    CompressionOracle,
+    birthday_search,
+    identity_schedule,
+    schedule_from_words,
+)
 from gihflab.nesting import attack_threshold
 
 from test_attacks import LEVEL_WALK_CASES
@@ -85,6 +93,14 @@ def test_library_generalized_outputs_pinned():
         "c63338e58133edcc100ecd36ae76bd3e61033fd68c2b9f6e7278c911e0e301dc")
 
 
+def test_library_birthday_outputs_pinned():
+    # a one-chunk block space and one whose blocks reach past 2^64
+    runs = [[n, m, k, seed, *birthday_search(CompressionOracle(n, m, seed), 5, k)]
+            for n, m in ((16, 24), (16, 65)) for k in (2, 3) for seed in (1, 2, 3)]
+    assert sha256(json.dumps(runs)) == (
+        "51510eac39829cb623de5f510eb97d5aa00143183cc87a4c867a82ee26990d6d")
+
+
 def test_level_walk_outputs_pinned():
     # every collapse-level shape: a slot read twice, p = 2 spans with and
     # without filler blocks, and three-level certificates; the reports hold
@@ -120,3 +136,11 @@ def test_verify_joux_pinned(tmp_path):
     outcome = verify_multicollision(oracle, sched, h0, multicollision)
     assert outcome.ok and outcome.complete and outcome.checked == 2 ** 16
     assert oracle.raw_calls == 2 * 16
+
+
+def test_cli_birthday_outputs_pinned():
+    bodies = [body_without_timing(run_cli("hashsim", "birthday", "--n", "16", "--m", m,
+                                          "--k", k, "--trials", "2", "--seed", "11").stdout)
+              for m in ("24", "65") for k in ("2", "3")]
+    assert sha256("\n".join(bodies)) == (
+        "d8f3b86349035afb7148dea4c4c55d537faa50f6397b9dac80f73e76502466da")
