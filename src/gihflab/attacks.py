@@ -542,7 +542,6 @@ def _attack(oracle, sched, q, alpha, cert, h0, expansion_cap):
     sampler = block_stream(oracle.m, derive_seed(oracle.seed, "joux"))
     fillers = {pos: next(sampler) for pos in range(1, length + 1) if pos not in subset}
     candidates = Lookahead(oracle, sampler)  # level 1's, after the fillers
-    start = oracle.query_count
     raw_start = oracle.raw_calls
     state = h0
     groups = []
@@ -561,11 +560,10 @@ def _attack(oracle, sched, q, alpha, cert, h0, expansion_cap):
     mc = MulticollisionSet(length=length, groups=tuple(groups),
                            base_blocks=fillers, r=cert.k)
     mc.validate()
-    attack_queries = oracle.query_count - start
     outcome = verify_multicollision(oracle.clone(), sched, h0, mc, cap=expansion_cap)
     report = AttackReport(
         r=cert.k, n=oracle.n, m=oracle.m, q=q, l=length,
-        attack_queries=attack_queries,
+        attack_queries=sum(level_queries),
         verify_ok=outcome.ok,
         bound=complexity_bound(oracle.n, q, length),
         seed=oracle.seed, h0=h0, p=cert.p, schedule=sched.name,

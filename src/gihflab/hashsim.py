@@ -106,11 +106,11 @@ class CompressionOracle:
     query_count equals the number of distinct (h, b) pairs ever evaluated.
     The mixer keys on the low 64 bits of h, so n is capped at 64.
 
-    compress inlines both mixing rounds and keeps the round of the last
-    state it mixed, so a run of misses at one chaining state (a birthday
-    search) costs one mixing round per block, not two; the function is
-    unchanged.  The memo maps the one int b << n | h to the output, which
-    is injective once h is known to lie below 2^n, and builds no 2^m.
+    A compress miss takes three steps, in order: the memo probe, the value
+    warmed for (h, b) if h is the state of the last warm, and otherwise the
+    scalar chain, inlined: the state round on key ^ h, then one round per
+    64-bit chunk of b.  The memo maps the one int b << n | h to the output,
+    which is injective once h is known to lie below 2^n, and builds no 2^m.
 
     warm(h, blocks) is the bulk path: it computes f(h, b) for every block
     b < 2^64 among `blocks` at once (_packed_rounds) and keeps the values
@@ -140,9 +140,6 @@ class CompressionOracle:
         self._key = mix64(self.seed ^ _GOLDEN)
         self._bound = 1 << n
         self._out_mask = self._bound - 1
-        # one-entry cache: the last state h and its round mix64(key ^ h)
-        self._last_h = None
-        self._last_round = 0
         # the bulk path's side table: block -> f(h, block) at the state of
         # the last warm
         self._warm_h = None
@@ -178,15 +175,10 @@ class CompressionOracle:
                 return cached
         # mix64, inlined: its input mask is a no-op, as key ^ h and
         # acc ^ chunk are below 2^64
-        if h == self._last_h:
-            acc = self._last_round
-        else:
-            z = self._key ^ h
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            acc = z ^ (z >> 31)
-            self._last_h = h
-            self._last_round = acc
+        z = self._key ^ h
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        acc = z ^ (z >> 31)
         while b > _MASK64:
             z = acc ^ (b & _MASK64)
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64

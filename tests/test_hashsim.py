@@ -130,8 +130,9 @@ class TestCompressionOracle:
 
 class TestKernelCrossCheck:
     """compress against the plain transcription of the oracle function, on
-    streams that leave a state and come back to it, so that the one-entry
-    round cache is hit, replaced and refilled."""
+    streams that leave a state and come back to it and repeat earlier
+    pairs, so that misses at a revisited state, memo hits and blocks of one
+    and of several 64-bit chunks interleave."""
 
     CASES = sorted({(n, m) for n in (1, 8, 24, 63, 64) for m in (n + 1, 64, 65, 200) if m > n})
 
