@@ -243,7 +243,8 @@ def complexity_bound(n: int, q: int, l: int):
     2^r-collision on l = nesting.attack_threshold(n, r, q) blocks: r for
     q = 1 (one pair search per stage), the exact forcing boundary
     (nr)^2 - nr + 1 for q = 2 and the proven upper bound for q >= 3.
-    Returns an int whenever the value is integral.
+    Returns the exact int for even n, where 2^(n/2) is even, so a~ = 5/2
+    leaves no fraction, and a float for odd n.
     """
     require_int(n, "hash length n")
     require_int(q, "occurrence bound q")
@@ -251,7 +252,7 @@ def complexity_bound(n: int, q: int, l: int):
     value = Fraction(DEFAULT_A_TILDE) * q * l * (2 ** (n // 2))
     if n % 2:
         return float(value) * math.sqrt(2)
-    return int(value) if value.denominator == 1 else float(value)
+    return int(value)
 
 
 def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,

@@ -3,18 +3,23 @@ collision search, table_collision, that every attack level and the birthday
 baseline run.
 
 A table search over fresh blocks draws them through a Lookahead, which
-draws a block stream _BATCH blocks at a time and warms each batch at the
-search's chaining state: the oracle computes f(h, b) for the whole batch at
-once, running the splitmix round on every 64-bit lane of one packed
-integer, and compress then reads the value on a miss instead of mixing.
-The search still makes one compress call per draw, in draw order, so every
-count and every value is the same as without the lookahead.
+warms whole batches: before each warm it tops its buffer up to _BATCH
+blocks of the stream, so a search's leftover blocks are warmed together
+with fresh ones, in stream order, at the next search's chaining state.  A
+warm computes f(h, b) for its one batch at once, running the splitmix
+round on every 64-bit lane of one packed integer, and compress then reads
+the value on a miss instead of mixing.  The search still makes one
+compress call per draw, in draw order, so every count and every value is
+the same as without the lookahead.
 
 The oracle is a seeded keyed mixer over (state, block) pairs: deterministic,
 approximately uniform, and emphatically not a cryptographic hash.  Its
 query counter tracks *distinct* (state, block) pairs, matching the cost
 model in which repeated evaluations of known pairs are free; the raw call
 count, distinct queries plus memo repeats, is kept alongside for reporting.
+It is held to the law of a uniform random function where the attacks
+look: the draws T to a first repeated value of compress(h, .) over fresh
+blocks follow P(T > t) = prod_{i<t} (1 - i/2^n).
 
 A single oracle instance is a mutable resource and must not be shared
 between concurrent attacks; independent trials use independent oracles with
@@ -36,12 +41,12 @@ from .words import Word, require_int
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# The bulk path packs up to _BATCH one-chunk blocks into one integer, block
-# i in bits 64i..64i + 63 (little-endian lanes), and a Lookahead draws
-# _BATCH blocks at a time.  The masks below span _BATCH lanes, and a shorter
-# batch ANDs with them as they are: past its own lanes it holds nothing but
-# a product's spill out of its last lane, and that lane's parity mask drops
-# the spill.
+# The bulk path warms whole batches: a Lookahead tops its buffer up to
+# _BATCH blocks before each warm, and a warm packs its batch, block i in
+# bits 64i..64i + 63 (little-endian lanes), into one integer of _BATCH
+# lanes, zero-filling the lanes a short batch leaves empty.  A batch is
+# short only at a stream's end, or when a wide-block batch drops its blocks
+# of 2^64 and above.
 _BATCH = 256
 _LANE_ONES = sum(1 << 64 * i for i in range(_BATCH))  # 1 in every lane
 _EVEN = _MASK64 * sum(1 << 128 * i for i in range((_BATCH + 1) // 2))  # lanes 0, 2, 4, ...
@@ -50,6 +55,8 @@ _ODD = _MASK64 * _LANE_ONES ^ _EVEN
 _LOW34 = ((1 << 34) - 1) * _LANE_ONES
 _LOW37 = ((1 << 37) - 1) * _LANE_ONES
 _LOW33 = ((1 << 33) - 1) * _LANE_ONES
+_LANES = struct.Struct(f"<{_BATCH}Q")
+_ZEROS = (0,) * _BATCH
 
 
 def mix64(z: int) -> int:
@@ -60,16 +67,21 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _packed_rounds(acc: int, lanes: Sequence[int], lane_out: int) -> tuple:
-    """mix64(acc ^ b) & out for each b of `lanes`, at most _BATCH blocks
-    below 2^64, computed over one packed integer; lane_out holds `out` in
-    every lane.  A lane's shift takes the next lane's low bits, which the
-    _LOW masks drop; its product by a 64-bit constant spills into the next
-    lane, so the even and the odd lanes are multiplied apart and each
-    product keeps only its own lanes."""
-    layout = struct.Struct(f"<{len(lanes)}Q")
-    z = int.from_bytes(layout.pack(*lanes), "little") ^ acc * (
-        _LANE_ONES >> 64 * (_BATCH - len(lanes)))
+def _packed_rounds(acc: int, lanes: Sequence[int], lane_out: int) -> dict:
+    """The table b -> mix64(acc ^ b) & out over the blocks 0 <= b < 2^64 of
+    one batch `lanes`, at most _BATCH blocks, computed over one packed
+    integer of _BATCH lanes (_LANES) whose lanes past the batch are zero;
+    lane_out holds `out` in every lane.  Any other block is dropped from the
+    table.  A lane's shift takes the next lane's low bits, which the _LOW
+    masks drop; its product by a 64-bit constant spills into the next lane,
+    so the even and the odd lanes are multiplied apart and each product
+    keeps only its own lanes."""
+    try:
+        packed = _LANES.pack(*lanes, *_ZEROS[len(lanes):])
+    except struct.error:  # a block below 0 or of 2^64 or more
+        lanes = [b for b in lanes if 0 <= b <= _MASK64]
+        packed = _LANES.pack(*lanes, *_ZEROS[len(lanes):])
+    z = int.from_bytes(packed, "little") ^ acc * _LANE_ONES
     z ^= (z >> 30) & _LOW34
     even = z & _EVEN
     z = (even * 0xBF58476D1CE4E5B9 & _EVEN) | ((z ^ even) * 0xBF58476D1CE4E5B9 & _ODD)
@@ -77,7 +89,7 @@ def _packed_rounds(acc: int, lanes: Sequence[int], lane_out: int) -> tuple:
     even = z & _EVEN
     z = (even * 0x94D049BB133111EB & _EVEN) | ((z ^ even) * 0x94D049BB133111EB & _ODD)
     z = (z ^ (z >> 31) & _LOW33) & lane_out
-    return layout.unpack(z.to_bytes(layout.size, "little"))
+    return dict(zip(lanes, _LANES.unpack(z.to_bytes(_LANES.size, "little"))))
 
 
 def _checked_seed(seed) -> int:
@@ -112,13 +124,15 @@ class CompressionOracle:
     64-bit chunk of b.  The memo maps the one int b << n | h to the output,
     which is injective once h is known to lie below 2^n, and builds no 2^m.
 
-    warm(h, blocks) is the bulk path: it computes f(h, b) for every block
-    b < 2^64 among `blocks` at once (_packed_rounds) and keeps the values
-    in a side table for h, replacing the last warm's.  A compress miss at
-    that state reads its value there instead of mixing; it still passes the
-    range checks and the memo probe and stores the value in the memo, so a
-    warm counts nothing and changes no value.  A block of 2^64 or more, or
-    a miss at any other state, takes the scalar round.
+    warm(h, blocks) is the bulk path: it takes one batch of at most _BATCH
+    blocks, a whole one from a Lookahead unless its stream ends, computes
+    f(h, b) for every block b < 2^64 of it with one _packed_rounds call,
+    and keeps the values in a side table for h, replacing the last warm's.
+    A compress miss at that state reads its value there instead of mixing;
+    it still passes the range checks and the memo probe and stores the
+    value in the memo, so a warm counts nothing and changes no value.  A
+    block of 2^64 or more, or a miss at any other state, takes the scalar
+    round.
 
     raw_calls counts every call that passes the range checks: each one
     either adds a memo entry or repeats one, so it is the distinct queries
@@ -192,27 +206,18 @@ class CompressionOracle:
         self._memo[key] = cached
         return cached
 
-    def warm(self, h: int, blocks: Iterable[int]) -> None:
-        """Compute f(h, b) for every int block 0 <= b < 2^64 among `blocks`
-        at once, for compress(h, b) to read on a miss; other blocks are
-        left to the scalar round.  Replaces the last warm's values and
-        counts nothing.  Refuses an h outside the n-bit range as compress
-        does."""
+    def warm(self, h: int, blocks: Sequence[int]) -> None:
+        """Compute f(h, b) at once for every int block 0 <= b < 2^64 of one
+        batch, `blocks`, of at most _BATCH blocks, for compress(h, b) to
+        read on a miss; other blocks are left to the scalar round.  Replaces
+        the last warm's values and counts nothing.  Refuses an h outside
+        the n-bit range as compress does, and a longer batch."""
         if not 0 <= h < self._bound:
             raise ValueError(f"hash value {h} outside {self.n}-bit range")
-        lanes = list(blocks)
-        acc = mix64(self._key ^ h)
-        table: dict = {}
-        for start in range(0, len(lanes), _BATCH):
-            batch = lanes[start:start + _BATCH]
-            try:
-                rounds = _packed_rounds(acc, batch, self._lane_out)
-            except struct.error:  # a block below 0 or of 2^64 or more
-                batch = [b for b in batch if 0 <= b <= _MASK64]
-                rounds = _packed_rounds(acc, batch, self._lane_out)
-            table.update(zip(batch, rounds))
+        if len(blocks) > _BATCH:
+            raise ValueError(f"a warm takes at most {_BATCH} blocks, not {len(blocks)}")
+        self._warm = _packed_rounds(mix64(self._key ^ h), blocks, self._lane_out)
         self._warm_h = h
-        self._warm = table
 
 
 def f_plus(oracle: CompressionOracle, h: int, blocks: Sequence[int]) -> int:
@@ -260,7 +265,9 @@ def identity_schedule() -> Schedule:
 
 
 def mirror_schedule() -> Schedule:
-    """2-bounded palindromic schedule 1 2 .. l l .. 2 1."""
+    """2-bounded palindromic schedule 1 2 .. l l .. 2 1: Liskov's Zipper
+    schedule (Constructing an ideal hash function from weak ideal
+    compression functions, SAC 2006)."""
     return Schedule("mirror", lambda l: tuple(range(1, l + 1)) + tuple(range(l, 0, -1)))
 
 
@@ -346,16 +353,16 @@ class Lookahead:
     """One block stream that successive table searches read in turn, each
     at its own chaining state.
 
-    at(h) yields the stream's blocks in order.  It draws them _BATCH at a
-    time and warms each batch at h (CompressionOracle.warm) before yielding
-    it.  The blocks drawn but not yet yielded stay in the buffer, so the
-    next search, at its own state, warms them there and continues at the
-    same point in the stream; only at(h) draws ahead, so while the buffer
-    is empty, reading `source` directly reads the stream in order too.  A
-    stream that raises ValueError while a batch is drawn, as block_stream
-    does past its last block, raises it again at the next draw, so the
-    error reaches the search only once the blocks drawn before it are
-    yielded.
+    at(h) yields the stream's blocks in order, warming whole batches: before
+    each warm at h (CompressionOracle.warm) it tops its buffer up to _BATCH
+    blocks, then yields them.  The blocks drawn but not yet yielded stay in
+    the buffer, so the next search, at its own state, warms them there with
+    fresh blocks behind them and continues at the same point in the stream;
+    only at(h) draws ahead, so while the buffer is empty, reading `source`
+    directly reads the stream in order too.  A stream that raises
+    ValueError while the buffer is topped up, as block_stream does past its
+    last block, raises it again at the next draw, so the error reaches the
+    search only once the blocks drawn before it are yielded.
     """
 
     def __init__(self, oracle: CompressionOracle, source: Iterable[int]):
@@ -366,14 +373,13 @@ class Lookahead:
     def at(self, h: int) -> Iterator[int]:
         buffer = self.buffer
         while True:
-            if not buffer:
-                try:
-                    buffer.extend(islice(self.source, _BATCH))
-                except ValueError:
-                    if not buffer:
-                        raise
+            try:
+                buffer.extend(islice(self.source, _BATCH - len(buffer)))
+            except ValueError:
                 if not buffer:
-                    return
+                    raise
+            if not buffer:
+                return
             self.oracle.warm(h, buffer)
             while buffer:
                 yield buffer.popleft()

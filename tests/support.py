@@ -432,6 +432,19 @@ def reference_table_collision(evaluate, candidates, k: int):
     return None
 
 
+def first_repeat_cdf(n: int) -> list:
+    """The exact law of T, the draws up to and including the first repeated
+    value among independent uniform draws from 2^n values: entry t is
+    P(T <= t) = 1 - P(T > t), where P(T > t) = prod_{i<t} (1 - i/2^n) is
+    the chance that the first t draws are distinct, for t = 0 .. 2^n + 1."""
+    size = 1 << n
+    cdf, distinct = [], 1.0
+    for t in range(size + 2):
+        cdf.append(1.0 - distinct)
+        distinct *= 1.0 - t / size
+    return cdf
+
+
 def reference_joux_pairs(n: int, m: int, seed: int, h0: int, r: int):
     """Joux's chained pairs by a plain loop over the reference sampler
     stream and compression function: per stage, keep value -> first block

@@ -1020,6 +1020,20 @@ class TestComplexityBound:
         assert isinstance(value, float)
         assert value == pytest.approx(2.5 * 2 ** 4.5)
 
+    def test_exact_int_for_even_n_float_for_odd_n(self):
+        # 2^(n/2) is even for every even n >= 2, so 5/2 * q * l * 2^(n/2)
+        # is the integer 5 * q * l * 2^(n/2 - 1)
+        for n in range(1, 65):
+            for q in (1, 2, 3):
+                for l in (1, 7, 993):
+                    value = complexity_bound(n, q, l)
+                    if n % 2:
+                        assert type(value) is float
+                        assert value == pytest.approx(2.5 * q * l * 2 ** (n / 2), rel=1e-12)
+                    else:
+                        assert type(value) is int
+                        assert value == 5 * q * l * 2 ** (n // 2 - 1)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             complexity_bound(0, 1, 1)

@@ -7,6 +7,7 @@ from itertools import islice
 
 import pytest
 
+from gihflab.attacks import generalized_attack, joux_attack
 from gihflab.hashsim import (
     _BATCH,
     CompressionOracle,
@@ -207,15 +208,25 @@ class TestKernelCrossCheck:
             if size > 1:
                 blocks[-1] = blocks[0]  # a block warmed twice
             read(h, blocks[:size // 3])  # in the memo before the warm
-            oracle.warm(h, blocks + edges + [-1])  # -1 is left to compress to refuse
-            assert (oracle.raw_calls, oracle.query_count) == (calls, len(seen))
-            read(other, blocks[:5])  # another state, then back
-            shuffled = blocks + edges
-            rng.shuffle(shuffled)
-            read(h, shuffled)
-            read(other, blocks[-5:])
-            read(h, warmed[-20:])  # the last warm's blocks, at this warm's state
-            warmed = blocks
+            queue = blocks + edges + [-1]  # -1 is left to compress to refuse
+            for start in range(0, len(queue), _BATCH):  # a warm takes one batch
+                batch = queue[start:start + _BATCH]
+                oracle.warm(h, batch)
+                assert (oracle.raw_calls, oracle.query_count) == (calls, len(seen))
+                read(other, blocks[:5])  # another state, then back
+                shuffled = [b for b in batch if b >= 0]
+                rng.shuffle(shuffled)
+                read(h, shuffled)
+                read(other, blocks[-5:])
+                read(h, warmed[-20:])  # the last warm's blocks, at this warm's state
+                warmed = shuffled
+
+    def test_warm_takes_at_most_one_batch(self):
+        oracle = CompressionOracle(8, 16, seed=1)
+        with pytest.raises(ValueError, match=f"a warm takes at most {_BATCH} blocks, not {_BATCH + 1}"):
+            oracle.warm(0, range(_BATCH + 1))
+        oracle.warm(0, range(_BATCH))
+        assert (oracle.raw_calls, oracle.query_count) == (0, 0)
 
     def test_warm_refuses_a_state_outside_the_range(self):
         oracle = CompressionOracle(8, 16, seed=1)
@@ -258,6 +269,61 @@ class TestLookahead:
         lookahead = Lookahead(oracle, range(10))
         assert list(islice(lookahead.at(0), 4)) == [0, 1, 2, 3]
         assert list(lookahead.at(5)) == list(range(4, 10))
+
+
+class RecordingOracle(CompressionOracle):
+    """An oracle that records the length of every batch it is warmed with."""
+
+    def __init__(self, n, m, seed):
+        super().__init__(n, m, seed)
+        self.batches = []
+
+    def warm(self, h, blocks):
+        self.batches.append(len(blocks))
+        super().warm(h, blocks)
+
+
+class TestWholeBatches:
+    """Every warm a Lookahead makes gets _BATCH blocks unless its stream
+    ends: a search's leftover is warmed with fresh blocks behind it."""
+
+    def test_the_attacks_and_the_birthday_search_warm_whole_batches(self):
+        joux = RecordingOracle(16, 24, seed=5)
+        joux_attack(joux, 0, 8)
+        q2 = RecordingOracle(12, 64, seed=6)
+        generalized_attack(q2, mirror_schedule(), 2, 12, 2)
+        birthday = [RecordingOracle(16, 20, seed) for seed in range(1, 6)]
+        for oracle in birthday:
+            birthday_search(oracle, 3, 3)
+        for oracle in (joux, q2, *birthday):
+            assert oracle.batches and set(oracle.batches) == {_BATCH}
+        # the stages leave leftovers, so the whole batches overlap them
+        assert len(joux.batches) > 8 and len(q2.batches) > 8
+
+    def test_a_short_batch_only_at_the_streams_end(self):
+        # 8 blocks: the first warm holds the whole space, the next the
+        # leftover, both drawn once the stream had ended
+        oracle = RecordingOracle(2, 3, seed=1)
+        lookahead = Lookahead(oracle, block_stream(3, seed=2))
+        read = list(islice(lookahead.at(0), 5)) + list(islice(lookahead.at(1), 3))
+        assert read == reference_sampler_stream(3, 2, 8)
+        with pytest.raises(ValueError, match="block space of 3-bit blocks exhausted"):
+            next(lookahead.at(2))
+        assert oracle.batches == [8, 3]
+
+        # 1024 blocks: readers stopping partway into batches leave leftovers
+        # that are topped up, and only the last warm, after the stream's
+        # end, is short
+        oracle = RecordingOracle(8, 10, seed=1)
+        lookahead = Lookahead(oracle, block_stream(10, seed=2))
+        read = []
+        for h, take in ((0, 5), (1, _BATCH + 7), (2, 300), (3, 1)):
+            read += islice(lookahead.at(h), take)
+        read += islice(lookahead.at(4), 1024 - len(read))
+        assert read == reference_sampler_stream(10, 2, 1024)
+        with pytest.raises(ValueError, match="block space of 10-bit blocks exhausted"):
+            next(lookahead.at(5))
+        assert oracle.batches == [_BATCH] * 7 + [1024 - 825]
 
 
 class TestIteratedEvaluators:
