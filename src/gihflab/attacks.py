@@ -15,11 +15,12 @@ step precomputed for that suffix, and a collapse level compresses about
 once per distinct query.  Only the colliding pair becomes block tuples.
 Iteration order is fixed, so an oracle seed reproduces the attack byte for
 byte.  One sampler stream gives each position outside B its filler block,
-in position order, then level 1's candidates.  Level 1 reads them through
-one hashsim.Lookahead, which draws the stream in batches and has the
-oracle precompute each batch at the stage's state, so a stage still makes
-one compress call per draw and every stage continues the stream where the
-last one stopped.  joux_attack, Joux's chained pairs, is the q = 1 case:
+in position order, as its first blocks, then level 1's candidates, from
+the block right after the fillers on.  Level 1 reads them through one
+hashsim.Lookahead, which keeps its place in the stream as an index and has
+the oracle precompute each packed segment of the stream at the stage's
+state, so a stage still makes one compress call per draw and every stage
+continues the stream where the last one stopped.  joux_attack, Joux's chained pairs, is the q = 1 case:
 the identity word 1..r, B = 1..r, no fillers.
 
 An attack owns its oracle exclusively while it runs.  A schedule is only
@@ -540,9 +541,10 @@ def _attack(oracle, sched, q, alpha, cert, h0, expansion_cap):
     equal blocks (nesting.level_layout), singletons at level 1."""
     length = max(alpha)  # alpha covers 1..l
     subset = set(cert.subalphabet)
-    sampler = block_stream(oracle.m, derive_seed(oracle.seed, "joux"))
-    fillers = {pos: next(sampler) for pos in range(1, length + 1) if pos not in subset}
-    candidates = Lookahead(oracle, sampler)  # level 1's, after the fillers
+    seed = derive_seed(oracle.seed, "joux")
+    outside = [pos for pos in range(1, length + 1) if pos not in subset]
+    fillers = dict(zip(outside, block_stream(oracle.m, seed)))
+    candidates = Lookahead(oracle, seed, len(fillers))  # level 1's, right after the fillers
     raw_start = oracle.raw_calls
     state = h0
     groups = []

@@ -2,15 +2,16 @@
 collision search, table_collision, that every attack level and the birthday
 baseline run.
 
-A table search over fresh blocks draws them through a Lookahead, which
-warms whole batches: before each warm it tops its buffer up to _BATCH
-blocks of the stream, so a search's leftover blocks are warmed together
-with fresh ones, in stream order, at the next search's chaining state.  A
-warm computes f(h, b) for its one batch at once, running the splitmix
-round on every 64-bit lane of one packed integer, and compress then reads
-the value on a miss instead of mixing.  The search still makes one
-compress call per draw, in draw order, so every count and every value is
-the same as without the lookahead.
+A block stream is an affine walk, block i being (offset + mult * i) mod 2^m,
+so any run of _BATCH consecutive blocks is one segment, computed at once:
+for m <= 63 as one packed integer of _BATCH 64-bit lanes.  A table search
+over fresh blocks reads them through a Lookahead, which keeps its place as
+an index into the stream: each warm computes the segment that starts at
+the first block no search has read, and the oracle runs the splitmix round
+on every lane of that packed integer at the search's chaining state.
+compress then reads the value on a miss instead of mixing.  The search
+still makes one compress call per draw, in draw order, so every count and
+every value is the same as without the lookahead.
 
 The oracle is a seeded keyed mixer over (state, block) pairs: deterministic,
 approximately uniform, and emphatically not a cryptographic hash.  Its
@@ -29,24 +30,24 @@ distinct seeds.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, count, takewhile
+from operator import itemgetter, length_hint
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .words import Word, require_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# The bulk path warms whole batches: a Lookahead tops its buffer up to
-# _BATCH blocks before each warm, and a warm packs its batch, block i in
-# bits 64i..64i + 63 (little-endian lanes), into one integer of _BATCH
-# lanes, zero-filling the lanes a short batch leaves empty.  A batch is
-# short only at a stream's end, or when a wide-block batch drops its blocks
-# of 2^64 and above.
+# The bulk path warms whole batches: a Lookahead warms the _BATCH-block
+# segment of its stream that starts at the first unread block, and a warm
+# computes its batch as one integer of _BATCH lanes, block i in bits
+# 64i..64i + 63 (little-endian lanes).  A segment of a stream with m <= 63
+# comes packed so; any other batch is packed by _LANES, which zero-fills the
+# lanes a short batch leaves empty.  A batch is short only at a stream's
+# end, or when a wide-block batch drops its blocks of 2^64 and above.
 _BATCH = 256
 _LANE_ONES = sum(1 << 64 * i for i in range(_BATCH))  # 1 in every lane
 _EVEN = _MASK64 * sum(1 << 128 * i for i in range((_BATCH + 1) // 2))  # lanes 0, 2, 4, ...
@@ -67,21 +68,29 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _packed_rounds(acc: int, lanes: Sequence[int], lane_out: int) -> dict:
-    """The table b -> mix64(acc ^ b) & out over the blocks 0 <= b < 2^64 of
-    one batch `lanes`, at most _BATCH blocks, computed over one packed
-    integer of _BATCH lanes (_LANES) whose lanes past the batch are zero;
-    lane_out holds `out` in every lane.  Any other block is dropped from the
-    table.  A lane's shift takes the next lane's low bits, which the _LOW
-    masks drop; its product by a 64-bit constant spills into the next lane,
-    so the even and the odd lanes are multiplied apart and each product
-    keeps only its own lanes."""
+def _pack(blocks: Sequence[int]) -> tuple:
+    """(kept, packed): the blocks 0 <= b < 2^64 of one batch of at most
+    _BATCH blocks, in order, and those blocks packed one per lane as
+    _packed_rounds takes them.  A block that is not an int is refused with
+    a TypeError naming it."""
     try:
-        packed = _LANES.pack(*lanes, *_ZEROS[len(lanes):])
-    except struct.error:  # a block below 0 or of 2^64 or more
-        lanes = [b for b in lanes if 0 <= b <= _MASK64]
-        packed = _LANES.pack(*lanes, *_ZEROS[len(lanes):])
-    z = int.from_bytes(packed, "little") ^ acc * _LANE_ONES
+        return blocks, int.from_bytes(_LANES.pack(*blocks, *_ZEROS[len(blocks):]), "little")
+    except struct.error:  # a block below 0, of 2^64 or more, or not an int
+        for b in blocks:
+            if not isinstance(b, int):
+                raise TypeError(f"block {b!r} must be an integer, not {type(b).__name__}") from None
+        kept = [b for b in blocks if 0 <= b <= _MASK64]
+        return kept, int.from_bytes(_LANES.pack(*kept, *_ZEROS[len(kept):]), "little")
+
+
+def _packed_rounds(acc: int, packed: int, lane_out: int) -> tuple:
+    """mix64(acc ^ b) & out for the block b in each of the _BATCH 64-bit
+    lanes of `packed`, as a tuple in lane order; lane_out holds `out` in
+    every lane.  A lane's shift takes the next lane's low bits, which the
+    _LOW masks drop; its product by a 64-bit constant spills into the next
+    lane, so the even and the odd lanes are multiplied apart and each
+    product keeps only its own lanes."""
+    z = packed ^ acc * _LANE_ONES
     z ^= (z >> 30) & _LOW34
     even = z & _EVEN
     z = (even * 0xBF58476D1CE4E5B9 & _EVEN) | ((z ^ even) * 0xBF58476D1CE4E5B9 & _ODD)
@@ -89,7 +98,7 @@ def _packed_rounds(acc: int, lanes: Sequence[int], lane_out: int) -> dict:
     even = z & _EVEN
     z = (even * 0x94D049BB133111EB & _EVEN) | ((z ^ even) * 0x94D049BB133111EB & _ODD)
     z = (z ^ (z >> 31) & _LOW33) & lane_out
-    return dict(zip(lanes, _LANES.unpack(z.to_bytes(_LANES.size, "little"))))
+    return _LANES.unpack(z.to_bytes(_LANES.size, "little"))
 
 
 def _checked_seed(seed) -> int:
@@ -124,10 +133,11 @@ class CompressionOracle:
     64-bit chunk of b.  The memo maps the one int b << n | h to the output,
     which is injective once h is known to lie below 2^n, and builds no 2^m.
 
-    warm(h, blocks) is the bulk path: it takes one batch of at most _BATCH
-    blocks, a whole one from a Lookahead unless its stream ends, computes
-    f(h, b) for every block b < 2^64 of it with one _packed_rounds call,
-    and keeps the values in a side table for h, replacing the last warm's.
+    warm(h, blocks, packed) is the bulk path: it takes one batch of at most
+    _BATCH blocks, a whole segment of its stream from a Lookahead unless the
+    stream ends, computes f(h, b) for every block b < 2^64 of it with one
+    _packed_rounds call, and keeps the values in a side table for h,
+    replacing the last warm's.
     A compress miss at that state reads its value there instead of mixing;
     it still passes the range checks and the memo probe and stores the
     value in the memo, so a warm counts nothing and changes no value.  A
@@ -175,8 +185,11 @@ class CompressionOracle:
     def compress(self, h: int, b: int) -> int:
         if not 0 <= h < self._bound:
             raise ValueError(f"hash value {h} outside {self.n}-bit range")
-        if not (b >= 0 and b.bit_length() <= self.m):  # builds no 2^m
-            raise ValueError(f"block {b} outside {self.m}-bit range")
+        try:
+            if not (b >= 0 and b.bit_length() <= self.m):  # builds no 2^m
+                raise ValueError(f"block {b} outside {self.m}-bit range")
+        except (AttributeError, TypeError):  # not an int: costs nothing until raised
+            raise TypeError(f"block {b!r} must be an integer, not {type(b).__name__}") from None
         key = b << self.n | h  # one int per pair: h < 2^n after the check
         cached = self._memo.get(key)
         if cached is not None:
@@ -206,17 +219,22 @@ class CompressionOracle:
         self._memo[key] = cached
         return cached
 
-    def warm(self, h: int, blocks: Sequence[int]) -> None:
+    def warm(self, h: int, blocks: Sequence[int], packed: Optional[int] = None) -> None:
         """Compute f(h, b) at once for every int block 0 <= b < 2^64 of one
         batch, `blocks`, of at most _BATCH blocks, for compress(h, b) to
-        read on a miss; other blocks are left to the scalar round.  Replaces
-        the last warm's values and counts nothing.  Refuses an h outside
-        the n-bit range as compress does, and a longer batch."""
+        read on a miss; other blocks are left to the scalar round.  `packed`
+        is the batch already packed one block per lane, as a Lookahead hands
+        over a segment of a stream with m <= 63; without it the blocks are
+        packed here.  Replaces the last warm's values and counts nothing.
+        Refuses an h outside the n-bit range as compress does, a longer
+        batch, and a block that is not an int."""
         if not 0 <= h < self._bound:
             raise ValueError(f"hash value {h} outside {self.n}-bit range")
         if len(blocks) > _BATCH:
             raise ValueError(f"a warm takes at most {_BATCH} blocks, not {len(blocks)}")
-        self._warm = _packed_rounds(mix64(self._key ^ h), blocks, self._lane_out)
+        if packed is None:
+            blocks, packed = _pack(blocks)
+        self._warm = dict(zip(blocks, _packed_rounds(mix64(self._key ^ h), packed, self._lane_out)))
         self._warm_h = h
 
 
@@ -313,9 +331,33 @@ def block_stream(m: int, seed: int) -> Iterator[int]:
     Walks a seeded affine permutation of {0..2^m - 1} from the start, so the
     first 2^m draws are pairwise distinct and any (seed, m) pair reproduces
     the same stream; every further draw raises ValueError.  The stream is
-    one iterator, so next() draws followed by a loop over it continue where
-    the draws stopped.  The walk steps by addition and builds 2^m once, at
-    its first wrap past it, so a huge m costs no more than its blocks.
+    one iterator over its segments (_segments), so next() draws followed by
+    a loop over it continue where the draws stopped.  It builds 2^m only
+    within one segment of its end, so a huge m costs no more than its
+    blocks.
+    """
+    segment = _segments(m, seed)
+    blocks = (segment(start)[1] for start in count(0, _BATCH))
+    # chain retries an iterator that raised, so every draw past 2^m raises,
+    # not only the first
+    return chain(chain.from_iterable(takewhile(len, blocks)), iter(partial(_exhausted, m), None))
+
+
+def _segments(m: int, seed: int) -> Callable[[int], tuple]:
+    """segment(start) for the stream block_stream(m, seed), its only
+    definition: (packed, blocks), the blocks start, start + 1, ... of the
+    stream, _BATCH of them or as many as are left before index 2^m, and for
+    m <= 63 the walk's _BATCH values from index start on, packed one per
+    lane as _packed_rounds takes them (None for a wider m); a warm enters
+    only `blocks` in its table, so the lanes past a short segment's end,
+    which wrap past 2^m, are computed and dropped.
+
+    Block i is (offset + mult * i) mod 2^m with mult odd, so the first 2^m
+    blocks are distinct.  For m <= 63 the segment at i is the one packed
+    expression (base * _LANE_ONES + ramp) & lane_mask, where base is block
+    i and lane j of ramp holds (mult * j) mod 2^m: a lane's sum is below
+    2^(m + 1) <= 2^64, so no lane carries into the next.  A wider m takes
+    the formula block by block through _low_bits, so it never builds 2^m.
     """
     require_int(m, "block length m")
     seed = _checked_seed(seed)
@@ -323,26 +365,25 @@ def block_stream(m: int, seed: int) -> Iterator[int]:
     if mult == 1 and m > 1:
         mult = 3
     offset = _low_bits(mix64(seed ^ 0xA5A5A5A5A5A5A5A5), m)
-    # chain retries an iterator that raised, so every draw past 2^m raises,
-    # not only the first
-    return chain(_affine_walk(m, mult, offset), iter(partial(_exhausted, m), None))
 
+    def length(start: int) -> int:  # builds 2^m only within one segment of it
+        return max(0, min(_BATCH, (1 << m) - start)) if (start + _BATCH) >> m else _BATCH
 
-def _affine_walk(m: int, mult: int, offset: int) -> Iterator[int]:
-    """(mult * i + offset) mod 2^m for i = 0, 1, ..., 2^m - 1: mult is odd,
-    so the walk is back at offset after exactly 2^m steps.  Until the first
-    wrap the walk only rises, so it cannot be back at offset."""
-    value = offset
-    while not value >> m:  # both terms of each sum are below 2^m
-        yield value
-        value += mult
-    size = 1 << m  # built once, at the first wrap, which a huge m never reaches
-    value -= size
-    while value != offset:
-        yield value
-        value += mult
-        if value >= size:
-            value -= size
+    if m > 63:
+        def segment(start: int) -> tuple:
+            return None, [_low_bits(offset + mult * i, m) for i in range(start, start + length(start))]
+        return segment
+
+    low = (1 << m) - 1
+    ramp = int.from_bytes(_LANES.pack(*[mult * j & low for j in range(_BATCH)]), "little")
+    lane_mask = low * _LANE_ONES
+
+    def segment(start: int) -> tuple:
+        packed = ((offset + mult * start & low) * _LANE_ONES + ramp) & lane_mask
+        blocks = _LANES.unpack(packed.to_bytes(_LANES.size, "little"))
+        size = length(start)
+        return packed, blocks if size == _BATCH else blocks[:size]
+    return segment
 
 
 def _exhausted(m: int):
@@ -350,39 +391,47 @@ def _exhausted(m: int):
 
 
 class Lookahead:
-    """One block stream that successive table searches read in turn, each
-    at its own chaining state.
+    """One block stream, block_stream(oracle.m, seed), that successive
+    table searches read in turn, each at its own chaining state.
 
-    at(h) yields the stream's blocks in order, warming whole batches: before
-    each warm at h (CompressionOracle.warm) it tops its buffer up to _BATCH
-    blocks, then yields them.  The blocks drawn but not yet yielded stay in
-    the buffer, so the next search, at its own state, warms them there with
-    fresh blocks behind them and continues at the same point in the stream;
-    only at(h) draws ahead, so while the buffer is empty, reading `source`
-    directly reads the stream in order too.  A stream that raises
-    ValueError while the buffer is topped up, as block_stream does past its
-    last block, raises it again at the next draw, so the error reaches the
-    search only once the blocks drawn before it are yielded.
+    The Lookahead keeps its place as `index`, the first block of the stream
+    no search has read, starting at `start`.  at(h) returns one iterator
+    over the stream from there: each warm computes the _BATCH-block
+    segment that starts at the index (_segments), hands it, packed, to
+    CompressionOracle.warm at h, and the search reads its blocks through
+    C iterators, so the index advances by exactly what the search drew.  A
+    search that stops partway into a segment leaves the rest to the next
+    one, which warms a fresh segment from that point at its own state.  A
+    segment is short only at the stream's end; past it at(h) raises
+    ValueError, as block_stream does, at the draw after the last block and
+    at every later search.
     """
 
-    def __init__(self, oracle: CompressionOracle, source: Iterable[int]):
+    def __init__(self, oracle: CompressionOracle, seed: int, start: int = 0):
         self.oracle = oracle
-        self.source = iter(source)
-        self.buffer: deque = deque()
+        self.seed = seed
+        self._segment = _segments(oracle.m, seed)
+        self._end = start  # the index past the last segment handed out
+        self._unread = iter(())  # that segment's blocks no search has drawn
+
+    @property
+    def index(self) -> int:
+        # a tuple or list iterator's length hint is exactly what it has left
+        return self._end - length_hint(self._unread)
 
     def at(self, h: int) -> Iterator[int]:
-        buffer = self.buffer
+        return chain.from_iterable(self._warmed(h))
+
+    def _warmed(self, h: int) -> Iterator[Iterator[int]]:
         while True:
-            try:
-                buffer.extend(islice(self.source, _BATCH - len(buffer)))
-            except ValueError:
-                if not buffer:
-                    raise
-            if not buffer:
-                return
-            self.oracle.warm(h, buffer)
-            while buffer:
-                yield buffer.popleft()
+            start = self.index
+            packed, blocks = self._segment(start)
+            if not blocks:
+                _exhausted(self.oracle.m)
+            self.oracle.warm(h, blocks, packed)
+            self._end = start + len(blocks)
+            self._unread = iter(blocks)
+            yield self._unread
 
 
 def table_collision(evaluate: Callable, candidates: Iterable, k: int = 2):
@@ -415,7 +464,7 @@ def birthday_search(oracle: CompressionOracle, h: int, k: int) -> tuple[tuple[in
     Returns the colliding blocks and the number of distinct queries spent;
     raises ValueError if k < 2 or if the 2^m blocks run out first.
     """
-    sampler = Lookahead(oracle, block_stream(oracle.m, derive_seed(oracle.seed, "birthday")))
+    sampler = Lookahead(oracle, derive_seed(oracle.seed, "birthday"))
     start = oracle.query_count
     blocks, _ = table_collision(partial(oracle.compress, h), sampler.at(h), k)
     return blocks, oracle.query_count - start

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import chain, combinations, groupby, permutations, product
+from itertools import chain, combinations, count, groupby, islice, permutations, product
 
 from gihflab.attacks import CollisionGroup
 from gihflab.hashsim import derive_seed, f_plus, mix64
@@ -409,15 +409,21 @@ def reference_compress(seed: int, n: int, h: int, b: int) -> int:
     return acc % (1 << n)
 
 
-def reference_sampler_stream(m: int, seed: int, count: int) -> list:
-    """The first `count` blocks of block_stream(m, seed), by the affine
-    formula (mult * i + offset) mod 2^m."""
+def reference_sampler_stream(m: int, seed: int, count: int, start: int = 0) -> list:
+    """Blocks start, start + 1, ... of block_stream(m, seed), `count` of
+    them, by the affine formula (mult * i + offset) mod 2^m."""
+    return list(islice(reference_sampler_walk(m, seed, start), count))
+
+
+def reference_sampler_walk(m: int, seed: int, start: int = 0):
+    """The affine formula of reference_sampler_stream, lazily, from block
+    `start` on, without end."""
     space = 1 << m
     mult = (2 * mix64(seed) + 1) % space
     if mult == 1 and m > 1:
         mult = (mult + 2) % space
     offset = mix64(seed ^ 0xA5A5A5A5A5A5A5A5) % space
-    return [(mult * i + offset) % space for i in range(count)]
+    return ((mult * i + offset) % space for i in count(start))
 
 
 def reference_table_collision(evaluate, candidates, k: int):
@@ -442,6 +448,31 @@ def first_repeat_cdf(n: int) -> list:
     for t in range(size + 2):
         cdf.append(1.0 - distinct)
         distinct *= 1.0 - t / size
+    return cdf
+
+
+def first_triple_cdf(n: int) -> list:
+    """The exact law of T, the draws up to and including the first value
+    drawn a third time among independent uniform draws from 2^n values:
+    entry t is P(T <= t), for t = 0 .. 2^(n+1) + 1.  A dynamic programme
+    over (values seen once, values seen twice): after t draws without a
+    triple, b values seen twice leave t - 2b seen once, so the state is b
+    alone.  Draw t + 1 ends the walk with probability b/2^n, makes a
+    once-seen value twice-seen with probability (t - 2b)/2^n, and is fresh
+    otherwise."""
+    size = 1 << n
+    twice = [1.0]  # twice[b]: P(no triple yet and b values seen twice)
+    cdf, done = [0.0], 0.0
+    for t in range(2 * size + 1):  # draw t + 1 from the states after t draws
+        after = [0.0] * (len(twice) + 1)
+        for b, p in enumerate(twice):
+            once = t - 2 * b
+            if p and once >= 0:
+                done += p * b / size
+                after[b] += p * (size - once - b) / size
+                after[b + 1] += p * once / size
+        twice = after
+        cdf.append(done)
     return cdf
 
 
@@ -476,15 +507,17 @@ def rewalk_level(oracle, part, units, fillers, state):
     repeated value found by reference_table_collision.  Same arguments and
     result: the level's groups, the part's outgoing state and the distinct
     queries of each search.  A first-level unit's raw sampler blocks, read
-    straight from its Lookahead's stream without warming, become one-block
-    choices (b,); a later unit's candidates are the block tuples
-    of every combination of its member groups' choices, in product order."""
+    by the affine formula from its Lookahead's index on, without warming,
+    become one-block choices (b,); a later unit's candidates are the block
+    tuples of every combination of its member groups' choices, in product
+    order."""
     groups, stage_queries, cursor = [], [], 0
+    stream = None  # the raw units' one stream, from the Lookahead's index
     for positions, source in units:
         if not isinstance(source, tuple):  # a Lookahead over the raw sampler blocks
-            # only Lookahead.at draws ahead, so the stream is read in order
-            assert not source.buffer
-            candidates = zip(source.source)
+            if stream is None:
+                stream = reference_sampler_walk(oracle.m, source.seed, source.index)
+            candidates = zip(stream)
         else:
             candidates = (tuple(chain.from_iterable(combo))
                           for combo in product(*(member.choices for member in source)))

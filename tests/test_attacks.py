@@ -27,7 +27,6 @@ from gihflab.hashsim import (
     CompressionOracle,
     Lookahead,
     Schedule,
-    block_stream,
     derive_seed,
     gihf_eval,
     identity_schedule,
@@ -223,13 +222,13 @@ class TestFirstLevelPair:
         # one-symbol spans (positions 1 and 4) alternate with spans that
         # read their position twice around a filler (2 and 5), so each kind
         # of unit follows the other; every unit must continue the stream
-        # where the last one stopped, buffered blocks first
+        # where the last one stopped, the rest of a warmed segment first
         part = (1, 2, 3, 2, 4, 5, 6, 5, 7)
         fillers = {3: 11, 6: 12, 7: 13}
 
         def level(walk):
             oracle = CompressionOracle(8, 16, seed=25)
-            candidates = Lookahead(oracle, block_stream(16, seed=26))
+            candidates = Lookahead(oracle, seed=26)
             units = [((pos,), candidates) for pos in (1, 2, 4, 5)]
             return walk(oracle, part, units, fillers, 9)
 

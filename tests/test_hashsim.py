@@ -1,4 +1,5 @@
 import random
+import re
 import statistics
 import time
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 from gihflab.attacks import generalized_attack, joux_attack
 from gihflab.hashsim import (
     _BATCH,
+    _segments,
     CompressionOracle,
     Lookahead,
     birthday_search,
@@ -235,57 +237,117 @@ class TestKernelCrossCheck:
                 oracle.warm(h, [1, 2, 3])
         assert (oracle.raw_calls, oracle.query_count) == (0, 0)
 
+    @pytest.mark.parametrize("block", [3.0, "3", None])
+    def test_a_block_that_is_not_an_int_is_refused_by_name(self, block):
+        oracle = CompressionOracle(8, 16, seed=1)
+        refusal = f"^block {re.escape(repr(block))} must be an integer, not {type(block).__name__}$"
+        with pytest.raises(TypeError, match=refusal):
+            oracle.compress(0, block)
+        with pytest.raises(TypeError, match=refusal):
+            oracle.warm(0, [1, block])
+        assert (oracle.raw_calls, oracle.query_count) == (0, 0)
+
+
+class TestSegments:
+    """A segment of a block stream, packed or not, is the affine formula of
+    tests/support.py: every block of it, and for m <= 63 every one of the
+    _BATCH lanes of its packed integer, whose lanes past a short segment's
+    end hold the walk's next values mod 2^m."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 24, 32, 55, 56, 63, 64, 65, 130])
+    def test_segments_are_the_affine_formula(self, m):
+        size = 1 << m
+        for seed in (0, 5, 2 ** 64 - 1):
+            segment = _segments(m, seed)
+            straddle = max(0, size - _BATCH // 2)  # runs past the last block
+            for start in (0, 1, 255, 256, straddle):
+                packed, blocks = segment(start)
+                assert list(blocks) == reference_sampler_stream(
+                    m, seed, max(0, min(_BATCH, size - start)), start)
+                if m > 63:
+                    assert packed is None
+                    continue
+                lanes = [packed >> 64 * j & (1 << 64) - 1 for j in range(_BATCH)]
+                assert lanes == reference_sampler_stream(m, seed, _BATCH, start)
+                assert packed >> 64 * _BATCH == 0
+
+    @pytest.mark.parametrize("m", [2, 10, 24, 63, 64, 65])
+    def test_a_warm_fed_a_segment_gives_the_reference_values(self, m):
+        n = min(m - 1, 16)
+        seed = 7 * m
+        oracle = CompressionOracle(n, m, seed)
+        segment = _segments(m, seed=m)
+        calls, seen = 0, set()
+        for h, start in ((0, 0), ((1 << n) - 1, 1), (3 % (1 << n), max(0, (1 << m) - 9))):
+            packed, blocks = segment(start)
+            oracle.warm(h, blocks, packed)
+            assert (oracle.raw_calls, oracle.query_count) == (calls, len(seen))
+            for b in blocks:
+                assert oracle.compress(h, b) == reference_compress(seed, n, h, b)
+                seen.add((h, b))
+            calls += len(blocks)
+            assert (oracle.raw_calls, oracle.query_count) == (calls, len(seen))
+
 
 class TestLookahead:
     """A Lookahead yields its stream's blocks in order, whatever state each
-    reader warms them at and wherever a reader stops."""
+    reader warms them at and wherever a reader stops, and its index is the
+    first block no reader has drawn."""
 
     @pytest.mark.parametrize("m", [10, 65])
     def test_readers_take_turns_in_stream_order(self, m):
         count = 3 * _BATCH + 40
         oracle = CompressionOracle(8, m, seed=3)
-        lookahead = Lookahead(oracle, block_stream(m, seed=4))
+        lookahead = Lookahead(oracle, seed=4)
         read = []
-        # each reader stops partway into a batch, the next one at its own
-        # state starts with the blocks drawn ahead of the last
+        # each reader stops partway into a segment, the next one at its own
+        # state starts with the blocks the last one left
         for h, take in ((0, 5), (7, _BATCH), (7, 1), (200, _BATCH + 30)):
             read += islice(lookahead.at(h), take)
-        read += lookahead.buffer  # drawn ahead, then the rest of the stream
-        read += islice(lookahead.source, count - len(read))
+            assert lookahead.index == len(read)
+        read += islice(block_stream(m, seed=4), lookahead.index, count)  # the rest of the stream
         assert read == reference_sampler_stream(m, 4, count)
         assert oracle.raw_calls == 0
 
     def test_last_blocks_then_the_exhaustion_error(self):
         oracle = CompressionOracle(2, 3, seed=1)
-        lookahead = Lookahead(oracle, block_stream(3, seed=2))
+        lookahead = Lookahead(oracle, seed=2)
         read = list(islice(lookahead.at(0), 5)) + list(islice(lookahead.at(1), 3))
         assert read == reference_sampler_stream(3, 2, 8)
         for h in (1, 2):
             with pytest.raises(ValueError, match="block space of 3-bit blocks exhausted"):
                 next(lookahead.at(h))
 
-    def test_a_finite_stream_ends(self):
-        oracle = CompressionOracle(8, 16, seed=1)
-        lookahead = Lookahead(oracle, range(10))
-        assert list(islice(lookahead.at(0), 4)) == [0, 1, 2, 3]
-        assert list(lookahead.at(5)) == list(range(4, 10))
+    def test_a_reader_from_a_start_reads_on_to_the_end(self):
+        oracle = CompressionOracle(8, 10, seed=1)
+        lookahead = Lookahead(oracle, seed=2, start=1020)
+        assert list(islice(lookahead.at(0), 2)) == reference_sampler_stream(10, 2, 2, 1020)
+        reader = lookahead.at(5)
+        assert [next(reader), next(reader)] == reference_sampler_stream(10, 2, 2, 1022)
+        with pytest.raises(ValueError, match="block space of 10-bit blocks exhausted"):
+            next(reader)
+        assert lookahead.index == 1024
 
 
 class RecordingOracle(CompressionOracle):
-    """An oracle that records the length of every batch it is warmed with."""
+    """An oracle that records the length of every batch it is warmed with,
+    and whether the batch came packed."""
 
     def __init__(self, n, m, seed):
         super().__init__(n, m, seed)
         self.batches = []
+        self.packed = []
 
-    def warm(self, h, blocks):
+    def warm(self, h, blocks, packed=None):
         self.batches.append(len(blocks))
-        super().warm(h, blocks)
+        self.packed.append(packed is not None)
+        super().warm(h, blocks, packed)
 
 
 class TestWholeBatches:
     """Every warm a Lookahead makes gets _BATCH blocks unless its stream
-    ends: a search's leftover is warmed with fresh blocks behind it."""
+    ends: a search's leftover is warmed with fresh blocks behind it.  A
+    stream with m <= 63 hands every batch over packed."""
 
     def test_the_attacks_and_the_birthday_search_warm_whole_batches(self):
         joux = RecordingOracle(16, 24, seed=5)
@@ -297,6 +359,7 @@ class TestWholeBatches:
             birthday_search(oracle, 3, 3)
         for oracle in (joux, q2, *birthday):
             assert oracle.batches and set(oracle.batches) == {_BATCH}
+            assert set(oracle.packed) == {oracle.m <= 63}
         # the stages leave leftovers, so the whole batches overlap them
         assert len(joux.batches) > 8 and len(q2.batches) > 8
 
@@ -304,7 +367,7 @@ class TestWholeBatches:
         # 8 blocks: the first warm holds the whole space, the next the
         # leftover, both drawn once the stream had ended
         oracle = RecordingOracle(2, 3, seed=1)
-        lookahead = Lookahead(oracle, block_stream(3, seed=2))
+        lookahead = Lookahead(oracle, seed=2)
         read = list(islice(lookahead.at(0), 5)) + list(islice(lookahead.at(1), 3))
         assert read == reference_sampler_stream(3, 2, 8)
         with pytest.raises(ValueError, match="block space of 3-bit blocks exhausted"):
@@ -315,7 +378,7 @@ class TestWholeBatches:
         # that are topped up, and only the last warm, after the stream's
         # end, is short
         oracle = RecordingOracle(8, 10, seed=1)
-        lookahead = Lookahead(oracle, block_stream(10, seed=2))
+        lookahead = Lookahead(oracle, seed=2)
         read = []
         for h, take in ((0, 5), (1, _BATCH + 7), (2, 300), (3, 1)):
             read += islice(lookahead.at(h), take)
