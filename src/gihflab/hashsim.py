@@ -18,6 +18,9 @@ approximately uniform, and emphatically not a cryptographic hash.  Its
 query counter tracks *distinct* (state, block) pairs, matching the cost
 model in which repeated evaluations of known pairs are free; the raw call
 count, distinct queries plus memo repeats, is kept alongside for reporting.
+The memo is keyed by chaining state, each state with its own table of
+blocks, so a draw keeps the block object its stream segment already holds
+and allocates no key.
 It is held to the law of a uniform random function where the attacks
 look: the draws T to a first repeated value of compress(h, .) over fresh
 blocks follow P(T > t) = prod_{i<t} (1 - i/2^n).
@@ -130,8 +133,13 @@ class CompressionOracle:
     A compress miss takes three steps, in order: the memo probe, the value
     warmed for (h, b) if h is the state of the last warm, and otherwise the
     scalar chain, inlined: the state round on key ^ h, then one round per
-    64-bit chunk of b.  The memo maps the one int b << n | h to the output,
-    which is injective once h is known to lie below 2^n, and builds no 2^m.
+    64-bit chunk of b.  The memo maps each state h to its own table,
+    {b: f(h, b)}, which h's first query opens holding that query, so no
+    table is ever empty; a miss stores the caller's own b object in h's
+    table, so the scalar chain walks b's chunks in a name of its own.  A
+    state or a block that is not an int is refused with a TypeError naming
+    it, where the range check raises it, so 3.0 is never taken for the
+    state 3; a bool is the int it equals.
 
     warm(h, blocks, packed) is the bulk path: it takes one batch of at most
     _BATCH blocks, a whole segment of its stream from a Lookahead unless the
@@ -144,9 +152,11 @@ class CompressionOracle:
     block of 2^64 or more, or a miss at any other state, takes the scalar
     round.
 
-    raw_calls counts every call that passes the range checks: each one
-    either adds a memo entry or repeats one, so it is the distinct queries
-    plus the memo hits, and only the hits are counted as they happen.
+    query_count is the number of states in the memo plus _more, the
+    queries at a state beyond its first, and raw_calls adds _hits, the
+    memo hits: each call that passes the range checks either opens a
+    table, adds to one or repeats an entry, so both are read in constant
+    time, and a miss that opens a table counts nothing as it happens.
     """
 
     def __init__(self, n: int, m: int, seed: int):
@@ -160,10 +170,10 @@ class CompressionOracle:
         self.m = m
         self.seed = _checked_seed(seed)
         self._memo: dict = {}
+        self._more = 0
         self._hits = 0
         self._key = mix64(self.seed ^ _GOLDEN)
-        self._bound = 1 << n
-        self._out_mask = self._bound - 1
+        self._out_mask = (1 << n) - 1
         # the bulk path's side table: block -> f(h, block) at the state of
         # the last warm
         self._warm_h = None
@@ -172,51 +182,56 @@ class CompressionOracle:
 
     @property
     def query_count(self) -> int:
-        return len(self._memo)
+        return len(self._memo) + self._more
 
     @property
     def raw_calls(self) -> int:
-        return len(self._memo) + self._hits
+        return len(self._memo) + self._more + self._hits
 
     def clone(self) -> "CompressionOracle":
         """Fresh oracle computing the same function with its own counter."""
         return CompressionOracle(self.n, self.m, self.seed)
 
     def compress(self, h: int, b: int) -> int:
-        if not 0 <= h < self._bound:
-            raise ValueError(f"hash value {h} outside {self.n}-bit range")
+        try:
+            if h >> self.n:  # h below 0 or of 2^n or more
+                raise ValueError(f"hash value {h} outside {self.n}-bit range")
+        except TypeError:  # not an int: costs nothing until raised
+            raise TypeError(f"hash value {h!r} must be an integer, not {type(h).__name__}") from None
         try:
             if not (b >= 0 and b.bit_length() <= self.m):  # builds no 2^m
                 raise ValueError(f"block {b} outside {self.m}-bit range")
         except (AttributeError, TypeError):  # not an int: costs nothing until raised
             raise TypeError(f"block {b!r} must be an integer, not {type(b).__name__}") from None
-        key = b << self.n | h  # one int per pair: h < 2^n after the check
-        cached = self._memo.get(key)
-        if cached is not None:
-            self._hits += 1
-            return cached
-        if h == self._warm_h:
-            cached = self._warm.get(b)
+        table = self._memo.get(h)
+        if table is not None:
+            cached = table.get(b)
             if cached is not None:
-                self._memo[key] = cached
+                self._hits += 1
                 return cached
-        # mix64, inlined: its input mask is a no-op, as key ^ h and
-        # acc ^ chunk are below 2^64
-        z = self._key ^ h
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        acc = z ^ (z >> 31)
-        while b > _MASK64:
-            z = acc ^ (b & _MASK64)
+            self._more += 1
+        if h != self._warm_h or (cached := self._warm.get(b)) is None:
+            # mix64, inlined: its input mask is a no-op, as key ^ h and
+            # acc ^ chunk are below 2^64
+            z = self._key ^ h
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
             acc = z ^ (z >> 31)
-            b >>= 64
-        z = acc ^ b
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        cached = (z ^ (z >> 31)) & self._out_mask
-        self._memo[key] = cached
+            chunks = b  # b itself is stored below
+            while chunks > _MASK64:
+                z = acc ^ (chunks & _MASK64)
+                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                acc = z ^ (z >> 31)
+                chunks >>= 64
+            z = acc ^ chunks
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            cached = (z ^ (z >> 31)) & self._out_mask
+        if table is None:
+            self._memo[h] = {b: cached}
+        else:
+            table[b] = cached
         return cached
 
     def warm(self, h: int, blocks: Sequence[int], packed: Optional[int] = None) -> None:
@@ -227,9 +242,12 @@ class CompressionOracle:
         over a segment of a stream with m <= 63; without it the blocks are
         packed here.  Replaces the last warm's values and counts nothing.
         Refuses an h outside the n-bit range as compress does, a longer
-        batch, and a block that is not an int."""
-        if not 0 <= h < self._bound:
-            raise ValueError(f"hash value {h} outside {self.n}-bit range")
+        batch, and a state or a block that is not an int."""
+        try:
+            if h >> self.n:
+                raise ValueError(f"hash value {h} outside {self.n}-bit range")
+        except TypeError:
+            raise TypeError(f"hash value {h!r} must be an integer, not {type(h).__name__}") from None
         if len(blocks) > _BATCH:
             raise ValueError(f"a warm takes at most {_BATCH} blocks, not {len(blocks)}")
         if packed is None:

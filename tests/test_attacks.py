@@ -28,6 +28,7 @@ from gihflab.hashsim import (
     Lookahead,
     Schedule,
     derive_seed,
+    f_plus,
     gihf_eval,
     identity_schedule,
     mirror_schedule,
@@ -276,8 +277,9 @@ class TestJouxAttack:
         assert o.query_count - before == report.attack_queries
 
     def test_memo_bytes_per_query(self):
-        # one memo entry per distinct query: its key, its value and its
-        # share of the dict, with the attack's result still held
+        # one memo entry per distinct query: the block, kept from the
+        # stream, its value and its share of its state's table, with the
+        # attack's result still held
         tracemalloc.start()
         try:
             o = CompressionOracle(20, 28, seed=7)
@@ -287,6 +289,23 @@ class TestJouxAttack:
             tracemalloc.stop()
         assert result[1].verify_ok
         assert held / o.query_count < 128
+
+    def test_scalar_chain_bytes_per_query(self):
+        # every step of a chain over fresh blocks is at a fresh state, so
+        # each query opens a table of its own: the one-entry table, the
+        # value and the state's entry in the memo; the blocks are the
+        # caller's
+        rng = random.Random(8)
+        blocks = [rng.getrandbits(48) for _ in range(20_000)]
+        tracemalloc.start()
+        try:
+            o = CompressionOracle(32, 48, seed=8)
+            f_plus(o, 0, blocks)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert o.query_count == len(blocks)
+        assert held / o.query_count < 320
 
     def test_huge_block_length_builds_no_power(self):
         tracemalloc.start()

@@ -247,6 +247,95 @@ class TestKernelCrossCheck:
             oracle.warm(0, [1, block])
         assert (oracle.raw_calls, oracle.query_count) == (0, 0)
 
+    @pytest.mark.parametrize("state", [3.0, "3", None])
+    def test_a_state_that_is_not_an_int_is_refused_by_name(self, state):
+        # 3.0 == 3 and hashes alike, so after its int twin was queried and
+        # warmed it must still be refused, not read from the memo or warm
+        oracle = CompressionOracle(8, 16, seed=1)
+        refusal = f"^hash value {re.escape(repr(state))} must be an integer, not {type(state).__name__}$"
+        with pytest.raises(TypeError, match=refusal):
+            oracle.compress(state, 200)
+        oracle.compress(3, 200)
+        oracle.warm(3, [201])
+        for block in (200, 201):
+            with pytest.raises(TypeError, match=refusal):
+                oracle.compress(state, block)
+        with pytest.raises(TypeError, match=refusal):
+            oracle.warm(state, [1, 2])
+        assert (oracle.raw_calls, oracle.query_count) == (1, 1)
+
+    def test_a_bool_state_is_its_int(self):
+        oracle = CompressionOracle(8, 16, seed=1)
+        assert oracle.compress(True, 5) == reference_compress(1, 8, 1, 5)
+        assert oracle.compress(1, 5) == reference_compress(1, 8, 1, 5)
+        oracle.warm(False, [7])
+        assert oracle.compress(0, 7) == reference_compress(1, 8, 0, 7)
+        assert (oracle.raw_calls, oracle.query_count) == (3, 2)
+
+
+class TestMemoCounts:
+    """query_count and raw_calls against a set of the distinct pairs and a
+    call count, read after every call, through every way a query reaches
+    the memo: a scalar miss, a warmed miss and a hit, at a state whose table
+    the scalar path opened before its first warm, under a second warm over
+    blocks already queried, with blocks of 2^64 and above, and on a clone
+    made partway."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_counts_match_a_set_of_pairs(self, seed):
+        rng = random.Random(seed)
+        n, m = 8, 80
+        oracle = CompressionOracle(n, m, seed)
+        states = rng.sample(range(1 << n), 4)
+        pool = [rng.getrandbits(rng.choice((8, 40, 64))) for _ in range(80)]
+        pool += [1 << 64, (1 << 64) + 1, (1 << m) - 1]
+        counts = {oracle: (set(), [0])}
+
+        def query(o, h, b):
+            seen, calls = counts[o]
+            assert o.compress(h, b) == reference_compress(seed, n, h, b)
+            seen.add((h, b))
+            calls[0] += 1
+            assert (o.query_count, o.raw_calls) == (len(seen), calls[0])
+
+        h = states[0]
+        for b in pool[:10]:  # the scalar path opens h's table
+            query(oracle, h, b)
+        for _ in range(2):  # a warm, then a second one, over queried blocks
+            oracle.warm(h, pool[5:40])
+            for b in pool[:45]:
+                query(oracle, h, b)
+        for step in range(1500):
+            if step == 700:
+                twin = oracle.clone()
+                counts[twin] = (set(), [0])
+            h = rng.choice(states)
+            if rng.random() < 0.05:
+                rng.choice(list(counts)).warm(h, rng.sample(pool, 40))
+                continue
+            for o in counts:
+                query(o, h, rng.choice(pool))
+        for o in counts:
+            assert all(o._memo.values())  # no state's table is empty
+        assert counts[oracle][1][0] > counts[twin][1][0]  # each counted its own calls
+
+    def test_counts_stay_constant_time(self):
+        # 20,000 states, each with its own table: reading the counts must
+        # not walk them
+        oracle = CompressionOracle(16, 24, seed=3)
+        for h in range(20_000):
+            oracle.compress(h, h)
+            oracle.compress(h, h + 1)
+        assert (oracle.query_count, oracle.raw_calls) == (40_000, 40_000)
+        bound = 2.0  # seconds; O(1) reads take well under a tenth of it
+        started = time.perf_counter()
+        for _ in range(200):
+            for _ in range(1000):
+                oracle.query_count
+                oracle.raw_calls
+            elapsed = time.perf_counter() - started
+            assert elapsed < bound
+
 
 class TestSegments:
     """A segment of a block stream, packed or not, is the affine formula of
