@@ -283,8 +283,9 @@ def verify_multicollision(oracle: CompressionOracle, sched: Schedule, h0: int,
         mc.validate()
         alpha = validate_schedule_word(sched, mc.length)
         blocks = chain(mc.base_blocks.values(), *(c for g in mc.groups for c in g.choices))
-        if not (0 <= h0 < 1 << oracle.n
-                and all(b >= 0 and b.bit_length() <= oracle.m for b in blocks)):
+        # h0 >> n as compress checks it: nonzero out of range, a TypeError
+        # for 3.0 or any other non-int, and a bool is the int it equals
+        if h0 >> oracle.n or not all(b >= 0 and b.bit_length() <= oracle.m for b in blocks):
             raise ValueError("h0 or a block lies outside the oracle's range")
     except (ValueError, TypeError, AttributeError):
         return VerificationResult(False, True, 0)

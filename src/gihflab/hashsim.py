@@ -9,9 +9,11 @@ over fresh blocks reads them through a Lookahead, which keeps its place as
 an index into the stream: each warm computes the segment that starts at
 the first block no search has read, and the oracle runs the splitmix round
 on every lane of that packed integer at the search's chaining state.
-compress then reads the value on a miss instead of mixing.  The search
-still makes one compress call per draw, in draw order, so every count and
-every value is the same as without the lookahead.
+compress then reads the value on a miss instead of mixing.  A stream with
+m >= 64 has no packed segments and is read unwarmed, each miss taking the
+scalar chain.  The search still makes one compress call per draw, in draw
+order, so every count and every value is the same as without the
+lookahead.
 
 The oracle is a seeded keyed mixer over (state, block) pairs: deterministic,
 approximately uniform, and emphatically not a cryptographic hash.  Its
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, count, takewhile
 from operator import itemgetter, length_hint
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .words import Word, require_int
 
@@ -47,10 +49,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # The bulk path warms whole batches: a Lookahead warms the _BATCH-block
 # segment of its stream that starts at the first unread block, and a warm
 # computes its batch as one integer of _BATCH lanes, block i in bits
-# 64i..64i + 63 (little-endian lanes).  A segment of a stream with m <= 63
-# comes packed so; any other batch is packed by _LANES, which zero-fills the
-# lanes a short batch leaves empty.  A batch is short only at a stream's
-# end, or when a wide-block batch drops its blocks of 2^64 and above.
+# 64i..64i + 63 (little-endian lanes), as a segment of a stream with
+# m <= 63 comes packed.  A batch is short only at a stream's end.
 _BATCH = 256
 _LANE_ONES = sum(1 << 64 * i for i in range(_BATCH))  # 1 in every lane
 _EVEN = _MASK64 * sum(1 << 128 * i for i in range((_BATCH + 1) // 2))  # lanes 0, 2, 4, ...
@@ -60,7 +60,6 @@ _LOW34 = ((1 << 34) - 1) * _LANE_ONES
 _LOW37 = ((1 << 37) - 1) * _LANE_ONES
 _LOW33 = ((1 << 33) - 1) * _LANE_ONES
 _LANES = struct.Struct(f"<{_BATCH}Q")
-_ZEROS = (0,) * _BATCH
 
 
 def mix64(z: int) -> int:
@@ -69,21 +68,6 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def _pack(blocks: Sequence[int]) -> tuple:
-    """(kept, packed): the blocks 0 <= b < 2^64 of one batch of at most
-    _BATCH blocks, in order, and those blocks packed one per lane as
-    _packed_rounds takes them.  A block that is not an int is refused with
-    a TypeError naming it."""
-    try:
-        return blocks, int.from_bytes(_LANES.pack(*blocks, *_ZEROS[len(blocks):]), "little")
-    except struct.error:  # a block below 0, of 2^64 or more, or not an int
-        for b in blocks:
-            if not isinstance(b, int):
-                raise TypeError(f"block {b!r} must be an integer, not {type(b).__name__}") from None
-        kept = [b for b in blocks if 0 <= b <= _MASK64]
-        return kept, int.from_bytes(_LANES.pack(*kept, *_ZEROS[len(kept):]), "little")
 
 
 def _packed_rounds(acc: int, packed: int, lane_out: int) -> tuple:
@@ -141,16 +125,16 @@ class CompressionOracle:
     it, where the range check raises it, so 3.0 is never taken for the
     state 3; a bool is the int it equals.
 
-    warm(h, blocks, packed) is the bulk path: it takes one batch of at most
-    _BATCH blocks, a whole segment of its stream from a Lookahead unless the
-    stream ends, computes f(h, b) for every block b < 2^64 of it with one
-    _packed_rounds call, and keeps the values in a side table for h,
-    replacing the last warm's.
+    warm(h, blocks, packed) is the bulk path: it takes one packed segment of
+    a stream with m <= 63 from a Lookahead, _BATCH blocks unless the stream
+    ends, computes f(h, b) for every block b of it with one _packed_rounds
+    call, and keeps the values in a side table for h, replacing the last
+    warm's.
     A compress miss at that state reads its value there instead of mixing;
     it still passes the range checks and the memo probe and stores the
     value in the memo, so a warm counts nothing and changes no value.  A
-    block of 2^64 or more, or a miss at any other state, takes the scalar
-    round.
+    miss at any other state, or on an oracle whose streams are wider and
+    so never warmed, takes the scalar round.
 
     query_count is the number of states in the memo plus _more, the
     queries at a state beyond its first, and raw_calls adds _hits, the
@@ -234,24 +218,17 @@ class CompressionOracle:
             table[b] = cached
         return cached
 
-    def warm(self, h: int, blocks: Sequence[int], packed: Optional[int] = None) -> None:
-        """Compute f(h, b) at once for every int block 0 <= b < 2^64 of one
-        batch, `blocks`, of at most _BATCH blocks, for compress(h, b) to
-        read on a miss; other blocks are left to the scalar round.  `packed`
-        is the batch already packed one block per lane, as a Lookahead hands
-        over a segment of a stream with m <= 63; without it the blocks are
-        packed here.  Replaces the last warm's values and counts nothing.
-        Refuses an h outside the n-bit range as compress does, a longer
-        batch, and a state or a block that is not an int."""
+    def warm(self, h: int, blocks: Sequence[int], packed: int) -> None:
+        """Compute f(h, b) at once for every block b of one packed stream
+        segment, (packed, blocks) as _segments gives it for m <= 63, for
+        compress(h, b) to read on a miss.  Replaces the last warm's values
+        and counts nothing.  Refuses an h outside the n-bit range as
+        compress does, and a state that is not an int."""
         try:
             if h >> self.n:
                 raise ValueError(f"hash value {h} outside {self.n}-bit range")
         except TypeError:
             raise TypeError(f"hash value {h!r} must be an integer, not {type(h).__name__}") from None
-        if len(blocks) > _BATCH:
-            raise ValueError(f"a warm takes at most {_BATCH} blocks, not {len(blocks)}")
-        if packed is None:
-            blocks, packed = _pack(blocks)
         self._warm = dict(zip(blocks, _packed_rounds(mix64(self._key ^ h), packed, self._lane_out)))
         self._warm_h = h
 
@@ -414,12 +391,13 @@ class Lookahead:
 
     The Lookahead keeps its place as `index`, the first block of the stream
     no search has read, starting at `start`.  at(h) returns one iterator
-    over the stream from there: each warm computes the _BATCH-block
-    segment that starts at the index (_segments), hands it, packed, to
-    CompressionOracle.warm at h, and the search reads its blocks through
-    C iterators, so the index advances by exactly what the search drew.  A
+    over the stream from there: each step computes the _BATCH-block
+    segment that starts at the index (_segments), hands it, if it comes
+    packed (m <= 63), to CompressionOracle.warm at h, and the search reads
+    its blocks through C iterators, so the index advances by exactly what
+    the search drew.  A wider stream's segments are read unwarmed.  A
     search that stops partway into a segment leaves the rest to the next
-    one, which warms a fresh segment from that point at its own state.  A
+    one, which takes a fresh segment from that point at its own state.  A
     segment is short only at the stream's end; past it at(h) raises
     ValueError, as block_stream does, at the draw after the last block and
     at every later search.
@@ -446,7 +424,8 @@ class Lookahead:
             packed, blocks = self._segment(start)
             if not blocks:
                 _exhausted(self.oracle.m)
-            self.oracle.warm(h, blocks, packed)
+            if packed is not None:
+                self.oracle.warm(h, blocks, packed)
             self._end = start + len(blocks)
             self._unread = iter(blocks)
             yield self._unread

@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from gihflab import attacks
 from gihflab.attacks import (
     CollisionGroup,
     MulticollisionSet,
+    VerificationResult,
     _attack,
     _frontier_digests,
     _inherited_units,
@@ -405,6 +407,27 @@ class TestVerifyMulticollision:
         o, mc = self._sample(r=5)
         outcome = verify_multicollision(o.clone(), identity_schedule(), 0, mc, cap=8)
         assert outcome.ok and outcome.complete and outcome.checked == 32
+
+    @pytest.mark.parametrize("h0", [3.0, Fraction(3), "0", None, -1, 1 << 8],
+                             ids=["float", "fraction", "str", "none", "negative", "2^n"])
+    def test_rejects_an_h0_that_is_not_an_n_bit_int_without_a_call(self, h0):
+        o, mc = self._sample()
+        calls = []
+
+        class Recording(CompressionOracle):
+            def compress(self, h, b):
+                calls.append((h, b))
+                return super().compress(h, b)
+
+        outcome = verify_multicollision(Recording(o.n, o.m, o.seed), identity_schedule(), h0, mc)
+        assert outcome == VerificationResult(False, True, 0)
+        assert calls == []
+
+    def test_a_bool_h0_is_its_int(self):
+        o, mc = self._sample()
+        outcome = verify_multicollision(o.clone(), identity_schedule(), False, mc)
+        assert outcome == verify_multicollision(o.clone(), identity_schedule(), 0, mc)
+        assert outcome.ok and outcome.checked == 8
 
     def test_cap_below_one_rejected(self):
         o, mc = self._sample()

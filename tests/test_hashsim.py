@@ -180,17 +180,19 @@ class TestKernelCrossCheck:
 
     @pytest.mark.parametrize("n, m", CASES)
     def test_bulk_path_matches_reference_and_counts(self, n, m):
-        # warmed batches of every size class, one-chunk blocks next to
-        # blocks of 2^64 and above, pairs already in the memo, queries at
-        # another state between the warm and its reads, and reads in
-        # another order than the warm's
+        # warmed segments, the stream's short last one included, pairs
+        # already in the memo, blocks warmed twice by overlapping segments,
+        # queries at another state between the warm and its reads, and
+        # reads in another order than the warm's; only a stream with
+        # m <= 63 comes packed, so a wider oracle is fed a 63-bit one
         rng = random.Random(n * 7919 + m)
         seed = rng.getrandbits(64)
         oracle = CompressionOracle(n, m, seed)
+        stream_m = min(m, 63)
+        segment = _segments(stream_m, seed=rng.getrandbits(64))
         states = [rng.getrandbits(n) for _ in range(3)] + [0, (1 << n) - 1]
-        edges = [0, 1, (1 << m) - 1, (1 << min(m, 64)) - 1, 1 << (m - 1)]
-        if m > 64:
-            edges += [1 << 64, (1 << 64) + 1]
+        size = 1 << stream_m
+        starts = [s for s in (0, 5, _BATCH + 3, size - 37, size - 1) if 0 <= s < size]
         seen = set()
         calls = 0
         warmed = []  # the blocks of the last warm, at another state
@@ -203,38 +205,27 @@ class TestKernelCrossCheck:
                 seen.add((h, b))
                 assert (oracle.raw_calls, oracle.query_count) == (calls, len(seen))
 
-        for size in (1, 37, _BATCH, 2 * _BATCH + 5):
+        for start in dict.fromkeys(starts):
             h, other = rng.sample(states, 2)
-            blocks = [rng.getrandbits(rng.randint(1, m)) for _ in range(size)]
-            blocks[rng.randrange(size)] = rng.choice(edges)
-            if size > 1:
-                blocks[-1] = blocks[0]  # a block warmed twice
-            read(h, blocks[:size // 3])  # in the memo before the warm
-            queue = blocks + edges + [-1]  # -1 is left to compress to refuse
-            for start in range(0, len(queue), _BATCH):  # a warm takes one batch
-                batch = queue[start:start + _BATCH]
-                oracle.warm(h, batch)
-                assert (oracle.raw_calls, oracle.query_count) == (calls, len(seen))
-                read(other, blocks[:5])  # another state, then back
-                shuffled = [b for b in batch if b >= 0]
-                rng.shuffle(shuffled)
-                read(h, shuffled)
-                read(other, blocks[-5:])
-                read(h, warmed[-20:])  # the last warm's blocks, at this warm's state
-                warmed = shuffled
-
-    def test_warm_takes_at_most_one_batch(self):
-        oracle = CompressionOracle(8, 16, seed=1)
-        with pytest.raises(ValueError, match=f"a warm takes at most {_BATCH} blocks, not {_BATCH + 1}"):
-            oracle.warm(0, range(_BATCH + 1))
-        oracle.warm(0, range(_BATCH))
-        assert (oracle.raw_calls, oracle.query_count) == (0, 0)
+            packed, blocks = segment(start)
+            assert len(blocks) == min(_BATCH, size - start)
+            read(h, blocks[:len(blocks) // 3])  # in the memo before the warm
+            oracle.warm(h, blocks, packed)
+            assert (oracle.raw_calls, oracle.query_count) == (calls, len(seen))
+            read(other, blocks[:5])  # another state, then back
+            shuffled = list(blocks)
+            rng.shuffle(shuffled)
+            read(h, shuffled)
+            read(other, blocks[-5:])
+            read(h, warmed[-20:])  # the last warm's blocks, at this warm's state
+            warmed = shuffled
 
     def test_warm_refuses_a_state_outside_the_range(self):
         oracle = CompressionOracle(8, 16, seed=1)
+        packed, blocks = _segments(16, seed=2)(0)
         for h in (-1, 256):
             with pytest.raises(ValueError, match=f"hash value {h} outside 8-bit range"):
-                oracle.warm(h, [1, 2, 3])
+                oracle.warm(h, blocks, packed)
         assert (oracle.raw_calls, oracle.query_count) == (0, 0)
 
     @pytest.mark.parametrize("block", [3.0, "3", None])
@@ -243,8 +234,6 @@ class TestKernelCrossCheck:
         refusal = f"^block {re.escape(repr(block))} must be an integer, not {type(block).__name__}$"
         with pytest.raises(TypeError, match=refusal):
             oracle.compress(0, block)
-        with pytest.raises(TypeError, match=refusal):
-            oracle.warm(0, [1, block])
         assert (oracle.raw_calls, oracle.query_count) == (0, 0)
 
     @pytest.mark.parametrize("state", [3.0, "3", None])
@@ -252,24 +241,26 @@ class TestKernelCrossCheck:
         # 3.0 == 3 and hashes alike, so after its int twin was queried and
         # warmed it must still be refused, not read from the memo or warm
         oracle = CompressionOracle(8, 16, seed=1)
+        packed, blocks = _segments(16, seed=2)(0)
         refusal = f"^hash value {re.escape(repr(state))} must be an integer, not {type(state).__name__}$"
         with pytest.raises(TypeError, match=refusal):
-            oracle.compress(state, 200)
-        oracle.compress(3, 200)
-        oracle.warm(3, [201])
-        for block in (200, 201):
+            oracle.compress(state, blocks[0])
+        oracle.compress(3, blocks[0])
+        oracle.warm(3, blocks, packed)
+        for block in blocks[:2]:
             with pytest.raises(TypeError, match=refusal):
                 oracle.compress(state, block)
         with pytest.raises(TypeError, match=refusal):
-            oracle.warm(state, [1, 2])
+            oracle.warm(state, blocks, packed)
         assert (oracle.raw_calls, oracle.query_count) == (1, 1)
 
     def test_a_bool_state_is_its_int(self):
         oracle = CompressionOracle(8, 16, seed=1)
         assert oracle.compress(True, 5) == reference_compress(1, 8, 1, 5)
         assert oracle.compress(1, 5) == reference_compress(1, 8, 1, 5)
-        oracle.warm(False, [7])
-        assert oracle.compress(0, 7) == reference_compress(1, 8, 0, 7)
+        packed, blocks = _segments(16, seed=2)(0)
+        oracle.warm(False, blocks, packed)
+        assert oracle.compress(0, blocks[0]) == reference_compress(1, 8, 0, blocks[0])
         assert (oracle.raw_calls, oracle.query_count) == (3, 2)
 
 
@@ -286,8 +277,12 @@ class TestMemoCounts:
         rng = random.Random(seed)
         n, m = 8, 80
         oracle = CompressionOracle(n, m, seed)
+        # the oracle's own stream is too wide to come packed, so it is
+        # warmed with segments of a narrower one, whose blocks it accepts
+        segment = _segments(40, seed)
+        packed, first = segment(0)
         states = rng.sample(range(1 << n), 4)
-        pool = [rng.getrandbits(rng.choice((8, 40, 64))) for _ in range(80)]
+        pool = list(first[:40]) + [rng.getrandbits(rng.choice((8, 40, 64))) for _ in range(40)]
         pool += [1 << 64, (1 << 64) + 1, (1 << m) - 1]
         counts = {oracle: (set(), [0])}
 
@@ -302,7 +297,7 @@ class TestMemoCounts:
         for b in pool[:10]:  # the scalar path opens h's table
             query(oracle, h, b)
         for _ in range(2):  # a warm, then a second one, over queried blocks
-            oracle.warm(h, pool[5:40])
+            oracle.warm(h, first, packed)
             for b in pool[:45]:
                 query(oracle, h, b)
         for step in range(1500):
@@ -310,8 +305,9 @@ class TestMemoCounts:
                 twin = oracle.clone()
                 counts[twin] = (set(), [0])
             h = rng.choice(states)
-            if rng.random() < 0.05:
-                rng.choice(list(counts)).warm(h, rng.sample(pool, 40))
+            if rng.random() < 0.05:  # a segment holding some of the pool's blocks
+                packed, blocks = segment(rng.randrange(40))
+                rng.choice(list(counts)).warm(h, blocks, packed)
                 continue
             for o in counts:
                 query(o, h, rng.choice(pool))
@@ -360,7 +356,7 @@ class TestSegments:
                 assert lanes == reference_sampler_stream(m, seed, _BATCH, start)
                 assert packed >> 64 * _BATCH == 0
 
-    @pytest.mark.parametrize("m", [2, 10, 24, 63, 64, 65])
+    @pytest.mark.parametrize("m", [2, 10, 24, 63])
     def test_a_warm_fed_a_segment_gives_the_reference_values(self, m):
         n = min(m - 1, 16)
         seed = 7 * m
@@ -419,36 +415,37 @@ class TestLookahead:
 
 
 class RecordingOracle(CompressionOracle):
-    """An oracle that records the length of every batch it is warmed with,
-    and whether the batch came packed."""
+    """An oracle that records the length of every batch it is warmed with
+    and every compress call."""
 
     def __init__(self, n, m, seed):
         super().__init__(n, m, seed)
         self.batches = []
-        self.packed = []
+        self.calls = []
 
-    def warm(self, h, blocks, packed=None):
+    def warm(self, h, blocks, packed):
         self.batches.append(len(blocks))
-        self.packed.append(packed is not None)
         super().warm(h, blocks, packed)
+
+    def compress(self, h, b):
+        self.calls.append((h, b))
+        return super().compress(h, b)
 
 
 class TestWholeBatches:
     """Every warm a Lookahead makes gets _BATCH blocks unless its stream
-    ends: a search's leftover is warmed with fresh blocks behind it.  A
-    stream with m <= 63 hands every batch over packed."""
+    ends: a search's leftover is warmed with fresh blocks behind it."""
 
     def test_the_attacks_and_the_birthday_search_warm_whole_batches(self):
         joux = RecordingOracle(16, 24, seed=5)
         joux_attack(joux, 0, 8)
-        q2 = RecordingOracle(12, 64, seed=6)
+        q2 = RecordingOracle(12, 40, seed=6)
         generalized_attack(q2, mirror_schedule(), 2, 12, 2)
         birthday = [RecordingOracle(16, 20, seed) for seed in range(1, 6)]
         for oracle in birthday:
             birthday_search(oracle, 3, 3)
         for oracle in (joux, q2, *birthday):
             assert oracle.batches and set(oracle.batches) == {_BATCH}
-            assert set(oracle.packed) == {oracle.m <= 63}
         # the stages leave leftovers, so the whole batches overlap them
         assert len(joux.batches) > 8 and len(q2.batches) > 8
 
@@ -476,6 +473,32 @@ class TestWholeBatches:
         with pytest.raises(ValueError, match="block space of 10-bit blocks exhausted"):
             next(lookahead.at(5))
         assert oracle.batches == [_BATCH] * 7 + [1024 - 825]
+
+
+class TestWhereTheBulkPathRuns:
+    """Only a stream with m <= 63 comes packed, so only it is warmed, in
+    whole batches; a wider one is read unwarmed.  Either way every
+    value is the oracle function's and the counts are exact."""
+
+    ROUTES = {
+        "joux": lambda oracle: joux_attack(oracle, 0, 6),
+        "mirror": lambda oracle: generalized_attack(oracle, mirror_schedule(), 2, 10, 2),
+        "birthday": lambda oracle: birthday_search(oracle, 3, 3),
+    }
+
+    @pytest.mark.parametrize("m", [63, 64, 65])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_only_packed_streams_are_warmed(self, route, m):
+        oracle = RecordingOracle(10, m, seed=11)
+        self.ROUTES[route](oracle)
+        if m <= 63:
+            assert oracle.batches and set(oracle.batches) == {_BATCH}
+        else:
+            assert oracle.batches == []
+        assert oracle.calls
+        assert (oracle.raw_calls, oracle.query_count) == (len(oracle.calls), len(set(oracle.calls)))
+        for h, b in set(oracle.calls):
+            assert oracle.compress(h, b) == reference_compress(11, 10, h, b)
 
 
 class TestIteratedEvaluators:

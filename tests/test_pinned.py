@@ -106,8 +106,8 @@ def test_library_birthday_outputs_pinned():
 
 
 def test_wide_block_attacks_pinned():
-    # warm leaves blocks of 2^64 and above to the scalar chain, so nearly
-    # every miss of these attacks, level 1's draws included, runs it
+    # a stream this wide comes unpacked and is never warmed, so every miss
+    # of these attacks, level 1's draws included, runs the scalar chain
     runs = []
     for m in (70, 130):
         for seed in (1, 2):
